@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--out-dir", default=None, help="report directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; trials run serially")
     return parser
 
 

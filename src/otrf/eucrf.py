@@ -7,7 +7,6 @@ analysis, and a row-normalised attention estimator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,21 +263,3 @@ def attention_estimate(X, sample_ensemble, params: GaussianKernelParams,
         kernel_cov=float(np.mean(cov_rows)),
         trials=trials,
     )
-
-
-def write_gram_csv(path, gram: np.ndarray, *, seed, coupling: str, m: int, d: int):
-    """Dense Gram matrix as CSV with a metadata header row."""
-    gram = np.asarray(gram, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"seed={seed}", f"coupling={coupling}", f"m={m}", f"d={d}"])
-        for row in gram:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def read_gram_csv(path) -> tuple[np.ndarray, dict]:
-    """Inverse of :func:`write_gram_csv`; returns (matrix, metadata)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    meta = dict(item.split("=", 1) for item in rows[0])
-    return np.array([[float(v) for v in row] for row in rows[1:]]), meta

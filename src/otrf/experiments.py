@@ -1,16 +1,15 @@
 """Seeded benchmark experiments behind the CLI.
 
 Every experiment is a pure function of (config, seed): per-trial random
-streams are spawned deterministically from the master seed and results are
-reduced in trial order, so outputs are identical across runs and worker
-counts.
+streams are spawned deterministically from the master seed and trials run
+serially in order, so outputs are identical across runs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -41,7 +40,7 @@ class ExperimentConfig:
     kind: str
     seed: int
     out_dir: str = "."
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; trials always run serially
     trials: int = 200
     # data
     source: str = "synthetic"  # synthetic | csv | graph-file | synthetic-graph
@@ -88,6 +87,12 @@ class ExperimentConfig:
             raise ConfigError("coupling list must be nonempty")
         if not self.p_halt_values:
             raise ConfigError("p_halt grid must be nonempty")
+        bad = [p for p in self.p_halt_values if not 0 < p < 1]
+        if bad:
+            raise ConfigError(f"p_halt_values must lie in (0, 1), got {bad}")
+        for key in ("trials", "splits"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
@@ -198,19 +203,47 @@ def _rng(master: int, label: str) -> np.random.Generator:
     return np.random.default_rng(_seeds(master, label, 1)[0])
 
 
-def _map_trials(fn, seeds, threads: int) -> list:
-    gens = [np.random.default_rng(s) for s in seeds]
-    if threads <= 1:
-        return [fn(g) for g in gens]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, gens))
+def _map_trials(fn, seeds) -> list:
+    """``fn`` of a fresh generator per seed, run serially in seed order."""
+    return [fn(np.random.default_rng(s)) for s in seeds]
 
 
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
-    if arr.size <= 1:
-        return float(arr.mean()) if arr.size else float("nan"), float("nan")
+    if arr.size == 1:
+        return float(arr[0]), float("nan")
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
+
+
+def _grid_bench(cfg: ExperimentConfig, cells, metric: str, mean_key: str):
+    """Every coupling's trials in every grid cell, normalised by iid per cell.
+
+    ``cells`` yields ``(name, label, coords, trial)``: ``trial(tag, rng)``
+    returns one trial's ``metric`` and ``label.format(tag)`` seeds the
+    trials.  Each row is ``coords`` with its "coupling" entry set to the
+    tag, then trial, seed and ``metric``; the summary entry ``name/tag``
+    holds the mean as ``mean_key``, its standard error and, when iid ran,
+    the mean over the iid mean.
+    """
+    rows = []
+    summary = {}
+    for name, label, coords, trial in cells:
+        cell = {}
+        for tag in cfg.couplings:
+            seeds = _seeds(cfg.seed, label.format(tag), cfg.trials)
+            values = _map_trials(functools.partial(trial, tag), seeds)
+            for i, value in enumerate(values):
+                rows.append(
+                    {**coords, "coupling": tag, "trial": i, "seed": cfg.seed, metric: value}
+                )
+            cell[tag] = _mean_se(values)
+        base = cell.get("iid", (None, None))[0]
+        for tag, (mean, se) in cell.items():
+            entry = {mean_key: mean, "se": se, "two_se": 2 * se, "trials": cfg.trials}
+            if base:
+                entry["normalized"] = mean / base
+            summary[f"{name}/{tag}"] = entry
+    return rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -286,45 +319,22 @@ def _feature_matrix(featurizer: str, X, ens, params):
 def run_rf_bench(cfg: ExperimentConfig):
     X, y = _euclidean_dataset(cfg)
     d = X.shape[1]
-    rows = []
-    summary: dict = {}
-    for featurizer in cfg.featurizers:
-        params = _resolve_kernel(cfg, featurizer, X, y)
-        k_exact = eucrf.gaussian_gram(X, X, params)
-        m_values = cfg.m_values or ((d,) if featurizer == "rff" else (2 * d,))
-        for m in m_values:
-            cell_means = {}
-            for tag in cfg.couplings:
-                spec = _coupling_spec(tag, m)
 
-                def one_trial(rng, spec=spec, m=m, featurizer=featurizer, params=params):
-                    ens = cpl.build_ensemble(m, d, spec, rng)
+    def cells():
+        for featurizer in cfg.featurizers:
+            params = _resolve_kernel(cfg, featurizer, X, y)
+            k_exact = eucrf.gaussian_gram(X, X, params)
+            for m in cfg.m_values or ((d,) if featurizer == "rff" else (2 * d,)):
+
+                def trial(tag, rng, m=m, featurizer=featurizer, params=params, k_exact=k_exact):
+                    ens = cpl.build_ensemble(m, d, _coupling_spec(tag, m), rng)
                     phi = _feature_matrix(featurizer, X, ens, params)
                     return eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
 
-                label = f"rf/{featurizer}/{tag}/{m}"
-                seeds = _seeds(cfg.seed, label, cfg.trials)
-                rmses = _map_trials(one_trial, seeds, cfg.threads)
-                for i, val in enumerate(rmses):
-                    rows.append(
-                        {
-                            "featurizer": featurizer,
-                            "coupling": tag,
-                            "m": m,
-                            "d": d,
-                            "trial": i,
-                            "seed": cfg.seed,
-                            "rmse": val,
-                        }
-                    )
-                mean, se = _mean_se(rmses)
-                cell_means[tag] = (mean, se)
-            base_mean = cell_means.get("iid", (None, None))[0]
-            for tag, (mean, se) in cell_means.items():
-                entry = {"mean_rmse": mean, "se": se, "two_se": 2 * se, "trials": cfg.trials}
-                if base_mean:
-                    entry["normalized"] = mean / base_mean
-                summary[f"{featurizer}/m={m}/{tag}"] = entry
+                coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
+                yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, trial
+
+    rows, summary = _grid_bench(cfg, cells(), "rmse", "mean_rmse")
     summary["kernel_note"] = "rmse normalised by the iid coupling where present"
     return rows, summary
 
@@ -383,31 +393,34 @@ def _graph_kernel_spec(cfg: ExperimentConfig) -> graphmod.GraphKernelSpec:
     )
 
 
-def _load_or_train_sigmas(cfg: ExperimentConfig, f: grf.ModulationFn) -> dict:
-    """One sigma coupling per p_halt, loaded from disk or trained fresh."""
-    if cfg.sigma_path:
-        payload = json.loads(Path(cfg.sigma_path).read_text())
-        out = {}
-        for item in payload:
-            c = graphmod.SigmaCoupling.from_json(json.dumps(item))
-            out[round(c.p_halt, 10)] = c
-        missing = [p for p in cfg.p_halt_values if round(p, 10) not in out]
-        if missing:
-            raise ConfigError(f"sigma file lacks couplings for p_halt {missing}")
-        return out
-    train_graph = graphmod.erdos_renyi(
-        cfg.train_nodes, cfg.train_edge_prob, _rng(cfg.seed, "sigma-train-graph")
-    )
-    out = {}
-    for p_halt in cfg.p_halt_values:
-        out[round(p_halt, 10)] = matching.solve_sigma_coupling(
-            train_graph,
-            p_halt,
-            cfg.n_quantiles,
-            f,
-            cfg.walks_per_quantile,
-            _rng(cfg.seed, f"sigma-train/{p_halt}"),
+def _sigma_couplings(cfg: ExperimentConfig, label: str, solve) -> dict:
+    """One sigma coupling per grid p_halt, keyed by rounded p_halt.
+
+    Read from ``cfg.sigma_path`` when set, else trained as
+    ``solve(graph, p_halt, rng)`` on one G(train_nodes, train_edge_prob)
+    graph; ``label`` names the training graph's and each solve's seed.
+    Empty when the sigma coupling is not benchmarked.
+    """
+    if "sigma" not in cfg.couplings:
+        return {}
+    if not cfg.sigma_path:
+        train_graph = graphmod.erdos_renyi(
+            cfg.train_nodes, cfg.train_edge_prob, _rng(cfg.seed, f"{label}-graph")
         )
+        return {
+            round(p_halt, 10): solve(train_graph, p_halt, _rng(cfg.seed, f"{label}/{p_halt}"))
+            for p_halt in cfg.p_halt_values
+        }
+    out = {}
+    for item in json.loads(Path(cfg.sigma_path).read_text()):
+        try:
+            c = graphmod.SigmaCoupling.from_json(json.dumps(item))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed coupling in {cfg.sigma_path}: {exc!r}") from None
+        out[round(c.p_halt, 10)] = c
+    missing = [p for p in cfg.p_halt_values if round(p, 10) not in out]
+    if missing:
+        raise ConfigError(f"sigma file lacks couplings for p_halt {missing}")
     return out
 
 
@@ -417,40 +430,26 @@ def run_grf_bench(cfg: ExperimentConfig):
     k_exact = graphmod.exact_graph_kernel(g, spec)
     k_norm = float(np.linalg.norm(k_exact))
     f = grf.modulation_from_coefficients(graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT))
-    sigmas = _load_or_train_sigmas(cfg, f) if "sigma" in cfg.couplings else {}
-    rows = []
-    summary = {}
-    for p_halt in cfg.p_halt_values:
-        cell_means = {}
-        for tag in cfg.couplings:
-            coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
+    sigmas = _sigma_couplings(
+        cfg,
+        "sigma-train",
+        lambda graph, p_halt, rng: matching.solve_sigma_coupling(
+            graph, p_halt, cfg.n_quantiles, f, cfg.walks_per_quantile, rng
+        ),
+    )
 
-            def one_trial(rng, coupling=coupling, p_halt=p_halt):
+    def cells():
+        for p_halt in cfg.p_halt_values:
+
+            def trial(tag, rng, p_halt=p_halt):
+                coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
                 feats = grf.grf_feature_matrix(g, cfg.walkers, coupling, f, p_halt, rng)
                 return float(np.linalg.norm(feats @ feats.T - k_exact) / k_norm)
 
-            seeds = _seeds(cfg.seed, f"grf/{tag}/{p_halt}", cfg.trials)
-            errs = _map_trials(one_trial, seeds, cfg.threads)
-            for i, val in enumerate(errs):
-                rows.append(
-                    {
-                        "coupling": tag,
-                        "p_halt": p_halt,
-                        "m": cfg.walkers,
-                        "trial": i,
-                        "seed": cfg.seed,
-                        "frobenius_error": val,
-                    }
-                )
-            mean, se = _mean_se(errs)
-            cell_means[tag] = (mean, se)
-        base = cell_means.get("iid", (None, None))[0]
-        for tag, (mean, se) in cell_means.items():
-            entry = {"mean_error": mean, "se": se, "two_se": 2 * se, "trials": cfg.trials}
-            if base:
-                entry["normalized"] = mean / base
-            summary[f"p_halt={p_halt}/{tag}"] = entry
-    return rows, summary
+            coords = {"coupling": None, "p_halt": p_halt, "m": cfg.walkers}
+            yield f"p_halt={p_halt}", f"grf/{{}}/{p_halt}", coords, trial
+
+    return _grid_bench(cfg, cells(), "frobenius_error", "mean_error")
 
 
 def run_sigma_train(cfg: ExperimentConfig):
@@ -529,7 +528,7 @@ def run_gp_eval(cfg: ExperimentConfig):
                 return kl, rmse
 
             seeds = _seeds(cfg.seed, f"gp/{split}/{tag}", draws)
-            results = _map_trials(one_draw, seeds, cfg.threads)
+            results = _map_trials(one_draw, seeds)
             kls = [r[0] for r in results]
             rmses = [r[1] for r in results]
             n_te = X_te.shape[0]
@@ -568,56 +567,27 @@ def run_gp_eval(cfg: ExperimentConfig):
 
 def run_pagerank_bench(cfg: ExperimentConfig):
     g = _graph_for(cfg, "graph", cfg.graph_nodes, cfg.edge_prob)
-    rows = []
-    summary = {}
-    sigmas = {}
-    if "sigma" in cfg.couplings:
-        if cfg.sigma_path:
-            payload = json.loads(Path(cfg.sigma_path).read_text())
-            for item in payload:
-                c = graphmod.SigmaCoupling.from_json(json.dumps(item))
-                sigmas[round(c.p_halt, 10)] = c
-        else:
-            train_graph = graphmod.erdos_renyi(
-                cfg.train_nodes, cfg.train_edge_prob, _rng(cfg.seed, "pr-train-graph")
-            )
-            for p_halt in cfg.p_halt_values:
-                sigmas[round(p_halt, 10)] = pagerank.solve_pagerank_sigma(
-                    train_graph, p_halt, cfg.n_quantiles, cfg.walks_per_quantile,
-                    _rng(cfg.seed, f"pr-train/{p_halt}"),
-                )
-    for p_halt in cfg.p_halt_values:
-        rho = pagerank.exact_pagerank(g, p_halt).rho
-        cell = {}
-        for tag in cfg.couplings:
-            coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
+    sigmas = _sigma_couplings(
+        cfg,
+        "pr-train",
+        lambda graph, p_halt, rng: pagerank.solve_pagerank_sigma(
+            graph, p_halt, cfg.n_quantiles, cfg.walks_per_quantile, rng
+        ),
+    )
 
-            def one_trial(rng, coupling=coupling, p_halt=p_halt):
+    def cells():
+        for p_halt in cfg.p_halt_values:
+            rho = pagerank.exact_pagerank(g, p_halt).rho
+
+            def trial(tag, rng, p_halt=p_halt, rho=rho):
+                coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
                 est = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rng)
                 return float(np.linalg.norm(est.rho - rho))
 
-            seeds = _seeds(cfg.seed, f"pr/{tag}/{p_halt}", cfg.trials)
-            errs = _map_trials(one_trial, seeds, cfg.threads)
-            for i, val in enumerate(errs):
-                rows.append(
-                    {
-                        "p_halt": p_halt,
-                        "coupling": tag,
-                        "m": cfg.walkers,
-                        "trial": i,
-                        "seed": cfg.seed,
-                        "l2_error": val,
-                    }
-                )
-            mean, se = _mean_se(errs)
-            cell[tag] = (mean, se)
-        base = cell.get("iid", (None, None))[0]
-        for tag, (mean, se) in cell.items():
-            entry = {"mean_l2_error": mean, "se": se, "two_se": 2 * se, "trials": cfg.trials}
-            if base:
-                entry["normalized"] = mean / base
-            summary[f"p_halt={p_halt}/{tag}"] = entry
-    return rows, summary
+            coords = {"p_halt": p_halt, "coupling": None, "m": cfg.walkers}
+            yield f"p_halt={p_halt}", f"pr/{{}}/{p_halt}", coords, trial
+
+    return _grid_bench(cfg, cells(), "l2_error", "mean_l2_error")
 
 
 def run_attention_bench(cfg: ExperimentConfig):
@@ -644,7 +614,7 @@ def run_attention_bench(cfg: ExperimentConfig):
             return stats.mse, stats.kernel_var, stats.kernel_cov
 
         seeds = _seeds(cfg.seed, f"attn/{tag}", reps)
-        results = _map_trials(one_rep, seeds, cfg.threads)
+        results = _map_trials(one_rep, seeds)
         for i, (mse, var, cov) in enumerate(results):
             rows.append(
                 {

@@ -7,7 +7,6 @@ when the features reproduce the kernel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,16 +240,3 @@ def kernel_blocks(train_x, pred_x, params: GaussianKernelParams):
     k_pd = gaussian_gram(pred_x, train_x, params)
     k_pp = gaussian_gram(pred_x, pred_x, params)
     return k_dd, k_pd, k_pp
-
-
-def posterior_summary_json(posterior: GaussianPosterior, kl: float | None = None,
-                           rmse: float | None = None) -> str:
-    """JSON export {mean, cov_diag, kl, rmse}."""
-    return json.dumps(
-        {
-            "mean": list(posterior.mean),
-            "cov_diag": list(np.diag(posterior.cov)),
-            "kl": kl,
-            "rmse": rmse,
-        }
-    )

@@ -1,4 +1,4 @@
-"""Graph structure, node kernels, and random-walk simulation.
+"""Graph structure, node kernels, coupled walk lengths and batched walks.
 
 Kernels are matrix functions of the (normalised) Laplacian; their Taylor
 coefficients in the normalised adjacency drive the walk-based estimators.
@@ -9,7 +9,7 @@ distribution in :mod:`otrf.mathcore`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
@@ -196,59 +196,7 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random walks
-
-
-@dataclass
-class WalkRecord:
-    """A node sequence with its prefix edge-weight products.
-
-    ``prefix_weights[t]`` is the product of normalised-adjacency entries
-    along the first t edges (so entry 0 is 1.0).
-    """
-
-    start: int
-    nodes: list[int]
-    prefix_weights: np.ndarray = field(default_factory=lambda: np.ones(1))
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
-
-def _walk_from(g: GraphData, start: int, n_steps: int, rng) -> WalkRecord:
-    nodes = [start]
-    weights = np.ones(n_steps + 1)
-    cur = start
-    for t in range(n_steps):
-        nbrs = g.neighbors(cur)
-        nxt = int(nbrs[rng.integers(len(nbrs))])
-        weights[t + 1] = weights[t] * g.adjacency_norm[cur, nxt]
-        nodes.append(nxt)
-        cur = nxt
-    return WalkRecord(start, nodes, weights)
-
-
-def simulate_walk(g: GraphData, start: int, rng, *, p_halt: float | None = None,
-                  length: int | None = None) -> WalkRecord:
-    """Simple random walk with uniform neighbour choice.
-
-    Exactly one of ``p_halt`` (terminate with that probability before every
-    step, so lengths are geometric) or ``length`` (take exactly that many
-    steps) must be given.
-    """
-    if (p_halt is None) == (length is None):
-        raise ValueError("give exactly one of p_halt or length")
-    if not 0 <= start < g.n_nodes:
-        raise ValueError(f"start node {start} out of range")
-    rng = ensure_rng(rng)
-    if length is not None:
-        return _walk_from(g, start, length, rng)
-    GeometricParams(p_halt)  # validates the range
-    n_steps = 0
-    while rng.random() >= p_halt:
-        n_steps += 1
-    return _walk_from(g, start, n_steps, rng)
+# Walk-length couplings
 
 
 @dataclass
@@ -290,68 +238,52 @@ class SigmaCoupling:
         return cls(perm, obj["p_halt"], obj.get("seed"))
 
 
-def sample_coupled_lengths(c: SigmaCoupling, rng) -> tuple[int, int]:
-    """One coupled length pair: a uniform tile and its permuted partner.
+def coupling_tag(coupling, walkers: int) -> str:
+    """Name of a walk-length coupling, checked against its walker count.
 
-    Tile q is drawn uniformly from 1..n; u1 falls in tile q and u2 in tile
-    sigma(q); both are pushed through the geometric quantile function, so
-    each length is marginally geometric.
+    ``coupling`` is "iid", "antithetic_termination", or a
+    :class:`SigmaCoupling` (tag "sigma").  The paired couplings join
+    consecutive walkers, so they need an even count.
     """
-    rng = ensure_rng(rng)
-    n = c.order
-    q = int(rng.integers(n))
-    u1 = (q + rng.random()) / n
-    u2 = (int(c.perm[q]) + rng.random()) / n
-    gp = GeometricParams(c.p_halt)
-    return geometric_inv_cdf(u1, gp), geometric_inv_cdf(u2, gp)
-
-
-def antithetic_termination_pair(g: GraphData, start1: int, start2: int,
-                                p_halt: float, rng) -> tuple[WalkRecord, WalkRecord]:
-    """Two walks whose termination variables are offset by one half.
-
-    At every timestep t1 ~ U[0,1) drives the first walker and
-    t2 = (t1 + 1/2) mod 1 the second; a walker halts when its variable
-    falls below p_halt, so marginal lengths stay geometric but (for
-    p_halt < 1/2) the two walks never halt at the same step.
-    """
-    if not 0 < p_halt < 1:
-        raise ValueError("p_halt must lie in (0, 1)")
-    rng = ensure_rng(rng)
-    alive = [True, True]
-    lengths = [0, 0]
-    while any(alive):
-        t1 = rng.random()
-        t2 = (t1 + 0.5) % 1.0
-        for i, t in enumerate((t1, t2)):
-            if alive[i]:
-                if t < p_halt:
-                    alive[i] = False
-                else:
-                    lengths[i] += 1
-    return (
-        _walk_from(g, start1, lengths[0], rng),
-        _walk_from(g, start2, lengths[1], rng),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched walking (vectorised across many simultaneous walkers)
+    if isinstance(coupling, SigmaCoupling):
+        tag = "sigma"
+    elif coupling in ("iid", "antithetic_termination"):
+        tag = coupling
+    else:
+        raise ValueError(f"unknown walk-length coupling {coupling!r}")
+    if tag != "iid" and walkers % 2:
+        raise ValueError("paired couplings need an even number of walkers")
+    return tag
 
 
 def batch_walk_lengths(n_walks: int, p_halt: float, rng,
-                       antithetic: bool = False) -> np.ndarray:
-    """Geometric lengths for a batch; antithetic couples consecutive pairs."""
+                       coupling="iid") -> np.ndarray:
+    """Geometric walk lengths for a batch under a length coupling.
+
+    Every length is marginally geometric; the paired couplings join walks
+    2i and 2i+1.  Antithetic termination offsets the pair's per-step
+    halting uniforms by one half, so for p_halt < 1/2 the two never halt at
+    the same step.  A :class:`SigmaCoupling` draws a tile q uniformly from
+    its order n, puts the first uniform in tile q and the partner's in tile
+    perm[q], and maps both through the geometric quantile function.
+    """
+    gp = GeometricParams(p_halt)
+    tag = coupling_tag(coupling, n_walks)
     rng = ensure_rng(rng)
-    if not antithetic:
-        u = rng.random(n_walks)
-        return np.asarray(geometric_inv_cdf(u, GeometricParams(p_halt)))
-    if n_walks % 2:
-        raise ValueError("antithetic batches need an even walk count")
+    if tag == "iid":
+        return np.asarray(geometric_inv_cdf(rng.random(n_walks), gp))
+    n_pairs = n_walks // 2
+    if tag == "sigma":
+        order = coupling.order
+        q = rng.integers(order, size=n_pairs)
+        u = np.empty(n_walks)
+        u[0::2] = (q + rng.random(n_pairs)) / order
+        u[1::2] = (coupling.perm[q] + rng.random(n_pairs)) / order
+        return np.asarray(geometric_inv_cdf(u, gp))
     lengths = np.zeros(n_walks, dtype=np.int64)
     alive = np.ones(n_walks, dtype=bool)
     while np.any(alive):
-        t1 = rng.random(n_walks // 2)
+        t1 = rng.random(n_pairs)
         t = np.empty(n_walks)
         t[0::2] = t1
         t[1::2] = (t1 + 0.5) % 1.0
@@ -359,6 +291,10 @@ def batch_walk_lengths(n_walks: int, p_halt: float, rng,
         alive &= ~halts
         lengths[alive] += 1
     return lengths
+
+
+# ---------------------------------------------------------------------------
+# Batched walking (all walkers stepped in parallel)
 
 
 def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
@@ -381,7 +317,7 @@ def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Synthetic graphs and exports
+# Synthetic graphs
 
 
 def erdos_renyi(n_nodes: int, p_edge: float, rng) -> GraphData:
@@ -412,11 +348,3 @@ def _is_connected(W: np.ndarray) -> bool:
                 seen[v] = True
                 stack.append(int(v))
     return bool(np.all(seen))
-
-
-def write_kernel_csv(path, kernel: np.ndarray):
-    """Dense kernel export, refused above 2000 nodes."""
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.shape[0] > 2000:
-        raise ValueError("dense kernel export refused for more than 2000 nodes")
-    np.savetxt(path, kernel, delimiter=",")

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    GraphData,
-    SigmaCoupling,
-    WalkRecord,
-    antithetic_termination_pair,
-    batch_walk_lengths,
-    sample_coupled_lengths,
-    simulate_walk,
-)
+from .graph import GraphData, batch_walk_lengths, coupling_tag
 from .mathcore import GeometricParams, ensure_rng, geometric_inv_cdf
 
 K_MAX_DEFAULT = 64
@@ -85,31 +77,6 @@ class GrfFeature:
     coupling: str
 
 
-def project_walk(walk: WalkRecord, g: GraphData, f: ModulationFn,
-                 p_halt: float) -> np.ndarray:
-    """Importance-weighted prefix-sum projection of one walk.
-
-    For the prefix of length t ending at node v_t the load is
-    prefix_weight_t * f(t) / p_t, where p_t multiplies the per-step
-    survival (1 - p_halt) and uniform neighbour probabilities; the empty
-    prefix contributes f(0) at the start node.
-    """
-    global _truncations
-    if not 0 < p_halt < 1:
-        raise ValueError("p_halt must lie in (0, 1)")
-    out = np.zeros(g.n_nodes)
-    out[walk.start] += f(0)
-    prob = 1.0
-    for t in range(1, walk.length + 1):
-        prev = walk.nodes[t - 1]
-        prob *= (1.0 - p_halt) / g.neighbor_counts[prev]
-        if t > f.k_max:
-            _truncations += 1
-            break
-        out[walk.nodes[t]] += walk.prefix_weights[t] * f(t) / prob
-    return out
-
-
 def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
                  p_halt: float, rng) -> GrfFeature:
     """Average projection of m walks from one node under a length coupling.
@@ -117,30 +84,12 @@ def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
     ``coupling`` is "iid", "antithetic_termination", or a
     :class:`SigmaCoupling`; the paired couplings need an even m.  Coupled
     variants impose lengths on walk pairs while leaving every walk's
-    marginal unchanged.
+    marginal unchanged.  This is one row of :func:`grf_feature_matrix`.
     """
-    rng = ensure_rng(rng)
-    tag = coupling if isinstance(coupling, str) else "sigma"
-    if tag != "iid" and m % 2:
-        raise ValueError("paired couplings need an even number of walkers")
-    total = np.zeros(g.n_nodes)
-    if tag == "iid":
-        for _ in range(m):
-            total += project_walk(simulate_walk(g, node, rng, p_halt=p_halt), g, f, p_halt)
-    elif tag == "antithetic_termination":
-        for _ in range(m // 2):
-            w1, w2 = antithetic_termination_pair(g, node, node, p_halt, rng)
-            total += project_walk(w1, g, f, p_halt)
-            total += project_walk(w2, g, f, p_halt)
-    elif tag == "sigma":
-        for _ in range(m // 2):
-            l1, l2 = sample_coupled_lengths(coupling, rng)
-            for l in (l1, l2):
-                walk = simulate_walk(g, node, rng, length=int(l))
-                total += project_walk(walk, g, f, p_halt)
-    else:
-        raise ValueError(f"unknown GRF coupling {coupling!r}")
-    return GrfFeature(total / m, m, tag)
+    if not 0 <= node < g.n_nodes:
+        raise ValueError(f"start node {node} out of range")
+    tag = coupling_tag(coupling, m)
+    return GrfFeature(_node_features(g, [node], m, coupling, f, p_halt, rng)[0], m, tag)
 
 
 def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
@@ -176,38 +125,27 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
         np.add.at(out, (row_of_walk[idx], nxt), weight[idx] * f(t))
 
 
+def _node_features(g: GraphData, nodes, m: int, coupling, f: ModulationFn,
+                   p_halt: float, rng) -> np.ndarray:
+    """Mean projection of m coupled walks from each of ``nodes`` (one row each)."""
+    coupling_tag(coupling, m)
+    rng = ensure_rng(rng)
+    rows = np.repeat(np.arange(len(nodes)), m)
+    starts = np.asarray(nodes, dtype=np.int64)[rows]
+    lengths = batch_walk_lengths(starts.size, p_halt, rng, coupling)
+    out = np.zeros((len(nodes), g.n_nodes))
+    _projected_batch(g, starts, lengths, f, p_halt, rng, rows, out)
+    return out / m
+
+
 def grf_feature_matrix(g: GraphData, m: int, coupling, f: ModulationFn,
                        p_halt: float, rng) -> np.ndarray:
     """Feature vectors for every node at once (rows = nodes).
 
-    Vectorised equivalent of calling :func:`grf_features` per node: lengths
-    are drawn per coupling up front (geometric marginals throughout) and
-    all N x m walks are stepped in parallel.
+    Lengths for all N x m walks are drawn by the coupled sampler up front
+    (geometric marginals throughout) and the walks are stepped in parallel.
     """
-    rng = ensure_rng(rng)
-    tag = coupling if isinstance(coupling, str) else "sigma"
-    if tag != "iid" and m % 2:
-        raise ValueError("paired couplings need an even number of walkers")
-    n = g.n_nodes
-    n_walks = n * m
-    starts = np.repeat(np.arange(n), m)
-    if tag == "iid":
-        lengths = batch_walk_lengths(n_walks, p_halt, rng)
-    elif tag == "antithetic_termination":
-        lengths = batch_walk_lengths(n_walks, p_halt, rng, antithetic=True)
-    elif tag == "sigma":
-        n_pairs = n_walks // 2
-        order = coupling.order
-        q = rng.integers(order, size=n_pairs)
-        u = np.empty(n_walks)
-        u[0::2] = (q + rng.random(n_pairs)) / order
-        u[1::2] = (coupling.perm[q] + rng.random(n_pairs)) / order
-        lengths = np.asarray(geometric_inv_cdf(u, GeometricParams(p_halt)))
-    else:
-        raise ValueError(f"unknown GRF coupling {coupling!r}")
-    out = np.zeros((n, n))
-    _projected_batch(g, starts, lengths, f, p_halt, rng, starts, out)
-    return out / m
+    return _node_features(g, np.arange(g.n_nodes), m, coupling, f, p_halt, rng)
 
 
 @dataclass
@@ -251,12 +189,3 @@ def estimate_quantile_projections(g: GraphData, order: int, p_halt: float,
         _projected_batch(g, starts, lengths, f, p_halt, rng, rows, out)
         psi_hat[:, q, :] = out / walks_per_quantile
     return QuantileProjection(psi_hat, p_halt)
-
-
-def write_grf_features_csv(path, features: np.ndarray):
-    """Coordinate-list export (node, coord, value) of nonzero entries."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    with open(path, "w") as fh:
-        fh.write("node,coord,value\n")
-        for node, coord in zip(*np.nonzero(features)):
-            fh.write(f"{node},{coord},{float(features[node, coord])!r}\n")

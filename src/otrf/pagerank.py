@@ -8,7 +8,6 @@ total exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .graph import (
     SigmaCoupling,
     batch_walk_endpoints,
     batch_walk_lengths,
+    coupling_tag,
 )
 from .matching import hungarian
 from .mathcore import GeometricParams, ensure_rng, geometric_inv_cdf
@@ -87,27 +87,12 @@ def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng) -> PageRankE
     "antithetic_termination", or a :class:`SigmaCoupling` imposing coupled
     lengths on walker pairs within each start node).
     """
+    tag = coupling_tag(coupling, m)
     rng = ensure_rng(rng)
-    tag = coupling if isinstance(coupling, str) else "sigma"
-    if tag != "iid" and m % 2:
-        raise ValueError("paired couplings need an even number of walkers")
     n = g.n_nodes
     n_walks = n * m
     starts = np.repeat(np.arange(n), m)
-    if tag == "iid":
-        lengths = batch_walk_lengths(n_walks, p_halt, rng)
-    elif tag == "antithetic_termination":
-        lengths = batch_walk_lengths(n_walks, p_halt, rng, antithetic=True)
-    elif tag == "sigma":
-        n_pairs = n_walks // 2
-        order = coupling.order
-        q = rng.integers(order, size=n_pairs)
-        u = np.empty(n_walks)
-        u[0::2] = (q + rng.random(n_pairs)) / order
-        u[1::2] = (coupling.perm[q] + rng.random(n_pairs)) / order
-        lengths = np.asarray(geometric_inv_cdf(u, GeometricParams(p_halt)))
-    else:
-        raise ValueError(f"unknown PageRank coupling {coupling!r}")
+    lengths = batch_walk_lengths(n_walks, p_halt, rng, coupling)
     ends = batch_walk_endpoints(g, starts, lengths, rng)
     counts = np.bincount(ends, minlength=n)
     return PageRankEstimate(counts, n_walks, tag)
@@ -137,14 +122,3 @@ def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,
     cost = np.einsum("jqi,jri->qr", profile, profile) / n
     perm, _ = hungarian(cost)
     return SigmaCoupling(perm, p_halt)
-
-
-def write_pagerank_csv(path, rows):
-    """Rows of (p_halt, coupling, m, l2_error, seed) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p_halt", "coupling", "m", "l2_error", "seed"])
-        for row in rows:
-            writer.writerow(
-                [row["p_halt"], row["coupling"], row["m"], repr(float(row["l2_error"])), row["seed"]]
-            )

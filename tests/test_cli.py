@@ -301,6 +301,72 @@ class TestGraphExperiments:
         assert summary["results"]["positive_monotone"]["attention_mse_mean"] > 0
 
 
+GRAPH_BENCH = """
+[experiment]
+kind = {kind}
+seed = 4
+trials = 3
+
+[data]
+source = synthetic-graph
+
+[couplings]
+couplings = {couplings}
+
+[graph]
+graph_nodes = 10
+edge_prob = 0.4
+{graph}
+
+[grid]
+p_halt_values = {p_halt_values}
+"""
+
+
+class TestBadInputExits:
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    @pytest.mark.parametrize(
+        "drop, message",
+        [(None, "lacks couplings for p_halt [0.1]"), ("p_halt", "malformed coupling")],
+    )
+    def test_bad_sigma_file(self, tmp_path, kind, drop, message, capsys):
+        from otrf.graph import SigmaCoupling
+
+        sigma_file = tmp_path / "sigma.json"
+        only = json.loads(SigmaCoupling(np.array([1, 0]), 0.3).to_json())
+        only.pop(drop, None)
+        sigma_file.write_text(json.dumps([only]))
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings="iid, sigma", graph=f"sigma_path = {sigma_file}",
+            p_halt_values="0.1, 0.3",
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_halt", ["0.0", "1.0"])
+    def test_antithetic_p_halt_outside_open_interval(self, tmp_path, p_halt, capsys):
+        text = GRAPH_BENCH.format(
+            kind="grf-bench", couplings="antithetic_termination", graph="",
+            p_halt_values=p_halt,
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["grf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "p_halt" in capsys.readouterr().err
+
+    def test_zero_trials(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF.replace("trials = 20", "trials = 0"))
+        assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_splits(self, tmp_path, capsys):
+        text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 0")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "splits must be >= 1" in capsys.readouterr().err
+
+
 class TestIngestion:
     def test_csv_with_target(self, tmp_path):
         path = tmp_path / "data.csv"

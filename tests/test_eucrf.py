@@ -17,14 +17,12 @@ from otrf.eucrf import (
     gaussian_gram,
     gaussian_kernel,
     gram_estimate,
-    read_gram_csv,
     relative_rmse,
     rff_feature_matrix,
     rff_features,
     rlf_feature_matrix,
     rlf_features,
     rlf_lengthscale_heuristic,
-    write_gram_csv,
 )
 
 
@@ -157,15 +155,6 @@ class TestGramMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             relative_rmse(np.eye(2), np.eye(3))
-
-    def test_csv_round_trip(self, tmp_path):
-        K = np.array([[1.0, 0.25], [0.25, 1.0]])
-        path = tmp_path / "gram.csv"
-        write_gram_csv(path, K, seed=3, coupling="iid", m=4, d=2)
-        back, meta = read_gram_csv(path)
-        assert np.array_equal(back, K)
-        assert meta == {"seed": "3", "coupling": "iid", "m": "4", "d": "2"}
-
 
 class TestCostSeries:
     def test_zero_frequencies_d2(self):

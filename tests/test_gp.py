@@ -1,7 +1,5 @@
 """Posterior algebra, evidence, hyperparameter fitting and KL divergence."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from otrf.gp import (
     gaussian_kl,
     kernel_blocks,
     log_marginal_likelihood,
-    posterior_summary_json,
 )
 
 
@@ -222,15 +219,3 @@ class TestGaussianKl:
             gaussian_kl(
                 GaussianPosterior([0.0], [[1.0]]), GaussianPosterior([0.0, 0.0], np.eye(2))
             )
-
-
-class TestSummaryExport:
-    def test_json_fields(self):
-        post = GaussianPosterior([1.0, 2.0], np.diag([0.5, 0.25]))
-        obj = json.loads(posterior_summary_json(post, kl=0.1, rmse=0.2))
-        assert obj == {
-            "mean": [1.0, 2.0],
-            "cov_diag": [0.5, 0.25],
-            "kl": 0.1,
-            "rmse": 0.2,
-        }

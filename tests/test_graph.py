@@ -10,17 +10,13 @@ from otrf.graph import (
     GraphData,
     GraphKernelSpec,
     SigmaCoupling,
-    antithetic_termination_pair,
     batch_walk_endpoints,
     batch_walk_lengths,
     erdos_renyi,
     exact_graph_kernel,
     laplacian,
     normalized_laplacian,
-    sample_coupled_lengths,
-    simulate_walk,
     taylor_coefficients,
-    write_kernel_csv,
 )
 from otrf.mathcore import GeometricParams, geometric_cdf
 
@@ -47,6 +43,11 @@ def geometric_chisquare_pvalue(lengths, p_halt, cut=12):
         expected[-2] += expected[-1]
         observed, expected = observed[:-1], expected[:-1]
     return stats.chisquare(observed, expected).pvalue
+
+
+def coupled_pairs(n_pairs, p_halt, rng, coupling):
+    """Lengths of n_pairs coupled walk pairs as an (n_pairs, 2) array."""
+    return batch_walk_lengths(2 * n_pairs, p_halt, rng, coupling).reshape(-1, 2)
 
 
 class TestGraphData:
@@ -191,33 +192,41 @@ class TestTaylorCoefficients:
 
 class TestWalks:
     def test_fixed_length_zero(self):
-        walk = simulate_walk(TWO_PATH, 1, np.random.default_rng(6), length=0)
-        assert walk.nodes == [1]
-        assert walk.length == 0
-        assert walk.prefix_weights[0] == 1.0
+        ends = batch_walk_endpoints(TWO_PATH, [1], [0], np.random.default_rng(6))
+        assert ends.tolist() == [1]
 
     def test_two_cycle_alternates(self):
-        walk = simulate_walk(TWO_PATH, 0, np.random.default_rng(7), length=5)
-        assert walk.nodes == [0, 1, 0, 1, 0, 1]
+        ends = batch_walk_endpoints(
+            TWO_PATH, np.zeros(6), np.arange(6), np.random.default_rng(7)
+        )
+        assert ends.tolist() == [0, 1, 0, 1, 0, 1]
 
     def test_mode_arguments(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            simulate_walk(TWO_PATH, 0, rng)
+            batch_walk_lengths(4, 0.5, rng, "sigma")  # a sigma coupling is an object
         with pytest.raises(ValueError):
-            simulate_walk(TWO_PATH, 0, rng, p_halt=0.5, length=3)
+            batch_walk_lengths(4, 0.5, rng, "bogus")
+        with pytest.raises(ValueError):
+            batch_walk_lengths(3, 0.5, rng, "antithetic_termination")
 
     def test_geometric_lengths_chisquare(self):
         rng = np.random.default_rng(9)
-        lengths = [
-            simulate_walk(TWO_PATH, 0, rng, p_halt=0.5).length for _ in range(20_000)
-        ]
+        lengths = batch_walk_lengths(20_000, 0.5, rng)
         assert geometric_chisquare_pvalue(lengths, 0.5) > 0.01
 
     def test_batch_lengths_chisquare(self):
         rng = np.random.default_rng(10)
         lengths = batch_walk_lengths(100_000, 0.3, rng)
         assert geometric_chisquare_pvalue(lengths, 0.3) > 0.01
+
+    @pytest.mark.parametrize("p_halt", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "coupling", ["iid", "antithetic_termination", SigmaCoupling(np.array([1, 0]), 0.5)]
+    )
+    def test_p_halt_outside_open_interval_rejected(self, coupling, p_halt):
+        with pytest.raises(ValueError, match="p_halt"):
+            batch_walk_lengths(4, p_halt, np.random.default_rng(0), coupling)
 
     def test_batch_endpoints_one_step_uniform(self):
         g = erdos_renyi(12, 0.4, np.random.default_rng(11))
@@ -233,23 +242,20 @@ class TestWalks:
 class TestCoupledLengths:
     def test_reversal_order_two(self):
         coupling = SigmaCoupling(np.array([1, 0]), 0.5)
-        rng = np.random.default_rng(13)
-        for _ in range(500):
-            l1, l2 = sample_coupled_lengths(coupling, rng)
-            assert (l1 == 0) != (l2 == 0)  # u1 < 1/2 iff u2 >= 1/2
+        pairs = coupled_pairs(500, 0.5, np.random.default_rng(13), coupling)
+        # u1 < 1/2 iff u2 >= 1/2
+        assert np.all((pairs[:, 0] == 0) != (pairs[:, 1] == 0))
 
     def test_identity_order_two(self):
         coupling = SigmaCoupling(np.array([0, 1]), 0.5)
-        rng = np.random.default_rng(14)
-        for _ in range(500):
-            l1, l2 = sample_coupled_lengths(coupling, rng)
-            assert (l1 == 0) == (l2 == 0)
+        pairs = coupled_pairs(500, 0.5, np.random.default_rng(14), coupling)
+        assert np.all((pairs[:, 0] == 0) == (pairs[:, 1] == 0))
 
     @pytest.mark.parametrize("p_halt", [0.1, 0.3, 0.5])
     def test_marginals_geometric(self, p_halt):
         rng = np.random.default_rng(15)
         coupling = SigmaCoupling(np.array([2, 0, 3, 1]), p_halt)
-        draws = np.array([sample_coupled_lengths(coupling, rng) for _ in range(20_000)])
+        draws = coupled_pairs(20_000, p_halt, rng, coupling)
         assert geometric_chisquare_pvalue(draws[:, 0], p_halt) > 0.01
         assert geometric_chisquare_pvalue(draws[:, 1], p_halt) > 0.01
 
@@ -267,30 +273,24 @@ class TestCoupledLengths:
 
 class TestAntitheticTermination:
     def test_never_same_timestep_below_half(self):
-        rng = np.random.default_rng(16)
-        for _ in range(400):
-            w1, w2 = antithetic_termination_pair(TWO_PATH, 0, 1, 0.4, rng)
-            assert w1.length != w2.length
+        pairs = coupled_pairs(400, 0.4, np.random.default_rng(16), "antithetic_termination")
+        assert np.all(pairs[:, 0] != pairs[:, 1])
 
     def test_marginal_lengths_geometric(self):
         rng = np.random.default_rng(17)
-        lengths = []
-        for _ in range(10_000):
-            w1, w2 = antithetic_termination_pair(TWO_PATH, 0, 0, 0.3, rng)
-            lengths.append(w1.length)
-            lengths.append(w2.length)
+        lengths = batch_walk_lengths(20_000, 0.3, rng, "antithetic_termination")
         assert geometric_chisquare_pvalue(lengths, 0.3) > 0.01
 
     def test_batch_variant_consistent(self):
         rng = np.random.default_rng(18)
-        lengths = batch_walk_lengths(100_000, 0.4, rng, antithetic=True)
+        lengths = batch_walk_lengths(100_000, 0.4, rng, "antithetic_termination")
         l1, l2 = lengths[0::2], lengths[1::2]
         assert np.all(l1 != l2)
         assert geometric_chisquare_pvalue(lengths, 0.4) > 0.01
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            antithetic_termination_pair(TWO_PATH, 0, 0, 1.0, np.random.default_rng(0))
+            batch_walk_lengths(2, 1.0, np.random.default_rng(0), "antithetic_termination")
 
 
 class TestSyntheticGraphs:
@@ -300,13 +300,3 @@ class TestSyntheticGraphs:
             lap = laplacian(g)
             # connectivity <=> second-smallest Laplacian eigenvalue positive
             assert np.sort(np.linalg.eigvalsh(lap))[1] > 1e-10
-
-    def test_kernel_csv_size_cap(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_kernel_csv(tmp_path / "k.csv", np.eye(2001))
-
-    def test_kernel_csv_round_trip(self, tmp_path):
-        K = np.array([[1.0, 0.5], [0.5, 1.0]])
-        path = tmp_path / "k.csv"
-        write_kernel_csv(path, K)
-        assert np.allclose(np.loadtxt(path, delimiter=","), K)

@@ -1,4 +1,4 @@
-"""Modulation sequences, walk projections and node-feature estimators."""
+"""Modulation sequences, batched walk projections and node-feature estimators."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,10 @@ from otrf.graph import (
     GraphData,
     GraphKernelSpec,
     SigmaCoupling,
+    batch_walk_endpoints,
+    batch_walk_lengths,
     erdos_renyi,
     exact_graph_kernel,
-    simulate_walk,
     taylor_coefficients,
 )
 from otrf.grf import (
@@ -19,10 +20,8 @@ from otrf.grf import (
     grf_feature_matrix,
     grf_features,
     modulation_from_coefficients,
-    project_walk,
     reset_truncation_count,
     truncation_count,
-    write_grf_features_csv,
 )
 
 TWO_PATH = GraphData(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -31,6 +30,35 @@ REG2 = GraphKernelSpec("d_regularized_laplacian", sigma=1.0, degree=2)
 
 def modulation_for(spec, k_max=40):
     return modulation_from_coefficients(taylor_coefficients(spec, k_max), k_max)
+
+
+def project_path(g, nodes, f, p_halt):
+    """Scalar oracle: importance-weighted prefix loads of one walk's nodes."""
+    out = np.zeros(g.n_nodes)
+    out[nodes[0]] += f(0)
+    weight, prob = 1.0, 1.0
+    for t in range(1, min(len(nodes) - 1, f.k_max) + 1):
+        weight *= g.adjacency_norm[nodes[t - 1], nodes[t]]
+        prob *= (1.0 - p_halt) / g.neighbor_counts[nodes[t - 1]]
+        out[nodes[t]] += weight * f(t) / prob
+    return out
+
+
+def projected_walk(g, start, length, f, p_halt, seed):
+    """One seeded walk through the batched engine: (its nodes, its projection).
+
+    Both batched engines draw one uniform per live walker per step, so with
+    the same seed the walk of length t is the t-step prefix of a longer one.
+    """
+    nodes = [
+        int(batch_walk_endpoints(g, [start], [t], np.random.default_rng(seed))[0])
+        for t in range(length + 1)
+    ]
+    out = np.zeros((1, g.n_nodes))
+    grf._projected_batch(
+        g, [start], [length], f, p_halt, np.random.default_rng(seed), np.zeros(1, int), out
+    )
+    return nodes, out[0]
 
 
 class TestModulation:
@@ -62,25 +90,29 @@ class TestModulation:
 class TestProjectWalk:
     def test_length_zero(self):
         f = modulation_for(REG2)
-        walk = simulate_walk(TWO_PATH, 1, np.random.default_rng(1), length=0)
-        out = project_walk(walk, TWO_PATH, f, 0.5)
+        _, out = projected_walk(TWO_PATH, 1, 0, f, 0.5, seed=1)
         expected = np.zeros(2)
         expected[1] = f(0)
         assert np.array_equal(out, expected)
 
     def test_single_step_arithmetic(self):
         f = modulation_for(REG2)
-        walk = simulate_walk(TWO_PATH, 0, np.random.default_rng(2), length=1)
-        out = project_walk(walk, TWO_PATH, f, 0.5)
+        _, out = projected_walk(TWO_PATH, 0, 1, f, 0.5, seed=2)
         # prefix probability (1-p)/deg = 0.5, edge weight 1 on the unit path
         assert out[0] == f(0)
         assert out[1] == pytest.approx(2.0 * f(1) * TWO_PATH.adjacency_norm[0, 1])
 
     def test_invalid_p_halt(self):
         f = modulation_for(REG2)
-        walk = simulate_walk(TWO_PATH, 0, np.random.default_rng(3), length=0)
         with pytest.raises(ValueError):
-            project_walk(walk, TWO_PATH, f, 1.5)
+            grf_feature_matrix(TWO_PATH, 2, "iid", f, 1.5, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_matches_scalar_oracle(self, seed):
+        f = modulation_for(REG2)
+        g = erdos_renyi(9, 0.4, np.random.default_rng(seed))
+        nodes, out = projected_walk(g, seed % 9, 6, f, 0.3, seed=100 + seed)
+        assert np.allclose(out, project_path(g, nodes, f, 0.3), rtol=1e-12, atol=0)
 
     def test_pairwise_unbiased_on_small_graph(self):
         # mean psi(w_i)^T psi(w_j) over independent walk pairs vs exact K_ij
@@ -92,8 +124,6 @@ class TestProjectWalk:
         draws = 200_000
         rng = np.random.default_rng(seed + 1)
         starts = np.concatenate([np.full(draws, i), np.full(draws, j)])
-        from otrf.graph import batch_walk_lengths
-
         lengths = batch_walk_lengths(2 * draws, 0.5, rng)
         out = np.zeros((2 * draws, 8))
         grf._projected_batch(
@@ -106,11 +136,25 @@ class TestProjectWalk:
 
 class TestGrfFeatures:
     def test_m1_equals_single_projection(self):
+        # on the two-node path every walk alternates 0, 1, 0, ...
         f = modulation_for(REG2)
         feat = grf_features(TWO_PATH, 0, 1, "iid", f, 0.5, np.random.default_rng(5))
-        walk = simulate_walk(TWO_PATH, 0, np.random.default_rng(5), p_halt=0.5)
+        length = int(batch_walk_lengths(1, 0.5, np.random.default_rng(5))[0])
+        expected = project_path(TWO_PATH, [t % 2 for t in range(length + 1)], f, 0.5)
         assert isinstance(feat, GrfFeature)
-        assert np.array_equal(feat.vector, project_walk(walk, TWO_PATH, f, 0.5))
+        assert np.allclose(feat.vector, expected, rtol=1e-12, atol=0)
+
+    def test_features_are_rows_of_the_matrix(self):
+        # on a one-node graph the same stream gives the matrix's only row
+        f = modulation_for(REG2)
+        self_loop = GraphData(np.array([[1.0]]))
+        coupling = SigmaCoupling(np.array([1, 0]), 0.4)
+        feat = grf_features(self_loop, 0, 4, coupling, f, 0.4, np.random.default_rng(6))
+        rows = grf_feature_matrix(self_loop, 4, coupling, f, 0.4, np.random.default_rng(6))
+        assert feat.coupling == "sigma"
+        assert np.array_equal(feat.vector, rows[0])
+        with pytest.raises(ValueError):
+            grf_features(TWO_PATH, 2, 4, "iid", f, 0.4, np.random.default_rng(6))
 
     def test_paired_couplings_require_even_m(self):
         f = modulation_for(REG2)
@@ -122,9 +166,7 @@ class TestGrfFeatures:
     def test_identity_sigma_order_one_lengths_independent(self):
         coupling = SigmaCoupling(np.array([0]), 0.4)
         rng = np.random.default_rng(7)
-        from otrf.graph import sample_coupled_lengths
-
-        draws = np.array([sample_coupled_lengths(coupling, rng) for _ in range(20_000)])
+        draws = batch_walk_lengths(40_000, 0.4, rng, coupling).reshape(-1, 2)
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(draws.shape[0])
 
@@ -173,8 +215,7 @@ class TestGrfFeatures:
     def test_truncation_counter(self):
         reset_truncation_count()
         f = modulation_from_coefficients([1.0, 1.0, 1.0], 2)
-        walk = simulate_walk(TWO_PATH, 0, np.random.default_rng(10), length=5)
-        project_walk(walk, TWO_PATH, f, 0.5)
+        projected_walk(TWO_PATH, 0, 5, f, 0.5, seed=10)
         assert truncation_count() == 1
 
 
@@ -204,36 +245,19 @@ class TestQuantileProjections:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
     def test_relabeling_equivariance_of_projection(self):
-        # projecting a relabeled walk on the relabeled graph permutes the
-        # feature coordinates exactly
-        from otrf.graph import WalkRecord
-
+        # the engine's loads for a walk on g, relabeled, are the oracle's
+        # loads for the relabeled walk on the relabeled graph
         f = modulation_for(REG2)
         g = erdos_renyi(6, 0.5, np.random.default_rng(14))
         perm = np.random.default_rng(15).permutation(6)
         g_perm = GraphData(g.weights[np.ix_(perm, perm)])
-        walk = simulate_walk(g, 2, np.random.default_rng(16), length=4)
+        nodes, out = projected_walk(g, 2, 4, f, 0.5, seed=16)
         inv = np.argsort(perm)  # node u of g sits at label inv[u] in g_perm
-        walk_perm = WalkRecord(
-            int(inv[walk.start]), [int(inv[v]) for v in walk.nodes], walk.prefix_weights
-        )
-        out = project_walk(walk, g, f, 0.5)
-        out_perm = project_walk(walk_perm, g_perm, f, 0.5)
+        out_perm = project_path(g_perm, [int(inv[v]) for v in nodes], f, 0.5)
         # g_perm label i corresponds to g node perm[i]
-        assert np.array_equal(out_perm, out[perm])
+        assert np.allclose(out_perm, out[perm], rtol=1e-12, atol=0)
 
     def test_requires_positive_walks(self):
         f = modulation_for(REG2)
         with pytest.raises(ValueError):
             estimate_quantile_projections(TWO_PATH, 2, 0.5, f, 0, np.random.default_rng(0))
-
-
-class TestExport:
-    def test_coordinate_list_csv(self, tmp_path):
-        feats = np.array([[0.0, 1.5], [0.25, 0.0]])
-        path = tmp_path / "feats.csv"
-        write_grf_features_csv(path, feats)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "node,coord,value"
-        assert lines[1] == "0,1,1.5"
-        assert lines[2] == "1,0,0.25"

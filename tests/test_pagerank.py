@@ -10,7 +10,6 @@ from otrf.pagerank import (
     mc_pagerank,
     solve_pagerank_sigma,
     transition_matrix,
-    write_pagerank_csv,
 )
 
 SELF_LOOP = GraphData(np.array([[1.0]]))
@@ -148,13 +147,3 @@ class TestPageRankVector:
     def test_sum_validation(self):
         with pytest.raises(ValueError):
             PageRankVector(np.array([0.5, 0.6]))
-
-    def test_csv_export(self, tmp_path):
-        rows = [
-            {"p_halt": 0.1, "coupling": "iid", "m": 2, "l2_error": 0.25, "seed": 7},
-        ]
-        path = tmp_path / "pr.csv"
-        write_pagerank_csv(path, rows)
-        text = path.read_text().strip().splitlines()
-        assert text[0] == "p_halt,coupling,m,l2_error,seed"
-        assert text[1] == "0.1,iid,2,0.25,7"
