@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from . import eucrf
 from .errors import NumericalError
@@ -210,6 +211,25 @@ def sample_copula_norms(theta: CorrelationParams, d: ChiParams, rng) -> np.ndarr
     return chi_inv_cdf(u, d)
 
 
+def check_ensemble_size(m: int, d: int, tag: str) -> None:
+    """Raise ValueError unless scheme ``tag`` can draw m frequencies in R^d.
+
+    Orthogonal schemes fill independent blocks of d directions (2d for the
+    mirrored antithetic one); copula ensembles take blocks of at most d, so
+    m <= d or a multiple of d.  Other schemes take any m.
+    """
+    block = {
+        "orthogonal": d,
+        "orthogonal_pnc": d,
+        "positive_monotone": d,
+        "orthogonal_pnc_antithetic": 2 * d,
+    }.get(tag)
+    if block and m % block:
+        raise ValueError(f"{tag} needs m to be a multiple of {block}, got m={m}, d={d}")
+    if tag == "copula" and m > d and m % d:
+        raise ValueError(f"copula needs m <= d or m a multiple of d, got m={m}, d={d}")
+
+
 def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> FrequencyEnsemble:
     """Draw an m x d frequency ensemble under ``scheme``.
 
@@ -222,6 +242,7 @@ def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> Frequency
     """
     spec = CouplingSpec(scheme) if isinstance(scheme, str) else scheme
     tag = spec.tag
+    check_ensemble_size(m, d, tag)
     seed = rng if isinstance(rng, (int, np.integer)) else None
 
     if tag == "halton":
@@ -243,10 +264,6 @@ def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> Frequency
         return FrequencyEnsemble(norms[:, None] * dirs, tag, seed)
 
     if tag == "orthogonal_pnc_antithetic":
-        if m % (2 * d) != 0:
-            raise ValueError(
-                f"antithetic scheme needs m to be a multiple of 2d, got m={m}, d={d}"
-            )
         blocks = []
         for _ in range(m // (2 * d)):
             dirs = sample_orthogonal_directions(d, d, rng)
@@ -255,10 +272,6 @@ def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> Frequency
         return FrequencyEnsemble(np.vstack(blocks), tag, seed)
 
     if tag in ("orthogonal", "orthogonal_pnc", "positive_monotone"):
-        if m % d != 0:
-            raise ValueError(
-                f"orthogonal schemes need m to be a multiple of d, got m={m}, d={d}"
-            )
         blocks = []
         for _ in range(m // d):
             dirs = sample_orthogonal_directions(d, d, rng)
@@ -271,8 +284,7 @@ def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> Frequency
 
 def _blockwise_directions(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal unit directions in independent blocks of at most d."""
-    if m > d and m % d != 0:
-        raise ValueError(f"need m <= d or m a multiple of d, got m={m}, d={d}")
+    check_ensemble_size(m, d, "copula")
     blocks = []
     left = m
     while left > 0:
@@ -286,58 +298,88 @@ def _blockwise_directions(m: int, d: int, rng: np.random.Generator) -> np.ndarra
 # Copula loss and optimisation
 
 
-def _batched_rmse_loss(
-    thetas: np.ndarray,
+def _factor_grad(L: np.ndarray, grad_L: np.ndarray) -> np.ndarray:
+    """Pull a gradient on the row-normalised factor back to theta.
+
+    Row i of L is r_i / |r_i|, so dL_i maps to dr_i = (dL_i - L_i (L_i . dL_i))
+    / |r_i|, and 1 / |r_i| = L_ii.  Only the lower triangle of ``grad_L`` is
+    read; the strictly-lower entries of dr are the theta gradient, in the
+    row-major order of :class:`CorrelationParams`.
+    """
+    grad_r = (grad_L - L * np.sum(L * grad_L, axis=1)[:, None]) * np.diag(L)[:, None]
+    return grad_r[np.tril_indices(L.shape[0], -1)]
+
+
+def _rmse_loss_and_grad(
+    theta: np.ndarray,
     dataset: np.ndarray,
     kernel: "eucrf.GaussianKernelParams",
     featurizer: str,
     mc_samples: int,
     seed: int,
-) -> np.ndarray:
-    """Kernel-approximation RMSE loss for a batch of theta vectors.
+) -> tuple[float, np.ndarray]:
+    """Kernel-approximation RMSE loss at ``theta`` and its exact gradient.
 
-    All batch entries share the same underlying noise (directions and
-    Gaussian draws), giving common-random-number evaluations: the loss is a
-    deterministic, smooth function of (theta, seed).  Used both for plain
-    loss evaluation and for finite-difference gradients.
+    The seed fixes the noise (directions, then the Gaussian vector z, per
+    draw), giving common-random-number evaluations: the loss is a
+    deterministic, smooth function of (theta, seed).  The gradient is
+    pathwise, a reverse pass through K_hat = Phi^T Phi, the features, the
+    norms w = F_chi^-1(Phi(g)), g = L z and the row-normalised factor L.
+    The norms use implicit reparameterisation: dw/dg = phi(g) / f_chi(w),
+    taken in log space and zero where the uniform Phi(g) was clipped.
     """
     if featurizer not in ("rff", "rlf"):
         raise ValueError(f"featurizer must be 'rff' or 'rlf', got {featurizer!r}")
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
     if dataset.size == 0:
         raise ValueError("copula loss requires a nonempty dataset")
-    n_batch, n_par = thetas.shape
-    m = int(round((1 + np.sqrt(1 + 8 * n_par)) / 2))
-    d = dataset.shape[1]
+    n, d = dataset.shape
+    m = int(round((1 + np.sqrt(1 + 8 * theta.size)) / 2))
     rng = np.random.default_rng(seed)
 
     k_exact = eucrf.gaussian_gram(dataset, dataset, kernel)
     x_scaled = dataset / kernel.lengthscale
+    sq = np.sum(x_scaled**2, axis=1)
+    scale = kernel.output_scale / np.sqrt(m)
     chi = ChiParams(d)
+    # log phi(g) - log f_chi(w) = log_norm - g^2/2 - (d-1) log w + w^2/2
+    log_norm = (d / 2 - 1) * np.log(2.0) + gammaln(d / 2) - 0.5 * np.log(2 * np.pi)
 
-    ls = np.stack([cholesky_from_params(CorrelationParams(m, t)) for t in thetas])
-    losses = np.zeros(n_batch)
+    L = cholesky_from_params(CorrelationParams(m, theta))
+    loss = 0.0
+    grad_L = np.zeros((m, m))
     for _ in range(mc_samples):
         dirs = _blockwise_directions(m, d, rng)
         z = rng.standard_normal(m)
-        g = ls @ z
-        u = np.clip(gauss_cdf(g), _TINY, _ONE_MINUS)
-        norms = chi_inv_cdf(u.ravel(), chi).reshape(n_batch, m)
+        g = L @ z
+        p = gauss_cdf(g)
+        u = np.clip(p, _TINY, _ONE_MINUS)
+        norms = chi_inv_cdf(u, chi)
         # projections of every datapoint on every direction: (m, N)
         proj = dirs @ x_scaled.T
-        args = norms[:, :, None] * proj[None, :, :]
+        args = norms[:, None] * proj
         if featurizer == "rff":
-            phi = np.concatenate([np.sin(args), np.cos(args)], axis=1)
-            phi *= kernel.output_scale / np.sqrt(m)
+            phi = scale * np.vstack([np.sin(args), np.cos(args)])
         else:
             if np.max(args) > 700.0:
                 raise NumericalError("copula loss overflowed in exp features")
-            sq = np.sum(x_scaled**2, axis=1)
-            phi = np.exp(args - sq[None, None, :])
-            phi *= kernel.output_scale / np.sqrt(m)
-        k_hat = np.einsum("bfi,bfj->bij", phi, phi)
-        losses += np.sqrt(np.mean((k_hat - k_exact[None]) ** 2, axis=(1, 2)))
-    return losses / mc_samples
+            phi = scale * np.exp(args - sq[None, :])
+        resid = phi.T @ phi - k_exact
+        rmse = np.sqrt(np.mean(resid**2))
+        loss += rmse
+        if rmse == 0.0:
+            continue
+        # d rmse / d K_hat = resid / (N^2 rmse), and K_hat = Phi^T Phi
+        grad_phi = (2.0 / (n * n * rmse)) * (phi @ resid)
+        if featurizer == "rff":
+            grad_args = grad_phi[:m] * phi[m:] - grad_phi[m:] * phi[:m]
+        else:
+            grad_args = grad_phi * phi
+        grad_norms = np.sum(grad_args * proj, axis=1)
+        log_dw_dg = log_norm - 0.5 * g**2 - xlogy(d - 1, norms) + 0.5 * norms**2
+        dw_dg = np.where(u == p, np.exp(log_dw_dg), 0.0)
+        grad_L += np.outer(grad_norms * dw_dg, z)
+    return loss / mc_samples, _factor_grad(L, grad_L) / mc_samples
 
 
 def copula_loss(
@@ -353,14 +395,13 @@ def copula_loss(
     Each draw resamples orthogonal directions and copula norms, builds the
     feature Gram estimate over the dataset and takes the RMSE against the
     exact Gaussian kernel; draws are averaged.  Passing an integer seed
-    gives a common-random-number evaluation, deterministic in (theta, seed).
+    gives a common-random-number evaluation, deterministic in (theta, seed);
+    :func:`optimize_copula` records this loss at each step seed and follows
+    its exact pathwise gradient in theta.
     """
     seed = rng if isinstance(rng, (int, np.integer)) else int(ensure_rng(rng).integers(2**63))
-    return float(
-        _batched_rmse_loss(
-            theta.theta[None, :], dataset, kernel, featurizer, mc_samples, seed
-        )[0]
-    )
+    loss, _ = _rmse_loss_and_grad(theta.theta, dataset, kernel, featurizer, mc_samples, seed)
+    return float(loss)
 
 
 def reference_coupling_loss(
@@ -397,12 +438,15 @@ def reference_coupling_loss(
 
 @dataclass
 class CopulaOptConfig:
-    """Adam settings for copula optimisation (defaults follow the protocol)."""
+    """Adam settings for copula optimisation (defaults follow the protocol).
+
+    Each step draws ``mc_samples`` RMSE evaluations from a fresh step seed
+    and follows their exact pathwise gradient.
+    """
 
     steps: int = 2000
     lr: float = 1e-2
     mc_samples: int = 2
-    fd_step: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -425,10 +469,10 @@ def optimize_copula(
 ) -> CopulaFitResult:
     """Learn copula parameters by Adam on the RMSE loss.
 
-    Gradients are central finite differences with common random numbers:
-    every evaluation within one step shares the same seed, so the
-    differences see only the theta perturbation.  Aborts on a non-finite
-    loss.
+    Each step evaluates the common-random-number loss at a fresh step seed,
+    with its exact pathwise gradient from one reverse pass (see
+    :func:`copula_loss`), and records the loss in ``loss_trace``.  Aborts
+    with :class:`NumericalError` on a non-finite loss or gradient.
     """
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
     rng = ensure_rng(rng)
@@ -438,26 +482,20 @@ def optimize_copula(
         if config.init is not None
         else CorrelationParams.near_independence(m).theta.copy()
     )
-    n_par = theta.size
     if config.steps == 0:
         return CopulaFitResult(CorrelationParams(m, theta))
 
     step_seeds = rng.integers(2**63, size=config.steps)
-    m1 = np.zeros(n_par)
-    m2 = np.zeros(n_par)
+    m1 = np.zeros_like(theta)
+    m2 = np.zeros_like(theta)
     trace = np.empty(config.steps)
-    eye = np.eye(n_par)
     for t in range(config.steps):
-        batch = np.vstack(
-            [theta[None, :], theta + config.fd_step * eye, theta - config.fd_step * eye]
+        loss, grad = _rmse_loss_and_grad(
+            theta, dataset, kernel, featurizer, config.mc_samples, int(step_seeds[t])
         )
-        losses = _batched_rmse_loss(
-            batch, dataset, kernel, featurizer, config.mc_samples, int(step_seeds[t])
-        )
-        if not np.all(np.isfinite(losses)):
-            raise NumericalError(f"copula loss became non-finite at step {t}")
-        trace[t] = losses[0]
-        grad = (losses[1 : 1 + n_par] - losses[1 + n_par :]) / (2 * config.fd_step)
+        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+            raise NumericalError(f"copula loss or gradient became non-finite at step {t}")
+        trace[t] = loss
         m1 = config.beta1 * m1 + (1 - config.beta1) * grad
         m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
         m1_hat = m1 / (1 - config.beta1 ** (t + 1))

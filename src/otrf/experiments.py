@@ -35,6 +35,18 @@ class ConfigError(ValueError):
     """Invalid or unusable experiment configuration."""
 
 
+# the count each kind's standard errors run over; an SE needs two values
+_SE_COUNT = {
+    "rf-bench": "trials",
+    "grf-bench": "trials",
+    "pagerank-bench": "trials",
+    "attention-bench": "trials",
+    "gp-eval": "splits",
+}
+_EUCLIDEAN_KINDS = ("rf-bench", "copula-train", "gp-eval", "attention-bench")
+_PAIRED_WALK_COUPLINGS = ("antithetic_termination", "sigma")
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -93,9 +105,49 @@ class ExperimentConfig:
         for key in ("trials", "splits"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        se_key = _SE_COUNT.get(self.kind)
+        if se_key and getattr(self, se_key) < 2:
+            raise ConfigError(
+                f"{se_key} must be >= 2 for {self.kind}, whose standard errors "
+                f"run over {se_key}; got {getattr(self, se_key)}"
+            )
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
+        paired = [c for c in self.couplings if c in _PAIRED_WALK_COUPLINGS]
+        if self.kind in ("grf-bench", "pagerank-bench") and paired and self.walkers % 2:
+            raise ConfigError(
+                f"walkers must be even for the paired couplings {paired}, got {self.walkers}"
+            )
+        if self.kind == "attention-bench" or (
+            self.kind in _EUCLIDEAN_KINDS and self.source == "synthetic"
+        ):
+            self.check_ensemble_sizes(self.dim)
+
+    def ensemble_sizes(self, d: int, featurizer: str = "rff") -> tuple[int, ...]:
+        """The ensemble sizes m the experiment draws at data dimension d.
+
+        rf-bench sweeps every ``m_values`` entry (default d for rff, 2d for
+        rlf features); the other kinds use the first entry (default d).
+        """
+        if self.kind == "rf-bench":
+            return self.m_values or ((d,) if featurizer == "rff" else (2 * d,))
+        return self.m_values[:1] or (d,)
+
+    def check_ensemble_sizes(self, d: int) -> None:
+        """Reject an ensemble size the couplings cannot draw at data dimension d.
+
+        copula-train draws copula ensembles; the other kinds draw one per
+        listed coupling (see :func:`couplings.check_ensemble_size`).
+        """
+        tags = ("copula",) if self.kind == "copula-train" else self.couplings
+        for featurizer in self.featurizers:
+            for m in self.ensemble_sizes(d, featurizer):
+                for tag in tags:
+                    try:
+                        cpl.check_ensemble_size(m, d, tag)
+                    except ValueError as exc:
+                        raise ConfigError(f"m_values: {exc}") from None
 
     def echo(self) -> str:
         lines = ["[resolved]"]
@@ -210,8 +262,6 @@ def _map_trials(fn, seeds) -> list:
 
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
-    if arr.size == 1:
-        return float(arr[0]), float("nan")
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
@@ -262,6 +312,7 @@ def _euclidean_dataset(cfg: ExperimentConfig):
         if cfg.path is None:
             raise ConfigError("csv source needs a path")
         X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
+        cfg.check_ensemble_sizes(X.shape[1])
         n = min(cfg.n_points, cfg.max_points, X.shape[0])
         idx = _rng(cfg.seed, "data").permutation(X.shape[0])[:n]
         X = datasets.standardize(X[idx])
@@ -324,7 +375,7 @@ def run_rf_bench(cfg: ExperimentConfig):
         for featurizer in cfg.featurizers:
             params = _resolve_kernel(cfg, featurizer, X, y)
             k_exact = eucrf.gaussian_gram(X, X, params)
-            for m in cfg.m_values or ((d,) if featurizer == "rff" else (2 * d,)):
+            for m in cfg.ensemble_sizes(d, featurizer):
 
                 def trial(tag, rng, m=m, featurizer=featurizer, params=params, k_exact=k_exact):
                     ens = cpl.build_ensemble(m, d, _coupling_spec(tag, m), rng)
@@ -344,7 +395,7 @@ def run_copula_train(cfg: ExperimentConfig):
     d = X.shape[1]
     featurizer = cfg.featurizers[0]
     params = _resolve_kernel(cfg, featurizer, X, y)
-    m = cfg.m_values[0] if cfg.m_values else d
+    m = cfg.ensemble_sizes(d)[0]
     opt_cfg = cpl.CopulaOptConfig(
         steps=cfg.steps, lr=cfg.lr, mc_samples=cfg.mc_samples, m=m
     )
@@ -492,9 +543,10 @@ def run_gp_eval(cfg: ExperimentConfig):
         X_all, y_all, _ = datasets.ingest_csv(cfg.path, cfg.target)
         if y_all is None:
             raise ConfigError("gp-eval needs a target column")
+        cfg.check_ensemble_sizes(X_all.shape[1])
         standardized = True
     d = X_all.shape[1]
-    m = cfg.m_values[0] if cfg.m_values else d
+    m = cfg.ensemble_sizes(d)[0]
     draws = max(1, cfg.trials // cfg.splits)
     rows = []
     per_split: dict[str, list] = {tag: [] for tag in cfg.couplings}
@@ -599,7 +651,7 @@ def run_attention_bench(cfg: ExperimentConfig):
     except ValueError:
         params = eucrf.GaussianKernelParams(eucrf.rlf_lengthscale_heuristic(X), 1.0, 0.0)
     d = X.shape[1]
-    m = cfg.m_values[0] if cfg.m_values else d
+    m = cfg.ensemble_sizes(d)[0]
     reps = min(10, cfg.trials)
     rep_trials = max(1, cfg.trials // reps)
     rows = []

@@ -360,6 +360,73 @@ class TestBadInputExits:
         assert "trials must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "kind", ["rf-bench", "grf-bench", "pagerank-bench", "attention-bench"]
+    )
+    def test_one_trial(self, tmp_path, kind, capsys):
+        # a standard error over one trial is NaN: reject before any compute
+        if kind in ("grf-bench", "pagerank-bench"):
+            text = GRAPH_BENCH.format(
+                kind=kind, couplings="iid", graph="", p_halt_values="0.3"
+            ).replace("trials = 3", "trials = 1")
+        else:
+            text = BASE_RF.replace("rf-bench", kind).replace("trials = 20", "trials = 1")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "trials must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_split(self, tmp_path, capsys):
+        text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 1")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "splits must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    @pytest.mark.parametrize("coupling", ["antithetic_termination", "sigma"])
+    def test_odd_walkers_with_paired_coupling(self, tmp_path, kind, coupling, capsys):
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings=f"iid, {coupling}", graph="walkers = 3", p_halt_values="0.3"
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "walkers must be even" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, couplings, m",
+        [
+            ("rf-bench", "orthogonal", 6),
+            ("rf-bench", "orthogonal_pnc_antithetic", 4),
+            ("rf-bench", "orthogonal_pnc_antithetic", None),  # default m = d
+            ("gp-eval", "orthogonal_pnc", 3),
+            ("attention-bench", "positive_monotone", 5),
+            ("copula-train", "iid", 6),
+        ],
+    )
+    def test_m_not_multiple_of_d(self, tmp_path, kind, couplings, m, capsys):
+        text = BASE_RF.replace("rf-bench", kind).replace("iid, orthogonal", couplings)
+        if m is not None:
+            text += f"\n[grid]\nm_values = {m}\n"
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "m_values: " in err and " needs m " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_m_not_multiple_of_csv_dimension(self, tmp_path, capsys):
+        # a csv source's dimension is known only once the file is read
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,x2\n" + "0.1,0.2,0.3\n" * 5)
+        text = (
+            BASE_RF.replace("source = synthetic", f"source = csv\npath = {path}")
+            + "\n[grid]\nm_values = 4\n"
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "m_values: orthogonal needs m to be a multiple of 3" in capsys.readouterr().err
+
     def test_zero_splits(self, tmp_path, capsys):
         text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 0")
         cfg_path = write_cfg(tmp_path / "run.cfg", text)

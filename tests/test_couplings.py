@@ -253,29 +253,28 @@ class TestOptimizeCopula:
         result = optimize_copula(data, GaussianKernelParams(1.0), "rff", cfg, rng)
         assert np.array_equal(result.params.theta, init.theta)
 
-    def test_gradient_matches_directional_difference(self):
-        # the implementation's batched FD gradient against an independent
-        # directional finite difference with the same fixed noise
-        from otrf.couplings import _batched_rmse_loss
+    @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_gradient_matches_central_difference(self, featurizer, m):
+        # the pathwise gradient against a central difference of the public
+        # loss with the same seed (common random numbers), at m = d
+        from otrf.couplings import _rmse_loss_and_grad
 
-        rng = np.random.default_rng(20)
-        data = rng.standard_normal((8, 3))
-        kernel = GaussianKernelParams(1.5)
-        theta = rng.standard_normal(3) * 0.5
-        eye = np.eye(3)
-        h = 1e-4
-        seed = 99
-        batch = np.vstack([theta + h * eye, theta - h * eye])
-        losses = _batched_rmse_loss(batch, data, kernel, "rff", 8, seed)
-        grad = (losses[:3] - losses[3:]) / (2 * h)
-        rng2 = np.random.default_rng(21)
-        for _ in range(4):
-            v = rng2.standard_normal(3)
-            v /= np.linalg.norm(v)
-            pair = np.vstack([theta + h * v, theta - h * v])
-            ls = _batched_rmse_loss(pair, data, kernel, "rff", 8, seed)
-            directional = (ls[0] - ls[1]) / (2 * h)
-            assert directional == pytest.approx(float(grad @ v), rel=0.05, abs=1e-9)
+        rng = np.random.default_rng(20 + m)
+        data = rng.standard_normal((12, m)) * (0.4 if featurizer == "rlf" else 1.0)
+        kernel = GaussianKernelParams(1.5 * np.sqrt(m))
+        theta = rng.standard_normal(m * (m - 1) // 2) * 0.5
+        seed, h = 99, 1e-5
+
+        def loss_at(t):
+            return copula_loss(CorrelationParams(m, t), data, kernel, featurizer, 4, seed)
+
+        loss, grad = _rmse_loss_and_grad(theta, data, kernel, featurizer, 4, seed)
+        assert loss == loss_at(theta)
+        central = np.array(
+            [(loss_at(theta + h * e) - loss_at(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
+        )
+        assert np.linalg.norm(grad - central) <= 1e-4 * np.linalg.norm(central)
 
     def test_loss_trace_recorded_and_finite(self):
         rng = np.random.default_rng(22)
