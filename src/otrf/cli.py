@@ -28,7 +28,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--out-dir", default=None, help="report directory")
-    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; trials run serially")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted for compatibility and ignored: trials run in one thread, "
+        "grf-bench and pagerank-bench in chunks of trials per walk-engine call",
+    )
     return parser
 
 

@@ -1,13 +1,15 @@
 """Seeded benchmark experiments behind the CLI.
 
-Every experiment is a pure function of (config, seed): per-trial random
-streams are spawned deterministically from the master seed and trials run
-serially in order, so outputs are identical across runs.
+Every experiment is a pure function of (config, seed): each trial draws
+only from its own generator, spawned deterministically from the master
+seed, so outputs are identical across runs.  grf-bench and pagerank-bench
+batch their trials: one walk-engine call runs a chunk of trials, each on
+its own generator, so the chunking changes no result.  The other
+experiments run one trial at a time, in order.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import zlib
 from dataclasses import dataclass, fields
@@ -52,7 +54,7 @@ class ExperimentConfig:
     kind: str
     seed: int
     out_dir: str = "."
-    threads: int = 1  # accepted for compatibility; trials always run serially
+    threads: int = 1  # accepted for compatibility; ignored
     trials: int = 200
     # data
     source: str = "synthetic"  # synthetic | csv | graph-file | synthetic-graph
@@ -256,8 +258,32 @@ def _rng(master: int, label: str) -> np.random.Generator:
 
 
 def _map_trials(fn, seeds) -> list:
-    """``fn`` of a fresh generator per seed, run serially in seed order."""
+    """``fn`` of a fresh generator per seed, one call per trial in seed order.
+
+    grf-bench and pagerank-bench batch their trials with :func:`_in_chunks`
+    instead; every other experiment runs its trials this way.
+    """
     return [fn(np.random.default_rng(s)) for s in seeds]
+
+
+# walks per library call in grf-bench and pagerank-bench; bounds the step
+# streams and the (trials, N, N) feature block that one call holds
+_CHUNK_WALKS = 4096
+
+
+def _in_chunks(fn, seeds, walks_per_trial: int) -> list:
+    """``fn`` over consecutive chunks of trials of at most _CHUNK_WALKS walks.
+
+    ``fn`` takes a list of fresh generators, one per seed of the chunk, and
+    returns one value per trial.  Each trial draws only from its own
+    generator, so the values do not depend on where the chunks break.
+    """
+    size = max(1, _CHUNK_WALKS // walks_per_trial)
+    return [
+        value
+        for i in range(0, len(seeds), size)
+        for value in fn([np.random.default_rng(s) for s in seeds[i : i + size]])
+    ]
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -268,12 +294,12 @@ def _mean_se(values) -> tuple[float, float]:
 def _grid_bench(cfg: ExperimentConfig, cells, metric: str, mean_key: str):
     """Every coupling's trials in every grid cell, normalised by iid per cell.
 
-    ``cells`` yields ``(name, label, coords, trial)``: ``trial(tag, rng)``
-    returns one trial's ``metric`` and ``label.format(tag)`` seeds the
-    trials.  Each row is ``coords`` with its "coupling" entry set to the
-    tag, then trial, seed and ``metric``; the summary entry ``name/tag``
-    holds the mean as ``mean_key``, its standard error and, when iid ran,
-    the mean over the iid mean.
+    ``cells`` yields ``(name, label, coords, trial)``: ``trial(tag, seeds)``
+    returns the ``metric`` of each trial, one per seed, and
+    ``label.format(tag)`` seeds the trials.  Each row is ``coords`` with its
+    "coupling" entry set to the tag, then trial, seed and ``metric``; the
+    summary entry ``name/tag`` holds the mean as ``mean_key``, its standard
+    error and, when iid ran, the mean over the iid mean.
     """
     rows = []
     summary = {}
@@ -281,7 +307,7 @@ def _grid_bench(cfg: ExperimentConfig, cells, metric: str, mean_key: str):
         cell = {}
         for tag in cfg.couplings:
             seeds = _seeds(cfg.seed, label.format(tag), cfg.trials)
-            values = _map_trials(functools.partial(trial, tag), seeds)
+            values = trial(tag, seeds)
             for i, value in enumerate(values):
                 rows.append(
                     {**coords, "coupling": tag, "trial": i, "seed": cfg.seed, metric: value}
@@ -377,10 +403,13 @@ def run_rf_bench(cfg: ExperimentConfig):
             k_exact = eucrf.gaussian_gram(X, X, params)
             for m in cfg.ensemble_sizes(d, featurizer):
 
-                def trial(tag, rng, m=m, featurizer=featurizer, params=params, k_exact=k_exact):
-                    ens = cpl.build_ensemble(m, d, _coupling_spec(tag, m), rng)
-                    phi = _feature_matrix(featurizer, X, ens, params)
-                    return eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
+                def trial(tag, seeds, m=m, featurizer=featurizer, params=params, k_exact=k_exact):
+                    def one(rng):
+                        ens = cpl.build_ensemble(m, d, _coupling_spec(tag, m), rng)
+                        phi = _feature_matrix(featurizer, X, ens, params)
+                        return eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
+
+                    return _map_trials(one, seeds)
 
                 coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
                 yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, trial
@@ -419,7 +448,7 @@ def run_copula_train(cfg: ExperimentConfig):
         "pnc_reference_loss": pnc,
         "orthogonal_reference_loss": orth,
         "ratio_to_pnc": float(np.mean(tail)) / pnc,
-        "theta": list(result.params.theta),
+        "theta": [float(v) for v in result.params.theta],
     }
     out_path = Path(cfg.out_dir) / "copula_params.json"
     out_path.write_text(result.params.to_json())
@@ -492,10 +521,14 @@ def run_grf_bench(cfg: ExperimentConfig):
     def cells():
         for p_halt in cfg.p_halt_values:
 
-            def trial(tag, rng, p_halt=p_halt):
+            def trial(tag, seeds, p_halt=p_halt):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
-                feats = grf.grf_feature_matrix(g, cfg.walkers, coupling, f, p_halt, rng)
-                return float(np.linalg.norm(feats @ feats.T - k_exact) / k_norm)
+
+                def chunk(rngs):
+                    feats = grf.grf_feature_matrix(g, cfg.walkers, coupling, f, p_halt, rngs)
+                    return [float(np.linalg.norm(F @ F.T - k_exact) / k_norm) for F in feats]
+
+                return _in_chunks(chunk, seeds, g.n_nodes * cfg.walkers)
 
             coords = {"coupling": None, "p_halt": p_halt, "m": cfg.walkers}
             yield f"p_halt={p_halt}", f"grf/{{}}/{p_halt}", coords, trial
@@ -631,10 +664,14 @@ def run_pagerank_bench(cfg: ExperimentConfig):
         for p_halt in cfg.p_halt_values:
             rho = pagerank.exact_pagerank(g, p_halt).rho
 
-            def trial(tag, rng, p_halt=p_halt, rho=rho):
+            def trial(tag, seeds, p_halt=p_halt, rho=rho):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
-                est = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rng)
-                return float(np.linalg.norm(est.rho - rho))
+
+                def chunk(rngs):
+                    ests = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rngs)
+                    return [float(np.linalg.norm(est.rho - rho)) for est in ests]
+
+                return _in_chunks(chunk, seeds, g.n_nodes * cfg.walkers)
 
             coords = {"p_halt": p_halt, "coupling": None, "m": cfg.walkers}
             yield f"p_halt={p_halt}", f"pr/{{}}/{p_halt}", coords, trial

@@ -256,6 +256,24 @@ def coupling_tag(coupling, walkers: int) -> str:
     return tag
 
 
+def _trial_rngs(rng) -> list:
+    """``rng`` as one generator per trial.
+
+    A list holds one generator (or seed) per trial; anything else is one
+    trial's generator or seed, as :func:`otrf.mathcore.ensure_rng` takes it.
+    """
+    if isinstance(rng, list):
+        return [ensure_rng(r) for r in rng]
+    return [ensure_rng(rng)]
+
+
+def _trial_block(n_walks: int, n_trials: int) -> int:
+    """Walks per trial when ``n_walks`` split into ``n_trials`` equal blocks."""
+    if n_trials < 1 or n_walks % n_trials:
+        raise ValueError(f"{n_walks} walks do not split into {n_trials} equal trials")
+    return n_walks // n_trials
+
+
 def batch_walk_lengths(n_walks: int, p_halt: float, rng,
                        coupling="iid") -> np.ndarray:
     """Geometric walk lengths for a batch under a length coupling.
@@ -266,53 +284,109 @@ def batch_walk_lengths(n_walks: int, p_halt: float, rng,
     the same step.  A :class:`SigmaCoupling` draws a tile q uniformly from
     its order n, puts the first uniform in tile q and the partner's in tile
     perm[q], and maps both through the geometric quantile function.
+
+    ``rng`` may be a list of T generators, one per trial: the walks then
+    form T equal blocks in trial order, and block i equals the lengths that
+    ``rng[i]`` alone gives for ``n_walks // T`` walks.
     """
     gp = GeometricParams(p_halt)
-    tag = coupling_tag(coupling, n_walks)
-    rng = ensure_rng(rng)
+    rngs = _trial_rngs(rng)
+    per_trial = _trial_block(n_walks, len(rngs))
+    tag = coupling_tag(coupling, per_trial)
     if tag == "iid":
-        return np.asarray(geometric_inv_cdf(rng.random(n_walks), gp))
-    n_pairs = n_walks // 2
+        u = np.concatenate([r.random(per_trial) for r in rngs])
+        return np.asarray(geometric_inv_cdf(u, gp))
+    n_pairs = per_trial // 2
     if tag == "sigma":
         order = coupling.order
-        q = rng.integers(order, size=n_pairs)
-        u = np.empty(n_walks)
-        u[0::2] = (q + rng.random(n_pairs)) / order
-        u[1::2] = (coupling.perm[q] + rng.random(n_pairs)) / order
-        return np.asarray(geometric_inv_cdf(u, gp))
-    lengths = np.zeros(n_walks, dtype=np.int64)
-    alive = np.ones(n_walks, dtype=bool)
-    while np.any(alive):
-        t1 = rng.random(n_pairs)
-        t = np.empty(n_walks)
-        t[0::2] = t1
-        t[1::2] = (t1 + 0.5) % 1.0
-        halts = alive & (t < p_halt)
-        alive &= ~halts
-        lengths[alive] += 1
-    return lengths
+        u = np.empty((len(rngs), per_trial))
+        for row, r in zip(u, rngs):
+            q = r.integers(order, size=n_pairs)
+            row[0::2] = (q + r.random(n_pairs)) / order
+            row[1::2] = (coupling.perm[q] + r.random(n_pairs)) / order
+        return np.asarray(geometric_inv_cdf(u.ravel(), gp))
+    # antithetic: every trial with a live walk draws one uniform per pair
+    lengths = np.zeros((len(rngs), per_trial), dtype=np.int64)
+    alive = np.ones((len(rngs), per_trial), dtype=bool)
+    live = np.flatnonzero(alive.any(axis=1))
+    while live.size:
+        t = np.empty((live.size, per_trial))
+        t[:, 0::2] = [rngs[i].random(n_pairs) for i in live]
+        t[:, 1::2] = (t[:, 0::2] + 0.5) % 1.0
+        still = alive[live] & (t >= p_halt)
+        alive[live] = still
+        lengths[live] += still
+        live = live[still.any(axis=1)]
+    return lengths.ravel()
 
 
 # ---------------------------------------------------------------------------
 # Batched walking (all walkers stepped in parallel)
 
+# uniforms a step schedule holds at once; it draws the step streams in
+# rounds of as many steps as fit
+_STREAM_BUDGET = 1 << 15
+
+
+def _step_schedule(steps: np.ndarray, rngs: list):
+    """Yield ``(t, idx, u)`` for t = 1, 2, ...: the walks that take step t
+    and one uniform for each.
+
+    ``steps[w]`` is the number of steps walk w takes; the walks form
+    ``len(rngs)`` equal blocks in trial order.  Trial i's uniforms come
+    from ``rngs[i]`` in step order and, within a step, in walk order: the
+    stream that one ``rngs[i].random`` call per step would give, since
+    consecutive ``random`` calls of a generator concatenate.  The streams
+    are drawn a round of steps at a time, with one call per trial per round.
+    """
+    n_trials = len(rngs)
+    per_trial = _trial_block(steps.size, n_trials)
+    horizon = int(steps.max(initial=0))
+    # active[t - 1, i]: walks of trial i that take step t
+    slot = steps.reshape(n_trials, per_trial) + (horizon + 1) * np.arange(n_trials)[:, None]
+    hist = np.bincount(slot.ravel(), minlength=n_trials * (horizon + 1))
+    active = np.cumsum(hist.reshape(n_trials, horizon + 1)[:, :0:-1], axis=1)[:, ::-1].T
+    drawn = np.concatenate([[0], np.cumsum(active.sum(axis=1))])  # uniforms through step t
+    idx = np.flatnonzero(steps > 0)
+    ranks = np.arange(idx.size)
+    t = 0
+    while t < horizon:
+        # one round: as many steps as the budget holds, at least one
+        end = max(t + 1, int(np.searchsorted(drawn, drawn[t] + _STREAM_BUDGET, "right")) - 1)
+        block = active[t:end]
+        totals = block.sum(axis=0)
+        stream = np.concatenate([r.random(n) for r, n in zip(rngs, totals)])
+        start = np.cumsum(totals) - totals  # each trial's next unread uniform
+        for counts in block:
+            t += 1
+            if n_trials == 1:
+                # a slice: the large one-trial batches of sigma training
+                # build no per-walk index arrays
+                u = stream[start[0] : start[0] + idx.size]
+            else:
+                # idx runs trial by trial; a walk's uniform is its trial's
+                # next unread one plus its rank among the trial's active walks
+                first = np.cumsum(counts) - counts
+                u = stream[np.repeat(start - first, counts) + ranks[: idx.size]]
+            yield t, idx, u
+            start += counts
+            idx = idx[steps[idx] > t]
+
 
 def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
                          rng) -> np.ndarray:
-    """Terminal node of fixed-length uniform walks, stepped in parallel."""
-    rng = ensure_rng(rng)
+    """Terminal node of fixed-length uniform walks, stepped in parallel.
+
+    ``rng`` may be a list of T generators, one per trial: the walks then
+    form T equal blocks in trial order, and block i ends where the same
+    call with ``rng[i]`` and that block's starts and lengths ends.
+    """
     cur = np.asarray(starts, dtype=np.int64).copy()
     lengths = np.asarray(lengths, dtype=np.int64)
-    remaining = lengths.copy()
-    active = remaining > 0
-    while np.any(active):
-        idx = np.flatnonzero(active)
+    for _, idx, u in _step_schedule(lengths, _trial_rngs(rng)):
         nodes = cur[idx]
-        deg = g.neighbor_counts[nodes]
-        pick = g.indptr[nodes] + (rng.random(idx.size) * deg).astype(np.int64)
+        pick = g.indptr[nodes] + (u * g.neighbor_counts[nodes]).astype(np.int64)
         cur[idx] = g.indices[pick]
-        remaining[idx] -= 1
-        active = remaining > 0
     return cur
 
 

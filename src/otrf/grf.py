@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphData, batch_walk_lengths, coupling_tag
+from .graph import GraphData, _step_schedule, _trial_rngs, batch_walk_lengths, coupling_tag
 from .mathcore import GeometricParams, ensure_rng, geometric_inv_cdf
 
 K_MAX_DEFAULT = 64
@@ -89,7 +89,7 @@ def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
     if not 0 <= node < g.n_nodes:
         raise ValueError(f"start node {node} out of range")
     tag = coupling_tag(coupling, m)
-    return GrfFeature(_node_features(g, [node], m, coupling, f, p_halt, rng)[0], m, tag)
+    return GrfFeature(_node_features(g, [node], m, coupling, f, p_halt, rng)[0, 0], m, tag)
 
 
 def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
@@ -100,25 +100,21 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
     ``out`` has one row per feature (node) and one column per graph node;
     ``row_of_walk`` maps each walk to its output row.  All walks advance
     synchronously so the modulation coefficient is a scalar per step.
+    ``rng`` may be a list of generators, one per equal block of walks, as
+    in :func:`otrf.graph.batch_walk_endpoints`.  Steps past ``f.k_max``
+    add no load and draw no uniform.
     """
     global _truncations
     survival = 1.0 - p_halt
     cur = np.asarray(starts, dtype=np.int64).copy()
     lengths = np.asarray(lengths, dtype=np.int64)
+    _truncations += int(np.count_nonzero(lengths > f.k_max))
     weight = np.ones(cur.size)
     np.add.at(out, (row_of_walk, cur), f(0))
-    max_len = int(lengths.max(initial=0))
-    for t in range(1, max_len + 1):
-        idx = np.flatnonzero(lengths >= t)
-        if idx.size == 0:
-            break
-        if t > f.k_max:
-            # remaining steps cannot contribute loads; record and stop
-            _truncations += idx.size
-            break
+    for t, idx, u in _step_schedule(np.minimum(lengths, f.k_max), _trial_rngs(rng)):
         nodes = cur[idx]
         deg = g.neighbor_counts[nodes]
-        pick = g.indptr[nodes] + (rng.random(idx.size) * deg).astype(np.int64)
+        pick = g.indptr[nodes] + (u * deg).astype(np.int64)
         nxt = g.indices[pick]
         weight[idx] *= g.anorm_data[pick] * deg / survival
         cur[idx] = nxt
@@ -127,15 +123,20 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
 
 def _node_features(g: GraphData, nodes, m: int, coupling, f: ModulationFn,
                    p_halt: float, rng) -> np.ndarray:
-    """Mean projection of m coupled walks from each of ``nodes`` (one row each)."""
+    """Mean projection of m coupled walks from each of ``nodes``.
+
+    One (len(nodes), N) block per trial generator, stacked on a leading
+    trial axis.
+    """
     coupling_tag(coupling, m)
-    rng = ensure_rng(rng)
-    rows = np.repeat(np.arange(len(nodes)), m)
-    starts = np.asarray(nodes, dtype=np.int64)[rows]
-    lengths = batch_walk_lengths(starts.size, p_halt, rng, coupling)
-    out = np.zeros((len(nodes), g.n_nodes))
-    _projected_batch(g, starts, lengths, f, p_halt, rng, rows, out)
-    return out / m
+    rngs = _trial_rngs(rng)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    rows = np.repeat(np.arange(len(rngs) * nodes.size), m)
+    starts = np.tile(nodes, len(rngs))[rows]
+    lengths = batch_walk_lengths(starts.size, p_halt, rngs, coupling)
+    out = np.zeros((len(rngs) * nodes.size, g.n_nodes))
+    _projected_batch(g, starts, lengths, f, p_halt, rngs, rows, out)
+    return (out / m).reshape(len(rngs), nodes.size, g.n_nodes)
 
 
 def grf_feature_matrix(g: GraphData, m: int, coupling, f: ModulationFn,
@@ -144,8 +145,12 @@ def grf_feature_matrix(g: GraphData, m: int, coupling, f: ModulationFn,
 
     Lengths for all N x m walks are drawn by the coupled sampler up front
     (geometric marginals throughout) and the walks are stepped in parallel.
+    With ``rng`` a list of T generators, one per trial, all T x N x m walks
+    run in one batch and the result is (T, N, N); block i equals the
+    matrix that ``rng[i]`` alone gives.
     """
-    return _node_features(g, np.arange(g.n_nodes), m, coupling, f, p_halt, rng)
+    feats = _node_features(g, np.arange(g.n_nodes), m, coupling, f, p_halt, rng)
+    return feats if isinstance(rng, list) else feats[0]
 
 
 @dataclass

@@ -16,6 +16,7 @@ from .errors import ConvergenceError
 from .graph import (
     GraphData,
     SigmaCoupling,
+    _trial_rngs,
     batch_walk_endpoints,
     batch_walk_lengths,
     coupling_tag,
@@ -80,22 +81,27 @@ def exact_pagerank(g: GraphData, p_halt: float, tol: float = 1e-12,
     raise ConvergenceError(f"power iteration did not reach {tol} in {max_iters} steps")
 
 
-def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng) -> PageRankEstimate:
+def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
     """Estimate PageRank from m terminating walks per node.
 
     Unbiased for every supported length coupling ("iid",
     "antithetic_termination", or a :class:`SigmaCoupling` imposing coupled
-    lengths on walker pairs within each start node).
+    lengths on walker pairs within each start node).  With ``rng`` a list
+    of T generators, one per trial, all T x N x m walks run in one batch
+    and the result is a list of T estimates; estimate i equals the one that
+    ``rng[i]`` alone gives.
     """
     tag = coupling_tag(coupling, m)
-    rng = ensure_rng(rng)
+    rngs = _trial_rngs(rng)
     n = g.n_nodes
     n_walks = n * m
-    starts = np.repeat(np.arange(n), m)
-    lengths = batch_walk_lengths(n_walks, p_halt, rng, coupling)
-    ends = batch_walk_endpoints(g, starts, lengths, rng)
-    counts = np.bincount(ends, minlength=n)
-    return PageRankEstimate(counts, n_walks, tag)
+    starts = np.tile(np.repeat(np.arange(n), m), len(rngs))
+    lengths = batch_walk_lengths(starts.size, p_halt, rngs, coupling)
+    ends = batch_walk_endpoints(g, starts, lengths, rngs)
+    trial = np.repeat(np.arange(len(rngs)), n_walks)
+    counts = np.bincount(trial * n + ends, minlength=len(rngs) * n).reshape(-1, n)
+    estimates = [PageRankEstimate(c, n_walks, tag) for c in counts]
+    return estimates if isinstance(rng, list) else estimates[0]
 
 
 def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,

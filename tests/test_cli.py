@@ -1,10 +1,13 @@
 """Config handling, ingestion, report emission and determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from otrf import experiments
 from otrf.cli import main
 from otrf.datasets import ingest_csv, split_dataset, standardize
 from otrf.experiments import ConfigError, ExperimentConfig, parse_config_file, run
@@ -241,6 +244,14 @@ class TestGraphExperiments:
         assert len(summary["results"]["theta"]) == 3
         assert summary["results"]["pnc_reference_loss"] > 0
 
+    def test_copula_train_prints_plain_floats(self, tmp_path, capsys):
+        text = BASE_RF.replace("rf-bench", "copula-train") + "\n[copula]\nsteps = 5\nmc_samples = 2\n"
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["copula-train", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "theta: [" in out
+        assert "np.float64" not in out
+
     def test_rf_bench_on_csv(self, tmp_path):
         rng = np.random.default_rng(32)
         path = tmp_path / "data.csv"
@@ -321,6 +332,45 @@ edge_prob = 0.4
 [grid]
 p_halt_values = {p_halt_values}
 """
+
+
+def _rows_below(csv_text, trials):
+    return [row for row in csv.DictReader(io.StringIO(csv_text)) if int(row["trial"]) < trials]
+
+
+class TestTrialBatching:
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    def test_chunk_boundaries_do_not_change_results(self, tmp_path, kind, monkeypatch):
+        # enough walkers on the 10-node graph for chunks of two trials: 7
+        # trials end in a short chunk, trial 4 of 5 runs alone, and in
+        # chunks of three it runs second of two
+        walkers = 2 * (experiments._CHUNK_WALKS // 40)
+        pair = experiments._CHUNK_WALKS
+        assert pair // (10 * walkers) == 2
+        graph = (
+            f"walkers = {walkers}\nn_quantiles = 3\nwalks_per_quantile = 10\n"
+            "train_nodes = 10\ntrain_edge_prob = 0.4"
+        )
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings="iid, antithetic_termination, sigma", graph=graph,
+            p_halt_values="0.3, 0.6",
+        )
+        outputs = {}
+        for name, trials, chunk_walks in (
+            ("first", 7, pair), ("again", 7, pair), ("five", 5, pair), ("threes", 5, 30 * walkers)
+        ):
+            monkeypatch.setattr(experiments, "_CHUNK_WALKS", chunk_walks)
+            cfg_path = write_cfg(
+                tmp_path / f"{name}.cfg", text.replace("trials = 3", f"trials = {trials}")
+            )
+            out = tmp_path / name
+            assert main([kind, "--config", cfg_path, "--out-dir", str(out)]) == 0
+            outputs[name] = ((out / "summary.json").read_bytes(), (out / "trials.csv").read_text())
+        assert outputs["first"] == outputs["again"]
+        assert outputs["five"] == outputs["threes"]
+        five = _rows_below(outputs["five"][1], 5)
+        assert len(five) == 5 * 3 * 2
+        assert _rows_below(outputs["first"][1], 5) == five
 
 
 class TestBadInputExits:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from otrf import graph
 from otrf.graph import (
     GraphData,
     GraphKernelSpec,
@@ -48,6 +49,23 @@ def geometric_chisquare_pvalue(lengths, p_halt, cut=12):
 def coupled_pairs(n_pairs, p_halt, rng, coupling):
     """Lengths of n_pairs coupled walk pairs as an (n_pairs, 2) array."""
     return batch_walk_lengths(2 * n_pairs, p_halt, rng, coupling).reshape(-1, 2)
+
+
+def endpoint_oracle(g, starts, lengths, rng):
+    """Per-step endpoint walk: one ``rng.random`` call per step, for live walks."""
+    cur = np.asarray(starts, dtype=np.int64).copy()
+    remaining = np.asarray(lengths, dtype=np.int64).copy()
+    while np.any(remaining > 0):
+        idx = np.flatnonzero(remaining > 0)
+        nodes = cur[idx]
+        deg = g.neighbor_counts[nodes]
+        pick = g.indptr[nodes] + (rng.random(idx.size) * deg).astype(np.int64)
+        cur[idx] = g.indices[pick]
+        remaining[idx] -= 1
+    return cur
+
+
+WALK_COUPLINGS = ["iid", "antithetic_termination", SigmaCoupling(np.array([2, 0, 3, 1]), 0.3)]
 
 
 class TestGraphData:
@@ -227,6 +245,34 @@ class TestWalks:
     def test_p_halt_outside_open_interval_rejected(self, coupling, p_halt):
         with pytest.raises(ValueError, match="p_halt"):
             batch_walk_lengths(4, p_halt, np.random.default_rng(0), coupling)
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("n_trials", [1, 3, 7])
+    @pytest.mark.parametrize("coupling", WALK_COUPLINGS)
+    def test_trial_batch_matches_per_trial(self, coupling, n_trials, budget, monkeypatch):
+        # a small stream budget makes the schedule draw in rounds of varying length
+        if budget is not None:
+            monkeypatch.setattr(graph, "_STREAM_BUDGET", budget)
+        g = erdos_renyi(7, 0.5, np.random.default_rng(19))
+        starts = np.repeat(np.arange(7), 4)
+        seeds = np.random.SeedSequence(20).spawn(n_trials)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        lengths = batch_walk_lengths(n_trials * starts.size, 0.3, rngs, coupling)
+        ends = batch_walk_endpoints(g, np.tile(starts, n_trials), lengths, rngs)
+        assert np.any(lengths == 0) and np.any(lengths > 1)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            block = slice(i * starts.size, (i + 1) * starts.size)
+            expected = batch_walk_lengths(starts.size, 0.3, rng, coupling)
+            assert np.array_equal(lengths[block], expected)
+            assert np.array_equal(ends[block], endpoint_oracle(g, starts, expected, rng))
+
+    def test_trials_must_split_evenly(self):
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        with pytest.raises(ValueError, match="equal trials"):
+            batch_walk_lengths(10, 0.3, rngs)
+        with pytest.raises(ValueError, match="equal trials"):
+            batch_walk_endpoints(TWO_PATH, np.zeros(4), np.ones(4), rngs)
 
     def test_batch_endpoints_one_step_uniform(self):
         g = erdos_renyi(12, 0.4, np.random.default_rng(11))

@@ -44,6 +44,25 @@ def project_path(g, nodes, f, p_halt):
     return out
 
 
+def projection_oracle(g, starts, lengths, f, p_halt, rng, rows, out):
+    """Per-step projecting walk, one ``rng.random`` call per step; returns
+    the number of walks cut at the modulation horizon ``f.k_max``."""
+    cur = np.asarray(starts, dtype=np.int64).copy()
+    weight = np.ones(cur.size)
+    np.add.at(out, (rows, cur), f(0))
+    for t in range(1, int(lengths.max(initial=0)) + 1):
+        idx = np.flatnonzero(lengths >= t)
+        if t > f.k_max:
+            return idx.size
+        nodes = cur[idx]
+        deg = g.neighbor_counts[nodes]
+        pick = g.indptr[nodes] + (rng.random(idx.size) * deg).astype(np.int64)
+        weight[idx] *= g.anorm_data[pick] * deg / (1.0 - p_halt)
+        cur[idx] = g.indices[pick]
+        np.add.at(out, (rows[idx], cur[idx]), weight[idx] * f(t))
+    return 0
+
+
 def projected_walk(g, start, length, f, p_halt, seed):
     """One seeded walk through the batched engine: (its nodes, its projection).
 
@@ -211,6 +230,34 @@ class TestGrfFeatures:
             means.append(np.mean(errs))
         slope = np.polyfit(np.log(ms), np.log(means), 1)[0]
         assert abs(slope + 0.5) < 0.1
+
+    @pytest.mark.parametrize("n_trials", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "coupling", ["iid", "antithetic_termination", SigmaCoupling(np.array([2, 0, 3, 1]), 0.3)]
+    )
+    def test_trial_batch_matches_per_trial(self, coupling, n_trials):
+        g = erdos_renyi(7, 0.5, np.random.default_rng(21))
+        f = modulation_for(REG2, 3)  # horizon of three steps
+        m, p_halt = 4, 0.3
+        seeds = np.random.SeedSequence(22).spawn(n_trials)
+        before = truncation_count()
+        feats = grf_feature_matrix(g, m, coupling, f, p_halt, [np.random.default_rng(s) for s in seeds])
+        batched = truncation_count() - before
+        assert feats.shape == (n_trials, 7, 7)
+        starts = np.repeat(np.arange(7), m)
+        truncated, all_lengths = 0, []
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            lengths = batch_walk_lengths(starts.size, p_halt, rng, coupling)
+            out = np.zeros((7, 7))
+            truncated += projection_oracle(g, starts, lengths, f, p_halt, rng, starts, out)
+            assert np.array_equal(feats[i], out / m)
+            all_lengths.append(lengths)
+        assert batched == truncated
+        lengths = np.concatenate(all_lengths)
+        assert np.any(lengths == 0) and np.any(lengths > f.k_max)
+        single = grf_feature_matrix(g, m, coupling, f, p_halt, np.random.default_rng(seeds[-1]))
+        assert np.array_equal(single, feats[-1])
 
     def test_truncation_counter(self):
         reset_truncation_count()
