@@ -10,7 +10,7 @@ joint over the norms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -19,6 +19,7 @@ from . import eucrf
 from .errors import NumericalError
 from .mathcore import (
     ChiParams,
+    _adam,
     chi_inv_cdf,
     ensure_rng,
     gauss_cdf,
@@ -339,7 +340,7 @@ def _rmse_loss_and_grad(
 
     k_exact = eucrf.gaussian_gram(dataset, dataset, kernel)
     x_scaled = dataset / kernel.lengthscale
-    sq = np.sum(x_scaled**2, axis=1)
+    sq = np.sum(x_scaled**2, axis=1)[None, :]
     scale = kernel.output_scale / np.sqrt(m)
     chi = ChiParams(d)
     # log phi(g) - log f_chi(w) = log_norm - g^2/2 - (d-1) log w + w^2/2
@@ -359,11 +360,9 @@ def _rmse_loss_and_grad(
         proj = dirs @ x_scaled.T
         args = norms[:, None] * proj
         if featurizer == "rff":
-            phi = scale * np.vstack([np.sin(args), np.cos(args)])
+            phi = eucrf._trig_features(args, scale)
         else:
-            if np.max(args) > 700.0:
-                raise NumericalError("copula loss overflowed in exp features")
-            phi = scale * np.exp(args - sq[None, :])
+            phi = eucrf._exp_features(args, sq, scale)
         resid = phi.T @ phi - k_exact
         rmse = np.sqrt(np.mean(resid**2))
         loss += rmse
@@ -427,11 +426,7 @@ def reference_coupling_loss(
         dirs = _blockwise_directions(m, d, rng)
         norms = sample_norms(m, d, scheme, rng)
         ens = FrequencyEnsemble(norms[:, None] * dirs, "reference")
-        phi = (
-            eucrf.rff_feature_matrix(dataset, ens, kernel)
-            if featurizer == "rff"
-            else eucrf.rlf_feature_matrix(dataset, ens, kernel)
-        )
+        phi = eucrf._feature_matrix(featurizer, dataset, ens, kernel)
         total += eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
     return total / mc_samples
 
@@ -441,15 +436,13 @@ class CopulaOptConfig:
     """Adam settings for copula optimisation (defaults follow the protocol).
 
     Each step draws ``mc_samples`` RMSE evaluations from a fresh step seed
-    and follows their exact pathwise gradient.
+    and follows their exact pathwise gradient.  Adam's moment decays and
+    offset are fixed constants; only the step count and rate are set here.
     """
 
     steps: int = 2000
     lr: float = 1e-2
     mc_samples: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: int | None = None  # ensemble size; defaults to the data dimension
     init: CorrelationParams | None = None
 
@@ -457,7 +450,7 @@ class CopulaOptConfig:
 @dataclass
 class CopulaFitResult:
     params: CorrelationParams
-    loss_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    loss_trace: np.ndarray
 
 
 def optimize_copula(
@@ -482,23 +475,17 @@ def optimize_copula(
         if config.init is not None
         else CorrelationParams.near_independence(m).theta.copy()
     )
-    if config.steps == 0:
-        return CopulaFitResult(CorrelationParams(m, theta))
-
     step_seeds = rng.integers(2**63, size=config.steps)
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
     trace = np.empty(config.steps)
-    for t in range(config.steps):
+
+    def grad_at(t, x):
         loss, grad = _rmse_loss_and_grad(
-            theta, dataset, kernel, featurizer, config.mc_samples, int(step_seeds[t])
+            x, dataset, kernel, featurizer, config.mc_samples, int(step_seeds[t])
         )
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise NumericalError(f"copula loss or gradient became non-finite at step {t}")
         trace[t] = loss
-        m1 = config.beta1 * m1 + (1 - config.beta1) * grad
-        m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
-        m1_hat = m1 / (1 - config.beta1 ** (t + 1))
-        m2_hat = m2 / (1 - config.beta2 ** (t + 1))
-        theta = theta - config.lr * m1_hat / (np.sqrt(m2_hat) + config.eps)
+        return grad
+
+    theta = _adam(grad_at, theta, config.steps, config.lr)
     return CopulaFitResult(CorrelationParams(m, theta), trace)

@@ -29,14 +29,6 @@ class GaussianKernelParams:
             raise ValueError("kernel parameters must be positive (noise >= 0)")
 
 
-@dataclass(frozen=True)
-class CostSeriesConfig:
-    """Truncation policy for the pair cost series."""
-
-    tol: float = 1e-12
-    max_terms: int = 200
-
-
 def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
     """k(x, y) = s_v^2 exp(-||x - y||^2 / (2 l^2))."""
     x = np.asarray(x, dtype=float)
@@ -64,6 +56,20 @@ def _freqs(ens) -> np.ndarray:
     return np.asarray(getattr(ens, "freqs", ens), dtype=float)
 
 
+def _trig_features(args: np.ndarray, scale: float) -> np.ndarray:
+    """scale [sin(args); cos(args)], stacked along the first axis."""
+    return scale * np.concatenate([np.sin(args), np.cos(args)])
+
+
+def _exp_features(args: np.ndarray, sq_norms, scale: float) -> np.ndarray:
+    """scale exp(args - sq_norms); raises FeatureOverflowError past exp(700)."""
+    if np.max(args, initial=-np.inf) > 700.0:
+        raise FeatureOverflowError(
+            "exp feature argument exceeds 700; enlarge the kernel lengthscale"
+        )
+    return scale * np.exp(args - sq_norms)
+
+
 def rff_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
     """Trigonometric features of length 2m: sqrt(1/m) [sin, cos](w_i . x/l).
 
@@ -75,8 +81,7 @@ def rff_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
     if x.shape != (freqs.shape[1],):
         raise ValueError(f"dimension mismatch: x {x.shape}, freqs {freqs.shape}")
     args = freqs @ (x / params.lengthscale)
-    scale = params.output_scale / np.sqrt(freqs.shape[0])
-    return scale * np.concatenate([np.sin(args), np.cos(args)])
+    return _trig_features(args, params.output_scale / np.sqrt(freqs.shape[0]))
 
 
 def rlf_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
@@ -91,13 +96,8 @@ def rlf_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
     if x.shape != (freqs.shape[1],):
         raise ValueError(f"dimension mismatch: x {x.shape}, freqs {freqs.shape}")
     xs = x / params.lengthscale
-    args = freqs @ xs
-    if np.max(args, initial=-np.inf) > 700.0:
-        raise FeatureOverflowError(
-            "exp feature argument exceeds 700; enlarge the kernel lengthscale"
-        )
     scale = params.output_scale / np.sqrt(freqs.shape[0])
-    return scale * np.exp(args - np.sum(xs**2))
+    return _exp_features(freqs @ xs, np.sum(xs**2), scale)
 
 
 def rff_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
@@ -105,8 +105,7 @@ def rff_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
     freqs = _freqs(ens)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     args = freqs @ (X.T / params.lengthscale)
-    scale = params.output_scale / np.sqrt(freqs.shape[0])
-    return scale * np.vstack([np.sin(args), np.cos(args)])
+    return _trig_features(args, params.output_scale / np.sqrt(freqs.shape[0]))
 
 
 def rlf_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
@@ -114,13 +113,15 @@ def rlf_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
     freqs = _freqs(ens)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xs = X / params.lengthscale
-    args = freqs @ Xs.T
-    if args.size and np.max(args) > 700.0:
-        raise FeatureOverflowError(
-            "exp feature argument exceeds 700; enlarge the kernel lengthscale"
-        )
     scale = params.output_scale / np.sqrt(freqs.shape[0])
-    return scale * np.exp(args - np.sum(Xs**2, axis=1)[None, :])
+    return _exp_features(freqs @ Xs.T, np.sum(Xs**2, axis=1)[None, :], scale)
+
+
+def _feature_matrix(featurizer: str, X, ens, params: GaussianKernelParams) -> np.ndarray:
+    """rff_feature_matrix or rlf_feature_matrix, by featurizer name."""
+    if featurizer == "rff":
+        return rff_feature_matrix(X, ens, params)
+    return rlf_feature_matrix(X, ens, params)
 
 
 def gram_estimate(features: np.ndarray) -> np.ndarray:
@@ -152,43 +153,49 @@ def rlf_lengthscale_heuristic(X) -> float:
 # ---------------------------------------------------------------------------
 # Pair cost series
 
+_SERIES_TOL = 1e-12
+_SERIES_MAX_TERMS = 200
 
-def _pair_cost_series(t: float, omega_sq_sum: float, d: int, cfg: CostSeriesConfig,
-                      alternating: bool) -> float:
+
+def _pair_cost_series(t: float, omega_sq_sum: float, d: int, alternating: bool) -> float:
     """sum_k (+-1)^k t^(2k) (w1^2+w2^2)^k / (4^k k! Gamma(k + d/2)).
 
     Terms are accumulated through their recurrence; truncates once a term
-    falls below tol * |partial sum| and errors out if max_terms is hit
-    first.
+    falls below _SERIES_TOL * |partial sum| and raises ConvergenceError if
+    _SERIES_MAX_TERMS terms do not get there.
     """
     term = np.exp(-gammaln(d / 2.0))  # k = 0 term, 1/Gamma(d/2)
     total = term
     ratio_base = t * t * omega_sq_sum / 4.0
     sign = -1.0 if alternating else 1.0
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         term *= sign * ratio_base / (k * (k - 1 + d / 2.0))
         total += term
-        if abs(term) < cfg.tol * max(abs(total), 1e-300):
+        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
             return float(total)
     raise ConvergenceError(
-        f"pair cost series did not converge within {cfg.max_terms} terms"
+        f"pair cost series did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
 
-def cost_rff(omega1: float, omega2: float, z: float, d: int,
-             cfg: CostSeriesConfig = CostSeriesConfig()) -> float:
-    """Single ordered-pair trigonometric cost; alternating series in z."""
+def cost_rff(omega1: float, omega2: float, z: float, d: int) -> float:
+    """Single ordered-pair trigonometric cost; alternating series in z.
+
+    Raises ConvergenceError when 200 terms miss relative tolerance 1e-12.
+    """
     if omega1 < 0 or omega2 < 0 or z < 0:
         raise ValueError("cost_rff requires nonnegative inputs")
-    return _pair_cost_series(z, omega1**2 + omega2**2, d, cfg, alternating=True)
+    return _pair_cost_series(z, omega1**2 + omega2**2, d, alternating=True)
 
 
-def cost_rlf(omega1: float, omega2: float, v: float, d: int,
-             cfg: CostSeriesConfig = CostSeriesConfig()) -> float:
-    """Single ordered-pair exponential cost; positive-term series in v."""
+def cost_rlf(omega1: float, omega2: float, v: float, d: int) -> float:
+    """Single ordered-pair exponential cost; positive-term series in v.
+
+    Raises ConvergenceError when 200 terms miss relative tolerance 1e-12.
+    """
     if omega1 < 0 or omega2 < 0 or v < 0:
         raise ValueError("cost_rlf requires nonnegative inputs")
-    return _pair_cost_series(v, omega1**2 + omega2**2, d, cfg, alternating=False)
+    return _pair_cost_series(v, omega1**2 + omega2**2, d, alternating=False)
 
 
 # ---------------------------------------------------------------------------

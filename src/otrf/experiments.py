@@ -11,6 +11,7 @@ experiments run one trial at a time, in order.
 from __future__ import annotations
 
 import json
+import typing
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -46,6 +47,12 @@ _SE_COUNT = {
     "gp-eval": "splits",
 }
 _EUCLIDEAN_KINDS = ("rf-bench", "copula-train", "gp-eval", "attention-bench")
+# the least value of each count; a sampled graph needs two nodes to have no
+# isolated node, and a sigma coupling matches at least two quantiles
+_MINIMUM = {
+    "trials": 1, "splits": 1, "steps": 1, "mc_samples": 1, "walkers": 1,
+    "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2, "walks_per_quantile": 1,
+}
 _PAIRED_WALK_COUPLINGS = ("antithetic_termination", "sigma")
 
 
@@ -104,9 +111,9 @@ class ExperimentConfig:
         bad = [p for p in self.p_halt_values if not 0 < p < 1]
         if bad:
             raise ConfigError(f"p_halt_values must lie in (0, 1), got {bad}")
-        for key in ("trials", "splits"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, low in _MINIMUM.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         se_key = _SE_COUNT.get(self.kind)
         if se_key and getattr(self, se_key) < 2:
             raise ConfigError(
@@ -172,18 +179,6 @@ _SECTION_FIELDS = {
     "copula": ("steps", "mc_samples", "lr"),
 }
 
-_INT_FIELDS = {
-    "seed", "trials", "threads", "n_points", "dim", "splits", "max_points",
-    "graph_nodes", "kernel_degree", "kernel_p", "n_quantiles", "walkers",
-    "walks_per_quantile", "train_nodes", "steps", "mc_samples", "fit_steps",
-}
-_FLOAT_FIELDS = {
-    "output_scale", "noise_scale", "edge_prob", "kernel_sigma", "kernel_alpha",
-    "train_edge_prob", "lr",
-}
-_TUPLE_FIELDS = {"featurizers", "couplings", "m_values", "p_halt_values"}
-
-
 def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a key=value sections config file into an ExperimentConfig."""
     import configparser
@@ -209,28 +204,22 @@ def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _coerce_config(values: dict) -> ExperimentConfig:
+    """Each value as its ExperimentConfig field's type; str fields pass as given."""
+    types = typing.get_type_hints(ExperimentConfig)
     out: dict = {}
     for key, raw in values.items():
         if raw is None:
             continue
+        ftype = types.get(key)
         try:
-            if key in _INT_FIELDS:
-                out[key] = int(raw)
-            elif key in _FLOAT_FIELDS:
-                out[key] = float(raw)
-            elif key in _TUPLE_FIELDS:
+            if typing.get_origin(ftype) is tuple:
                 if isinstance(raw, (tuple, list)):
                     items = list(raw)
                 else:
                     items = [part.strip() for part in str(raw).split(",") if part.strip()]
-                if key in ("m_values",):
-                    out[key] = tuple(int(v) for v in items)
-                elif key == "p_halt_values":
-                    out[key] = tuple(float(v) for v in items)
-                else:
-                    out[key] = tuple(str(v) for v in items)
+                out[key] = tuple(typing.get_args(ftype)[0](v) for v in items)
             else:
-                out[key] = raw
+                out[key] = ftype(raw) if ftype in (int, float) else raw
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
     if "kind" not in out:
@@ -377,16 +366,10 @@ def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.Gauss
     raise ConfigError(f"unknown lengthscale policy {policy!r}")
 
 
-def _coupling_spec(tag: str, m: int) -> cpl.CouplingSpec:
+def _coupling_spec(tag: str) -> cpl.CouplingSpec:
     if tag == "copula":
         raise ConfigError("copula ensembles need parameters; run copula-train first")
     return cpl.CouplingSpec(tag)
-
-
-def _feature_matrix(featurizer: str, X, ens, params):
-    if featurizer == "rff":
-        return eucrf.rff_feature_matrix(X, ens, params)
-    return eucrf.rlf_feature_matrix(X, ens, params)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +388,8 @@ def run_rf_bench(cfg: ExperimentConfig):
 
                 def trial(tag, seeds, m=m, featurizer=featurizer, params=params, k_exact=k_exact):
                     def one(rng):
-                        ens = cpl.build_ensemble(m, d, _coupling_spec(tag, m), rng)
-                        phi = _feature_matrix(featurizer, X, ens, params)
+                        ens = cpl.build_ensemble(m, d, _coupling_spec(tag), rng)
+                        phi = eucrf._feature_matrix(featurizer, X, ens, params)
                         return eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
 
                     return _map_trials(one, seeds)
@@ -473,13 +456,25 @@ def _graph_kernel_spec(cfg: ExperimentConfig) -> graphmod.GraphKernelSpec:
     )
 
 
+def _train_sigmas(cfg: ExperimentConfig, graph, label: str, solve) -> list:
+    """``solve(graph, p_halt, rng)`` per grid p_halt, seeded by ``label/p_halt``."""
+    return [solve(graph, p, _rng(cfg.seed, f"{label}/{p}")) for p in cfg.p_halt_values]
+
+
+def _grf_sigma_solver(cfg: ExperimentConfig, f):
+    """The grf sigma trainer of grf-bench and sigma-train."""
+    return lambda graph, p_halt, rng: matching.solve_sigma_coupling(
+        graph, p_halt, cfg.n_quantiles, f, cfg.walks_per_quantile, rng
+    )
+
+
 def _sigma_couplings(cfg: ExperimentConfig, label: str, solve) -> dict:
     """One sigma coupling per grid p_halt, keyed by rounded p_halt.
 
-    Read from ``cfg.sigma_path`` when set, else trained as
-    ``solve(graph, p_halt, rng)`` on one G(train_nodes, train_edge_prob)
-    graph; ``label`` names the training graph's and each solve's seed.
-    Empty when the sigma coupling is not benchmarked.
+    Read from ``cfg.sigma_path`` when set, else trained by
+    :func:`_train_sigmas` on one G(train_nodes, train_edge_prob) graph;
+    ``label`` names the training graph's and each solve's seed.  Empty when
+    the sigma coupling is not benchmarked.
     """
     if "sigma" not in cfg.couplings:
         return {}
@@ -487,10 +482,8 @@ def _sigma_couplings(cfg: ExperimentConfig, label: str, solve) -> dict:
         train_graph = graphmod.erdos_renyi(
             cfg.train_nodes, cfg.train_edge_prob, _rng(cfg.seed, f"{label}-graph")
         )
-        return {
-            round(p_halt, 10): solve(train_graph, p_halt, _rng(cfg.seed, f"{label}/{p_halt}"))
-            for p_halt in cfg.p_halt_values
-        }
+        trained = _train_sigmas(cfg, train_graph, label, solve)
+        return {round(p, 10): c for p, c in zip(cfg.p_halt_values, trained)}
     out = {}
     for item in json.loads(Path(cfg.sigma_path).read_text()):
         try:
@@ -510,13 +503,7 @@ def run_grf_bench(cfg: ExperimentConfig):
     k_exact = graphmod.exact_graph_kernel(g, spec)
     k_norm = float(np.linalg.norm(k_exact))
     f = grf.modulation_from_coefficients(graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT))
-    sigmas = _sigma_couplings(
-        cfg,
-        "sigma-train",
-        lambda graph, p_halt, rng: matching.solve_sigma_coupling(
-            graph, p_halt, cfg.n_quantiles, f, cfg.walks_per_quantile, rng
-        ),
-    )
+    sigmas = _sigma_couplings(cfg, "sigma-train", _grf_sigma_solver(cfg, f))
 
     def cells():
         for p_halt in cfg.p_halt_values:
@@ -542,11 +529,8 @@ def run_sigma_train(cfg: ExperimentConfig):
     f = grf.modulation_from_coefficients(graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT))
     rows = []
     payload = []
-    for p_halt in cfg.p_halt_values:
-        coupling = matching.solve_sigma_coupling(
-            g, p_halt, cfg.n_quantiles, f, cfg.walks_per_quantile,
-            _rng(cfg.seed, f"sigma-train/{p_halt}"),
-        )
+    trained = _train_sigmas(cfg, g, "sigma-train", _grf_sigma_solver(cfg, f))
+    for p_halt, coupling in zip(cfg.p_halt_values, trained):
         coupling.seed = cfg.seed
         payload.append(json.loads(coupling.to_json()))
         for q, image in enumerate(coupling.perm):
@@ -600,7 +584,7 @@ def run_gp_eval(cfg: ExperimentConfig):
         X_joint = np.vstack([X_tr, X_te])
         n_tr = X_tr.shape[0]
         for tag in cfg.couplings:
-            spec = _coupling_spec(tag, m)
+            spec = _coupling_spec(tag)
 
             def one_draw(rng, spec=spec):
                 ens = cpl.build_ensemble(m, d, spec, rng)
@@ -694,7 +678,7 @@ def run_attention_bench(cfg: ExperimentConfig):
     rows = []
     summary = {}
     for tag in cfg.couplings:
-        spec = _coupling_spec(tag, m)
+        spec = _coupling_spec(tag)
 
         def one_rep(rng, spec=spec):
             stats = eucrf.attention_estimate(

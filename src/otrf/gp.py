@@ -14,6 +14,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import NumericalError
 from .eucrf import GaussianKernelParams, gaussian_gram
+from .mathcore import _adam
 
 
 @dataclass
@@ -124,15 +125,20 @@ def approx_posterior(phi_d, phi_p, y, noise_scale: float) -> GaussianPosterior:
     return GaussianPosterior(mean, 0.5 * (cov + cov.T))
 
 
-def log_marginal_likelihood(k_dd, y, noise_scale: float) -> float:
-    """Gaussian log evidence of targets under kernel matrix + noise."""
-    k_dd = np.atleast_2d(np.asarray(k_dd, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+def _evidence(k: np.ndarray, y: np.ndarray, noise_scale: float):
+    """Cholesky factor of K + s_n^2 I, alpha = (K + s_n^2 I)^-1 y and the log evidence."""
     n = y.size
-    cho, _ = _jittered_cho(k_dd + noise_scale**2 * np.eye(n))
+    cho, _ = _jittered_cho(k + noise_scale**2 * np.eye(n))
     alpha = cho_solve(cho, y)
     logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
     value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
+    return cho, alpha, value
+
+
+def log_marginal_likelihood(k_dd, y, noise_scale: float) -> float:
+    """Gaussian log evidence of targets under kernel matrix + noise."""
+    k_dd = np.atleast_2d(np.asarray(k_dd, dtype=float))
+    _, _, value = _evidence(k_dd, np.asarray(y, dtype=float).ravel(), noise_scale)
     if not np.isfinite(value):
         raise NumericalError("log marginal likelihood is non-finite")
     return value
@@ -140,9 +146,10 @@ def log_marginal_likelihood(k_dd, y, noise_scale: float) -> float:
 
 @dataclass
 class GPFitConfig:
+    """Adam steps for :func:`fit_hyperparams`, whose learning rate is fixed at 1e-2."""
+
     steps: int = 1000
-    lr: float = 1e-2
-    fix_lengthscale: float | None = None
+    fix_lengthscale: float | None = None  # pins the lengthscale; only the scales fit
 
     def __post_init__(self):
         if not 1 <= self.steps <= 5000:
@@ -158,14 +165,8 @@ def _evidence_and_grad(X, y, log_params, fixed_ls):
     n = y.size
     sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
     k = sv**2 * np.exp(-sq / (2 * ls**2))
-    cho, _ = _jittered_cho(k + sn**2 * np.eye(n))
-    alpha = cho_solve(cho, y)
+    cho, alpha, value = _evidence(k, y, sn)
     k_inv = cho_solve(cho, np.eye(n))
-    value = (
-        -0.5 * float(y @ alpha)
-        - np.sum(np.log(np.diag(cho[0])))
-        - 0.5 * n * np.log(2 * np.pi)
-    )
     grads = []
     for dk in (k * sq / ls**2, 2.0 * k, 2.0 * sn**2 * np.eye(n)):
         grads.append(0.5 * float(alpha @ dk @ alpha) - 0.5 * float(np.sum(k_inv * dk)))
@@ -188,18 +189,14 @@ def fit_hyperparams(
     if y.size > 256:
         raise ValueError("training set capped at 256 points for exact fitting")
     log_params = np.log([init.lengthscale, init.output_scale, max(init.noise_scale, 1e-3)])
-    m1 = np.zeros(3)
-    m2 = np.zeros(3)
-    for t in range(config.steps):
-        value, grad = _evidence_and_grad(X, y, log_params, config.fix_lengthscale)
+
+    def neg_grad(t, x):  # Adam minimises
+        value, grad = _evidence_and_grad(X, y, x, config.fix_lengthscale)
         if not np.isfinite(value):
             raise NumericalError(f"evidence became non-finite at step {t}")
-        g = -grad  # Adam minimises
-        m1 = 0.9 * m1 + 0.1 * g
-        m2 = 0.999 * m2 + 0.001 * g**2
-        m1_hat = m1 / (1 - 0.9 ** (t + 1))
-        m2_hat = m2 / (1 - 0.999 ** (t + 1))
-        log_params = log_params - config.lr * m1_hat / (np.sqrt(m2_hat) + 1e-8)
+        return -grad
+
+    log_params = _adam(neg_grad, log_params, config.steps, 1e-2)
     ls = config.fix_lengthscale if config.fix_lengthscale is not None else np.exp(log_params[0])
     return GaussianKernelParams(
         lengthscale=float(ls),

@@ -124,19 +124,18 @@ def averaged_sigma_cost_matrix(qp: QuantileProjection, max_pairs: int = 2000,
 
 
 def solve_sigma_coupling(g: GraphData, p_halt: float, order: int,
-                         f: ModulationFn, walks_per_quantile: int, rng,
-                         max_pairs: int = 2000) -> SigmaCoupling:
+                         f: ModulationFn, walks_per_quantile: int, rng) -> SigmaCoupling:
     """Learn the length-coupling permutation on a training graph.
 
     Estimates per-quantile projections by simulation, averages the
-    diagonal-restricted cost over node pairs, and solves the matching
-    exactly.
+    diagonal-restricted cost over node pairs (every pair up to 2000, a
+    seeded sample of 2000 above that), and solves the matching exactly.
     """
     if order < 2:
         raise ValueError("permutation order must be >= 2")
     rng = ensure_rng(rng)
     qp = estimate_quantile_projections(g, order, p_halt, f, walks_per_quantile, rng)
-    cost = averaged_sigma_cost_matrix(qp, max_pairs=max_pairs, rng=rng)
+    cost = averaged_sigma_cost_matrix(qp, rng=rng)
     perm, _ = hungarian(cost)
     return SigmaCoupling(perm, p_halt)
 

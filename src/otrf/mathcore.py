@@ -1,8 +1,9 @@
-"""Special functions, distributions and quasi-random sequences.
+"""Special functions, distributions, quasi-random sequences and Adam.
 
-Everything here is a pure function of its inputs.  CDFs accept scalars or
-numpy arrays and broadcast; inverse CDFs round-trip to 1e-9 (continuous
-distributions) or exactly (discrete).
+Every public function here is a pure function of its inputs.  CDFs accept
+scalars or numpy arrays and broadcast; inverse CDFs round-trip to 1e-9
+(continuous distributions) or exactly (discrete).  The private ``_adam`` is
+the one Adam update, shared by GP hyperparameter fitting and copula training.
 """
 
 from __future__ import annotations
@@ -162,12 +163,10 @@ def halton(index: int, base: int) -> float:
     return value
 
 
-def halton_points(count: int, dim: int, start_index: int = 1) -> np.ndarray:
-    """``count`` x ``dim`` Halton points using the first ``dim`` prime bases."""
+def halton_points(count: int, dim: int) -> np.ndarray:
+    """Halton points 1..``count`` (``count`` x ``dim``) in the first ``dim`` prime bases."""
     bases = primes(dim)
-    return np.array(
-        [[halton(start_index + i, b) for b in bases] for i in range(count)]
-    )
+    return np.array([[halton(1 + i, b) for b in bases] for i in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +202,26 @@ def geometric_inv_cdf(u, g: GeometricParams):
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return int(l[0])
     return l
+
+
+# ---------------------------------------------------------------------------
+# Optimisation
+
+
+def _adam(grad_at, x: np.ndarray, steps: int, lr: float) -> np.ndarray:
+    """Minimise by Adam (Kingma & Ba 2015) from ``x``; returns the last iterate.
+
+    ``grad_at(t, x)`` gives the gradient at step t.  The moment decays b1, b2
+    and the denominator offset 1e-8 are fixed.
+    """
+    b1, b2 = 0.9, 0.999
+    m1 = np.zeros_like(x)
+    m2 = np.zeros_like(x)
+    for t in range(steps):
+        g = grad_at(t, x)
+        m1 = b1 * m1 + 0.1 * g
+        m2 = b2 * m2 + 0.001 * g**2
+        m1_hat = m1 / (1 - b1 ** (t + 1))
+        m2_hat = m2 / (1 - b2 ** (t + 1))
+        x = x - lr * m1_hat / (np.sqrt(m2_hat) + 1e-8)
+    return x

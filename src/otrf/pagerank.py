@@ -64,21 +64,24 @@ def transition_matrix(g: GraphData) -> np.ndarray:
     return P
 
 
-def exact_pagerank(g: GraphData, p_halt: float, tol: float = 1e-12,
-                   max_iters: int = 100_000) -> PageRankVector:
-    """Stationary distribution of (1-p) P + (p/N) E by power iteration."""
+def exact_pagerank(g: GraphData, p_halt: float) -> PageRankVector:
+    """Stationary distribution of (1-p) P + (p/N) E by power iteration.
+
+    Stops once successive iterates differ by less than 1e-12 in L1; raises
+    ConvergenceError after 100,000 iterations.
+    """
     if not 0 < p_halt < 1:
         raise ValueError("p_halt must lie in (0, 1)")
     n = g.n_nodes
     P = transition_matrix(g)
     rho = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
+    for _ in range(100_000):
         nxt = (1.0 - p_halt) * (P.T @ rho) + p_halt / n
         nxt /= nxt.sum()
-        if np.abs(nxt - rho).sum() < tol:
+        if np.abs(nxt - rho).sum() < 1e-12:
             return PageRankVector(nxt)
         rho = nxt
-    raise ConvergenceError(f"power iteration did not reach {tol} in {max_iters} steps")
+    raise ConvergenceError("power iteration did not reach 1e-12 in 100000 steps")
 
 
 def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):

@@ -477,6 +477,40 @@ class TestBadInputExits:
         assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         assert "m_values: orthogonal needs m to be a multiple of 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["mc_samples", "steps"])
+    def test_copula_train_zero_count(self, tmp_path, key, capsys):
+        # a zero count divides by zero or averages an empty trace: reject up front
+        text = BASE_RF.replace("rf-bench", "copula-train") + f"\n[copula]\n{key} = 0\n"
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["copula-train", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    @pytest.mark.parametrize(
+        "couplings, graph, message",
+        [
+            ("iid", "walkers = 0", "walkers must be >= 1"),
+            ("iid", "graph_nodes = 0", "graph_nodes must be >= 2"),
+            ("iid", "graph_nodes = 1", "graph_nodes must be >= 2"),
+            ("iid, sigma", "train_nodes = 0", "train_nodes must be >= 2"),
+            ("iid, sigma", "n_quantiles = 1", "n_quantiles must be >= 2"),
+            ("iid, sigma", "walks_per_quantile = 0", "walks_per_quantile must be >= 1"),
+        ],
+    )
+    def test_graph_bench_bad_count(self, tmp_path, kind, couplings, graph, message, capsys):
+        # rejected before a graph is sampled or a coupling trained; one node
+        # can never give a connected graph without isolated nodes
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings=couplings, graph=graph, p_halt_values="0.3"
+        )
+        if graph.startswith("graph_nodes"):
+            text = text.replace("graph_nodes = 10\n", "")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_splits(self, tmp_path, capsys):
         text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 0")
         cfg_path = write_cfg(tmp_path / "run.cfg", text)

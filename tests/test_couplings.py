@@ -19,6 +19,7 @@ from otrf.couplings import (
     sample_norms,
     sample_orthogonal_directions,
 )
+from otrf.errors import FeatureOverflowError, NumericalError
 from otrf.eucrf import GaussianKernelParams
 from otrf.mathcore import ChiParams, chi_cdf, gauss_inv_cdf
 
@@ -205,6 +206,13 @@ class TestCopulaLoss:
         # exact at the origin for every draw, up to float roundoff
         data = np.zeros((1, 2))
         assert copula_loss(self.theta, data, self.kernel, "rlf", 4, 0) < 1e-12
+
+    def test_rlf_overflow_raises_feature_overflow(self):
+        # rows +-e1 at lengthscale 1e-4 put some exp argument far past 700
+        data = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(FeatureOverflowError) as err:
+            copula_loss(self.theta, data, GaussianKernelParams(1e-4), "rlf", 1, 0)
+        assert isinstance(err.value, NumericalError)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
