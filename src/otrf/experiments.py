@@ -2,10 +2,14 @@
 
 Every experiment is a pure function of (config, seed): each trial draws
 only from its own generator, spawned deterministically from the master
-seed, so outputs are identical across runs.  grf-bench and pagerank-bench
-batch their trials: one walk-engine call runs a chunk of trials, each on
-its own generator, so the chunking changes no result.  The other
-experiments run one trial at a time, in order.
+seed, so outputs are identical across runs.  The five grid experiments
+(rf-, grf-, pagerank- and attention-bench, gp-eval) seed their trials and
+build their rows in one loop, :func:`_grid_bench`; each only reduces the
+results to its own summary.  grf-bench and pagerank-bench batch their
+trials: one walk-engine call runs a chunk of trials, each on its own
+generator, so the chunking changes no result.  The other experiments run
+one trial at a time, in order.  A run writes its outputs only once it has
+succeeded.
 """
 
 from __future__ import annotations
@@ -53,7 +57,13 @@ _MINIMUM = {
     "trials": 1, "splits": 1, "steps": 1, "mc_samples": 1, "walkers": 1,
     "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2, "walks_per_quantile": 1,
 }
-_PAIRED_WALK_COUPLINGS = ("antithetic_termination", "sigma")
+# the couplings each grid kind can run (copula- and sigma-train run none of
+# the list); a copula ensemble needs the parameters copula-train writes
+_FREQUENCY_COUPLINGS = tuple(t for t in cpl.COUPLING_TAGS if t != "copula")
+_KIND_COUPLINGS = {
+    **dict.fromkeys(("rf-bench", "gp-eval", "attention-bench"), _FREQUENCY_COUPLINGS),
+    **dict.fromkeys(("grf-bench", "pagerank-bench"), graphmod.WALK_COUPLING_TAGS),
+}
 
 
 @dataclass
@@ -123,7 +133,11 @@ class ExperimentConfig:
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
-        paired = [c for c in self.couplings if c in _PAIRED_WALK_COUPLINGS]
+        allowed = _KIND_COUPLINGS.get(self.kind, self.couplings)
+        bad = [c for c in self.couplings if c not in allowed]
+        if bad:
+            raise ConfigError(f"couplings: {self.kind} cannot run {bad}; it runs {list(allowed)}")
+        paired = [c for c in self.couplings if c != "iid"]
         if self.kind in ("grf-bench", "pagerank-bench") and paired and self.walkers % 2:
             raise ConfigError(
                 f"walkers must be even for the paired couplings {paired}, got {self.walkers}"
@@ -280,35 +294,42 @@ def _mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def _grid_bench(cfg: ExperimentConfig, cells, metric: str, mean_key: str):
-    """Every coupling's trials in every grid cell, normalised by iid per cell.
+def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
+    """``count`` seeded trials of every coupling in every grid cell.
 
     ``cells`` yields ``(name, label, coords, trial)``: ``trial(tag, seeds)``
-    returns the ``metric`` of each trial, one per seed, and
-    ``label.format(tag)`` seeds the trials.  Each row is ``coords`` with its
-    "coupling" entry set to the tag, then trial, seed and ``metric``; the
-    summary entry ``name/tag`` holds the mean as ``mean_key``, its standard
-    error and, when iid ran, the mean over the iid mean.
+    returns one dict of metrics per seed, and ``label.format(tag)`` seeds
+    the trials.  A cell runs all its trials before the next is drawn, so
+    ``trial`` may close over the generator's loop variables.  Each row is
+    ``coords``, then "coupling", ``index`` (the trial's number), "seed" and
+    the metrics; a key already in ``coords`` keeps its place.  Returns the
+    rows and ``{name: {tag: {metric: [values]}}}``.
     """
     rows = []
-    summary = {}
+    grid = {}
     for name, label, coords, trial in cells:
-        cell = {}
+        cell = grid[name] = {}
         for tag in cfg.couplings:
-            seeds = _seeds(cfg.seed, label.format(tag), cfg.trials)
-            values = trial(tag, seeds)
-            for i, value in enumerate(values):
-                rows.append(
-                    {**coords, "coupling": tag, "trial": i, "seed": cfg.seed, metric: value}
-                )
-            cell[tag] = _mean_se(values)
-        base = cell.get("iid", (None, None))[0]
-        for tag, (mean, se) in cell.items():
+            metrics = trial(tag, _seeds(cfg.seed, label.format(tag), count))
+            for i, values in enumerate(metrics):
+                rows.append({**coords, "coupling": tag, index: i, "seed": cfg.seed, **values})
+            cell[tag] = {key: [values[key] for values in metrics] for key in metrics[0]}
+    return rows, grid
+
+
+def _normalized_summary(cfg: ExperimentConfig, grid, metric: str, mean_key: str) -> dict:
+    """Per ``name/tag``: the mean of ``metric`` as ``mean_key``, its standard
+    error and, when iid ran in the cell, the mean over the iid mean."""
+    summary = {}
+    for name, cell in grid.items():
+        stats = {tag: _mean_se(values[metric]) for tag, values in cell.items()}
+        base = stats.get("iid", (None, None))[0]
+        for tag, (mean, se) in stats.items():
             entry = {mean_key: mean, "se": se, "two_se": 2 * se, "trials": cfg.trials}
             if base:
                 entry["normalized"] = mean / base
             summary[f"{name}/{tag}"] = entry
-    return rows, summary
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +387,6 @@ def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.Gauss
     raise ConfigError(f"unknown lengthscale policy {policy!r}")
 
 
-def _coupling_spec(tag: str) -> cpl.CouplingSpec:
-    if tag == "copula":
-        raise ConfigError("copula ensembles need parameters; run copula-train first")
-    return cpl.CouplingSpec(tag)
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -386,18 +401,19 @@ def run_rf_bench(cfg: ExperimentConfig):
             k_exact = eucrf.gaussian_gram(X, X, params)
             for m in cfg.ensemble_sizes(d, featurizer):
 
-                def trial(tag, seeds, m=m, featurizer=featurizer, params=params, k_exact=k_exact):
+                def trial(tag, seeds):
                     def one(rng):
-                        ens = cpl.build_ensemble(m, d, _coupling_spec(tag), rng)
+                        ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
                         phi = eucrf._feature_matrix(featurizer, X, ens, params)
-                        return eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
+                        return {"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)}
 
                     return _map_trials(one, seeds)
 
                 coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
                 yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, trial
 
-    rows, summary = _grid_bench(cfg, cells(), "rmse", "mean_rmse")
+    rows, grid = _grid_bench(cfg, cells(), cfg.trials)
+    summary = _normalized_summary(cfg, grid, "rmse", "mean_rmse")
     summary["kernel_note"] = "rmse normalised by the iid coupling where present"
     return rows, summary
 
@@ -433,9 +449,7 @@ def run_copula_train(cfg: ExperimentConfig):
         "ratio_to_pnc": float(np.mean(tail)) / pnc,
         "theta": [float(v) for v in result.params.theta],
     }
-    out_path = Path(cfg.out_dir) / "copula_params.json"
-    out_path.write_text(result.params.to_json())
-    return rows, summary
+    return rows, summary, ("copula_params.json", result.params.to_json())
 
 
 def _graph_for(cfg: ExperimentConfig, label: str, nodes: int, edge_prob: float):
@@ -508,19 +522,23 @@ def run_grf_bench(cfg: ExperimentConfig):
     def cells():
         for p_halt in cfg.p_halt_values:
 
-            def trial(tag, seeds, p_halt=p_halt):
+            def trial(tag, seeds):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
 
                 def chunk(rngs):
                     feats = grf.grf_feature_matrix(g, cfg.walkers, coupling, f, p_halt, rngs)
-                    return [float(np.linalg.norm(F @ F.T - k_exact) / k_norm) for F in feats]
+                    return [
+                        {"frobenius_error": float(np.linalg.norm(F @ F.T - k_exact) / k_norm)}
+                        for F in feats
+                    ]
 
                 return _in_chunks(chunk, seeds, g.n_nodes * cfg.walkers)
 
             coords = {"coupling": None, "p_halt": p_halt, "m": cfg.walkers}
             yield f"p_halt={p_halt}", f"grf/{{}}/{p_halt}", coords, trial
 
-    return _grid_bench(cfg, cells(), "frobenius_error", "mean_error")
+    rows, grid = _grid_bench(cfg, cells(), cfg.trials)
+    return rows, _normalized_summary(cfg, grid, "frobenius_error", "mean_error")
 
 
 def run_sigma_train(cfg: ExperimentConfig):
@@ -543,10 +561,8 @@ def run_sigma_train(cfg: ExperimentConfig):
                     "seed": cfg.seed,
                 }
             )
-    out_path = Path(cfg.out_dir) / "sigma_couplings.json"
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    summary = {"couplings": payload, "file": str(out_path)}
-    return rows, summary
+    summary = {"couplings": payload, "file": str(Path(cfg.out_dir) / "sigma_couplings.json")}
+    return rows, summary, ("sigma_couplings.json", json.dumps(payload, indent=2, sort_keys=True))
 
 
 def run_gp_eval(cfg: ExperimentConfig):
@@ -565,72 +581,49 @@ def run_gp_eval(cfg: ExperimentConfig):
     d = X_all.shape[1]
     m = cfg.ensemble_sizes(d)[0]
     draws = max(1, cfg.trials // cfg.splits)
-    rows = []
-    per_split: dict[str, list] = {tag: [] for tag in cfg.couplings}
-    for split in range(cfg.splits):
-        rng_split = _rng(cfg.seed, f"split/{split}")
-        X_tr, y_tr, X_te, y_te = datasets.split_dataset(
-            X_all, y_all, rng_split, cfg.max_points
-        )
-        if standardized:
-            X_tr, X_te = datasets.standardize(X_tr, X_te)
-        params = gp.fit_hyperparams(
-            gp.RegressionData(X_tr, y_tr, X_te),
-            eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1),
-            gp.GPFitConfig(steps=cfg.fit_steps),
-        )
-        k_dd, k_pd, k_pp = gp.kernel_blocks(X_tr, X_te, params)
-        exact = gp.exact_posterior(k_dd, k_pd, k_pp, y_tr, params.noise_scale)
-        X_joint = np.vstack([X_tr, X_te])
-        n_tr = X_tr.shape[0]
-        for tag in cfg.couplings:
-            spec = _coupling_spec(tag)
 
-            def one_draw(rng, spec=spec):
-                ens = cpl.build_ensemble(m, d, spec, rng)
-                phi = eucrf.rff_feature_matrix(X_joint, ens, params)
-                approx = gp.approx_posterior(
-                    phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
-                )
-                kl = gp.gaussian_kl(approx, exact)
-                rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
-                return kl, rmse
+    def cells():
+        for split in range(cfg.splits):
+            rng_split = _rng(cfg.seed, f"split/{split}")
+            X_tr, y_tr, X_te, y_te = datasets.split_dataset(
+                X_all, y_all, rng_split, cfg.max_points
+            )
+            if standardized:
+                X_tr, X_te = datasets.standardize(X_tr, X_te)
+            params = gp.fit_hyperparams(
+                gp.RegressionData(X_tr, y_tr, X_te),
+                eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1),
+                gp.GPFitConfig(steps=cfg.fit_steps),
+            )
+            k_dd, k_pd, k_pp = gp.kernel_blocks(X_tr, X_te, params)
+            exact = gp.exact_posterior(k_dd, k_pd, k_pp, y_tr, params.noise_scale)
+            X_joint = np.vstack([X_tr, X_te])
+            n_tr = X_tr.shape[0]
 
-            seeds = _seeds(cfg.seed, f"gp/{split}/{tag}", draws)
-            results = _map_trials(one_draw, seeds)
-            kls = [r[0] for r in results]
-            rmses = [r[1] for r in results]
-            n_te = X_te.shape[0]
-            for i, (kl, rmse) in enumerate(zip(kls, rmses)):
-                rows.append(
-                    {
-                        "split": split,
-                        "coupling": tag,
-                        "m": m,
-                        "draw": i,
-                        "seed": cfg.seed,
-                        "kl": kl,
-                        "kl_per_point": kl / n_te,
-                        "pred_rmse": rmse,
-                    }
-                )
-            per_split[tag].append((float(np.mean(kls)), float(np.mean(rmses))))
+            def trial(tag, seeds):
+                def one_draw(rng):
+                    ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
+                    phi = eucrf.rff_feature_matrix(X_joint, ens, params)
+                    approx = gp.approx_posterior(
+                        phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
+                    )
+                    kl = gp.gaussian_kl(approx, exact)
+                    rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
+                    return {"kl": kl, "kl_per_point": kl / len(y_te), "pred_rmse": rmse}
+
+                return _map_trials(one_draw, seeds)
+
+            coords = {"split": split, "coupling": None, "m": m}
+            yield split, f"gp/{split}/{{}}", coords, trial
+
+    rows, grid = _grid_bench(cfg, cells(), draws, index="draw")
     summary = {}
-    for tag, values in per_split.items():
-        kl_means = [v[0] for v in values]
-        rmse_means = [v[1] for v in values]
-        kl_mean, kl_se = _mean_se(kl_means)
-        rmse_mean, rmse_se = _mean_se(rmse_means)
-        summary[tag] = {
-            "kl_mean": kl_mean,
-            "kl_se": kl_se,
-            "kl_two_se": 2 * kl_se,
-            "pred_rmse_mean": rmse_mean,
-            "pred_rmse_se": rmse_se,
-            "splits": cfg.splits,
-            "draws_per_split": draws,
-            "m": m,
-        }
+    for tag in cfg.couplings:
+        entry = summary[tag] = {}
+        for key in ("kl", "pred_rmse"):
+            split_means = [np.mean(cell[tag][key]) for cell in grid.values()]
+            entry[f"{key}_mean"], entry[f"{key}_se"] = _mean_se(split_means)
+        entry.update(kl_two_se=2 * entry["kl_se"], splits=cfg.splits, draws_per_split=draws, m=m)
     return rows, summary
 
 
@@ -648,19 +641,20 @@ def run_pagerank_bench(cfg: ExperimentConfig):
         for p_halt in cfg.p_halt_values:
             rho = pagerank.exact_pagerank(g, p_halt).rho
 
-            def trial(tag, seeds, p_halt=p_halt, rho=rho):
+            def trial(tag, seeds):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
 
                 def chunk(rngs):
                     ests = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rngs)
-                    return [float(np.linalg.norm(est.rho - rho)) for est in ests]
+                    return [{"l2_error": float(np.linalg.norm(est.rho - rho))} for est in ests]
 
                 return _in_chunks(chunk, seeds, g.n_nodes * cfg.walkers)
 
             coords = {"p_halt": p_halt, "coupling": None, "m": cfg.walkers}
             yield f"p_halt={p_halt}", f"pr/{{}}/{p_halt}", coords, trial
 
-    return _grid_bench(cfg, cells(), "l2_error", "mean_l2_error")
+    rows, grid = _grid_bench(cfg, cells(), cfg.trials)
+    return rows, _normalized_summary(cfg, grid, "l2_error", "mean_l2_error")
 
 
 def run_attention_bench(cfg: ExperimentConfig):
@@ -675,47 +669,30 @@ def run_attention_bench(cfg: ExperimentConfig):
     m = cfg.ensemble_sizes(d)[0]
     reps = min(10, cfg.trials)
     rep_trials = max(1, cfg.trials // reps)
-    rows = []
-    summary = {}
-    for tag in cfg.couplings:
-        spec = _coupling_spec(tag)
 
-        def one_rep(rng, spec=spec):
+    def trial(tag, seeds):
+        spec = cpl.CouplingSpec(tag)
+
+        def one_rep(rng):
             stats = eucrf.attention_estimate(
                 X, lambda r: cpl.build_ensemble(m, d, spec, r), params, rep_trials, rng
             )
-            return stats.mse, stats.kernel_var, stats.kernel_cov
+            return {
+                "attention_mse": stats.mse,
+                "kernel_var": stats.kernel_var,
+                "kernel_cov": stats.kernel_cov,
+            }
 
-        seeds = _seeds(cfg.seed, f"attn/{tag}", reps)
-        results = _map_trials(one_rep, seeds)
-        for i, (mse, var, cov) in enumerate(results):
-            rows.append(
-                {
-                    "coupling": tag,
-                    "m": m,
-                    "d": d,
-                    "rep": i,
-                    "trials": rep_trials,
-                    "seed": cfg.seed,
-                    "attention_mse": mse,
-                    "kernel_var": var,
-                    "kernel_cov": cov,
-                }
-            )
-        mse_mean, mse_se = _mean_se([r[0] for r in results])
-        var_mean, var_se = _mean_se([r[1] for r in results])
-        cov_mean, cov_se = _mean_se([r[2] for r in results])
-        summary[tag] = {
-            "attention_mse_mean": mse_mean,
-            "attention_mse_se": mse_se,
-            "kernel_var_mean": var_mean,
-            "kernel_var_se": var_se,
-            "kernel_cov_mean": cov_mean,
-            "kernel_cov_se": cov_se,
-            "reps": reps,
-            "trials_per_rep": rep_trials,
-            "m": m,
-        }
+        return _map_trials(one_rep, seeds)
+
+    coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}
+    rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, trial)], reps, index="rep")
+    summary = {}
+    for tag, values in grid["attn"].items():
+        entry = summary[tag] = {}
+        for key in ("attention_mse", "kernel_var", "kernel_cov"):
+            entry[f"{key}_mean"], entry[f"{key}_se"] = _mean_se(values[key])
+        entry.update(reps=reps, trials_per_rep=rep_trials, m=m)
     return rows, summary
 
 
@@ -731,11 +708,18 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute an experiment and write summary.json, trials.csv, config.echo."""
+    """Execute an experiment and write summary.json, trials.csv, config.echo.
+
+    A runner returns its rows, its summary and any extra ``(file name,
+    text)`` outputs.  The output directory is made only once the run has
+    succeeded, so a failed run leaves none behind.
+    """
+    rows, summary, *files = _RUNNERS[cfg.kind](cfg)
+    _check_finite(summary)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, summary = _RUNNERS[cfg.kind](cfg)
-    _check_finite(summary)
+    for name, text in files:
+        (out_dir / name).write_text(text)
     (out_dir / "config.echo").write_text(cfg.echo())
     _write_rows(out_dir / "trials.csv", rows)
     payload = {"kind": cfg.kind, "seed": cfg.seed, "results": summary}

@@ -238,6 +238,10 @@ class SigmaCoupling:
         return cls(perm, obj["p_halt"], obj.get("seed"))
 
 
+# the walk-length couplings by name; "sigma" is passed as its SigmaCoupling
+WALK_COUPLING_TAGS = ("iid", "antithetic_termination", "sigma")
+
+
 def coupling_tag(coupling, walkers: int) -> str:
     """Name of a walk-length coupling, checked against its walker count.
 
@@ -247,7 +251,7 @@ def coupling_tag(coupling, walkers: int) -> str:
     """
     if isinstance(coupling, SigmaCoupling):
         tag = "sigma"
-    elif coupling in ("iid", "antithetic_termination"):
+    elif coupling in WALK_COUPLING_TAGS and coupling != "sigma":
         tag = coupling
     else:
         raise ValueError(f"unknown walk-length coupling {coupling!r}")

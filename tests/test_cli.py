@@ -393,6 +393,7 @@ class TestBadInputExits:
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("p_halt", ["0.0", "1.0"])
     def test_antithetic_p_halt_outside_open_interval(self, tmp_path, p_halt, capsys):
@@ -476,6 +477,24 @@ class TestBadInputExits:
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         assert "m_values: orthogonal needs m to be a multiple of 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, coupling",
+        [
+            ("rf-bench", "copula"),
+            ("rf-bench", "bogus"),
+            ("gp-eval", "sigma"),
+            ("attention-bench", "antithetic_termination"),
+            ("grf-bench", "orthogonal"),
+            ("pagerank-bench", "copula"),
+        ],
+    )
+    def test_coupling_the_kind_cannot_run(self, kind, coupling):
+        # rejected at construction, before a GP fit or a graph kernel runs
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, seed=1, couplings=("iid", coupling))
+        assert str(err.value).startswith("couplings: ") and repr(coupling) in str(err.value)
 
     @pytest.mark.parametrize("key", ["mc_samples", "steps"])
     def test_copula_train_zero_count(self, tmp_path, key, capsys):
@@ -516,6 +535,103 @@ class TestBadInputExits:
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         assert "splits must be >= 1" in capsys.readouterr().err
+
+
+def _run_rows(tmp_path, **fields):
+    cfg = ExperimentConfig(seed=3, out_dir=str(tmp_path / "out"), **fields)
+    results = run(cfg)["results"]
+    text = (tmp_path / "out" / "trials.csv").read_text()
+    return results, text.splitlines()[0], list(csv.DictReader(io.StringIO(text)))
+
+
+def _grouped(rows, key, metric):
+    groups = {}
+    for row in rows:
+        groups.setdefault((key(row), row["coupling"]), []).append(float(row[metric]))
+    return groups
+
+
+def _assert_mean_se(entry, values, mean_key, se_key):
+    values = np.asarray(values)
+    se = values.std(ddof=1) / np.sqrt(values.size)
+    assert entry[mean_key] == pytest.approx(values.mean(), rel=1e-12, abs=0)
+    assert entry[se_key] == pytest.approx(se, rel=1e-12, abs=0)
+
+
+class TestSummaryFromRows:
+    """Every summary.json statistic recomputed from the trials.csv rows."""
+
+    @pytest.mark.parametrize(
+        "fields, cell, metric, mean_key",
+        [
+            (
+                dict(kind="rf-bench", trials=6, n_points=12, dim=4, fit_steps=20,
+                     featurizers=("rff", "rlf"), couplings=("iid", "orthogonal"),
+                     m_values=(4, 8)),
+                lambda row: f"{row['featurizer']}/m={row['m']}", "rmse", "mean_rmse",
+            ),
+            (
+                dict(kind="grf-bench", trials=5, source="synthetic-graph", graph_nodes=10,
+                     edge_prob=0.4, couplings=("antithetic_termination", "iid"),
+                     p_halt_values=(0.3, 0.6)),
+                lambda row: f"p_halt={float(row['p_halt'])}", "frobenius_error", "mean_error",
+            ),
+            (
+                dict(kind="pagerank-bench", trials=4, source="synthetic-graph", graph_nodes=10,
+                     edge_prob=0.4, couplings=("antithetic_termination",),
+                     p_halt_values=(0.3, 0.6)),
+                lambda row: f"p_halt={float(row['p_halt'])}", "l2_error", "mean_l2_error",
+            ),
+        ],
+        ids=["rf-bench", "grf-bench", "pagerank-bench"],
+    )
+    def test_normalized_grid(self, tmp_path, fields, cell, metric, mean_key):
+        results, _, rows = _run_rows(tmp_path, **fields)
+        groups = _grouped(rows, cell, metric)
+        entries = {k: v for k, v in results.items() if k != "kernel_note"}
+        assert set(entries) == {f"{name}/{tag}" for name, tag in groups}
+        for (name, tag), values in groups.items():
+            entry = entries[f"{name}/{tag}"]
+            assert len(values) == entry["trials"] == fields["trials"]
+            _assert_mean_se(entry, values, mean_key, "se")
+            assert entry["two_se"] == 2 * entry["se"]
+            if (name, "iid") in groups:
+                iid = np.mean(groups[name, "iid"])
+                assert entry["normalized"] == pytest.approx(np.mean(values) / iid, rel=1e-12)
+            else:
+                assert "normalized" not in entry
+
+    def test_gp_eval_over_split_means(self, tmp_path):
+        results, header, rows = _run_rows(
+            tmp_path, kind="gp-eval", trials=9, n_points=30, dim=3, splits=3,
+            fit_steps=20, couplings=("iid", "orthogonal"), m_values=(3,),
+        )
+        assert header == "split,coupling,m,draw,seed,kl,kl_per_point,pred_rmse"
+        assert set(results) == {"iid", "orthogonal"}
+        for metric in ("kl", "pred_rmse"):
+            groups = _grouped(rows, lambda row: row["split"], metric)
+            for tag, entry in results.items():
+                per_split = [groups[str(s), tag] for s in range(3)]
+                assert [len(v) for v in per_split] == [entry["draws_per_split"]] * 3 == [3] * 3
+                split_means = [np.mean(v) for v in per_split]
+                _assert_mean_se(entry, split_means, f"{metric}_mean", f"{metric}_se")
+                assert entry["kl_two_se"] == 2 * entry["kl_se"]
+
+    def test_attention_bench_over_reps(self, tmp_path):
+        results, header, rows = _run_rows(
+            tmp_path, kind="attention-bench", trials=30, n_points=5, dim=4,
+            couplings=("iid", "orthogonal"),
+        )
+        assert header == "coupling,m,d,rep,trials,seed,attention_mse,kernel_var,kernel_cov"
+        assert {row["trials"] for row in rows} == {"3"}
+        for metric in ("attention_mse", "kernel_var", "kernel_cov"):
+            groups = _grouped(rows, lambda row: None, metric)
+            assert set(results) == {tag for _, tag in groups}
+            for (_, tag), values in groups.items():
+                entry = results[tag]
+                assert len(values) == entry["reps"] == 10
+                assert entry["trials_per_rep"] == 3
+                _assert_mean_se(entry, values, f"{metric}_mean", f"{metric}_se")
 
 
 class TestIngestion:
