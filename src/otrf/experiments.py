@@ -64,6 +64,16 @@ _KIND_COUPLINGS = {
     **dict.fromkeys(("rf-bench", "gp-eval", "attention-bench"), _FREQUENCY_COUPLINGS),
     **dict.fromkeys(("grf-bench", "pagerank-bench"), graphmod.WALK_COUPLING_TAGS),
 }
+# the data sources each kind reads; csv and graph-file read ``path``, and
+# the graph kinds draw an Erdős–Rényi graph from any other source
+_KIND_SOURCES = {
+    **dict.fromkeys(("rf-bench", "copula-train", "gp-eval"), ("synthetic", "csv")),
+    "attention-bench": ("synthetic",),
+    **dict.fromkeys(("grf-bench", "sigma-train", "pagerank-bench"),
+                    ("synthetic", "synthetic-graph", "graph-file")),
+}
+# attention-bench splits its trials into at most this many reps
+_MAX_REPS = 10
 
 
 @dataclass
@@ -130,6 +140,16 @@ class ExperimentConfig:
                 f"{se_key} must be >= 2 for {self.kind}, whose standard errors "
                 f"run over {se_key}; got {getattr(self, se_key)}"
             )
+        # attention-bench's reps and gp-eval's splits each run trials / count
+        count = {"attention-bench": min(_MAX_REPS, self.trials), "gp-eval": self.splits}
+        if self.trials % count.get(self.kind, 1):
+            raise ConfigError(f"trials must be a multiple of {count[self.kind]} "
+                              f"for {self.kind}, got {self.trials}")
+        sources = _KIND_SOURCES[self.kind]
+        if self.source not in sources:
+            raise ConfigError(f"source: {self.kind} reads {list(sources)}, not {self.source!r}")
+        if self.source in ("csv", "graph-file") and self.path is None:
+            raise ConfigError(f"path: source {self.source!r} needs a path")
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
@@ -142,9 +162,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"walkers must be even for the paired couplings {paired}, got {self.walkers}"
             )
-        if self.kind == "attention-bench" or (
-            self.kind in _EUCLIDEAN_KINDS and self.source == "synthetic"
-        ):
+        if self.kind in _EUCLIDEAN_KINDS and self.source == "synthetic":
             self.check_ensemble_sizes(self.dim)
 
     def ensemble_sizes(self, d: int, featurizer: str = "rff") -> tuple[int, ...]:
@@ -344,16 +362,12 @@ def _euclidean_dataset(cfg: ExperimentConfig):
             min(cfg.n_points, cfg.max_points), cfg.dim, true, _rng(cfg.seed, "data")
         )
         return X, y
-    if cfg.source == "csv":
-        if cfg.path is None:
-            raise ConfigError("csv source needs a path")
-        X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
-        cfg.check_ensemble_sizes(X.shape[1])
-        n = min(cfg.n_points, cfg.max_points, X.shape[0])
-        idx = _rng(cfg.seed, "data").permutation(X.shape[0])[:n]
-        X = datasets.standardize(X[idx])
-        return X, (y[idx] if y is not None else None)
-    raise ConfigError(f"source {cfg.source!r} not valid for Euclidean benchmarks")
+    X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
+    cfg.check_ensemble_sizes(X.shape[1])
+    n = min(cfg.n_points, cfg.max_points, X.shape[0])
+    idx = _rng(cfg.seed, "data").permutation(X.shape[0])[:n]
+    X = datasets.standardize(X[idx])
+    return X, (y[idx] if y is not None else None)
 
 
 def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.GaussianKernelParams:
@@ -454,8 +468,6 @@ def run_copula_train(cfg: ExperimentConfig):
 
 def _graph_for(cfg: ExperimentConfig, label: str, nodes: int, edge_prob: float):
     if cfg.source == "graph-file":
-        if cfg.path is None:
-            raise ConfigError("graph-file source needs a path")
         return graphmod.GraphData.from_file(cfg.path)
     return graphmod.erdos_renyi(nodes, edge_prob, _rng(cfg.seed, label))
 
@@ -580,7 +592,7 @@ def run_gp_eval(cfg: ExperimentConfig):
         standardized = True
     d = X_all.shape[1]
     m = cfg.ensemble_sizes(d)[0]
-    draws = max(1, cfg.trials // cfg.splits)
+    draws = cfg.trials // cfg.splits
 
     def cells():
         for split in range(cfg.splits):
@@ -667,8 +679,8 @@ def run_attention_bench(cfg: ExperimentConfig):
         params = eucrf.GaussianKernelParams(eucrf.rlf_lengthscale_heuristic(X), 1.0, 0.0)
     d = X.shape[1]
     m = cfg.ensemble_sizes(d)[0]
-    reps = min(10, cfg.trials)
-    rep_trials = max(1, cfg.trials // reps)
+    reps = min(_MAX_REPS, cfg.trials)
+    rep_trials = cfg.trials // reps
 
     def trial(tag, seeds):
         spec = cpl.CouplingSpec(tag)

@@ -20,9 +20,10 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost perfect matching of a square cost matrix.
 
     Potential-based shortest augmenting paths, O(n^3); handles negative
-    entries.  Returns (perm, total) with perm[row] = assigned column.  Ties
-    are broken by scan order (smallest row, then column), so the result is
-    deterministic given the input.
+    entries.  Returns (perm, total) with perm[row] = assigned column.  Each
+    step updates every unused column at once and moves to the first one of
+    least reduced cost (``np.argmin``), so ties go to the smallest row, then
+    column: the result is deterministic given the input.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -30,7 +31,6 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
-    INF = np.inf
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
     match_row = np.zeros(n + 1, dtype=np.int64)  # column j -> row (1-indexed)
@@ -38,89 +38,83 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
     for i in range(1, n + 1):
         match_row[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
+        minv = np.full(n + 1, np.inf)
         used = np.zeros(n + 1, dtype=bool)
-        while True:
+        while match_row[j0]:
             used[j0] = True
             i0 = match_row[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            free = np.flatnonzero(~used)
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            minv[free[better]] = cur[better]
+            way[free[better]] = j0
+            j1 = free[np.argmin(minv[free])]
+            delta = minv[j1]
+            u[match_row[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
             j0 = j1
-            if match_row[j0] == 0:
-                break
         while j0:
             j1 = way[j0]
             match_row[j0] = match_row[j1]
             j0 = j1
     perm = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        perm[match_row[j] - 1] = j - 1
-    total = float(cost[np.arange(n), perm].sum())
-    return perm, total
+    perm[match_row[1:] - 1] = np.arange(n)
+    return perm, float(cost[np.arange(n), perm].sum())
+
+
+def _pair_sum_dots(a: np.ndarray) -> np.ndarray:
+    """(x_q + x_q') . (y_q + y_q') from a[..., q, q'] = x_q . y_q'.
+
+    The four-term expansion over the last two axes, the one place the
+    pair-sum dot of the matching costs is written.
+    """
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    return diag[..., :, None] + a + np.swapaxes(a, -1, -2) + diag[..., None, :]
 
 
 def build_sigma_cost_matrix(psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
     """Diagonal-restricted matching costs for one node pair.
 
     Entry (q, q') is the squared dot product of summed quantile projections,
-    [(psi_i(q) + psi_i(q'))^T (psi_j(q) + psi_j(q'))]^2; symmetric and
-    nonnegative.
+    [(psi_i(q) + psi_i(q'))^T (psi_j(q) + psi_j(q'))]^2; symmetric (up to
+    rounding) and nonnegative.
     """
     psi_i = np.asarray(psi_i, dtype=float)
     psi_j = np.asarray(psi_j, dtype=float)
     if psi_i.shape != psi_j.shape:
         raise ValueError(f"shape mismatch: {psi_i.shape} vs {psi_j.shape}")
-    n = psi_i.shape[0]
-    sums_i = psi_i[:, None, :] + psi_i[None, :, :]
-    sums_j = psi_j[:, None, :] + psi_j[None, :, :]
-    dots = np.einsum("abk,abk->ab", sums_i, sums_j)
-    return dots**2
+    return _pair_sum_dots(psi_i @ psi_j.T) ** 2
+
+
+# node pairs per batched contraction: a chunk holds two (pairs, order,
+# n_nodes) blocks of projections, so this bounds the memory of one step
+_PAIR_CHUNK = 50
 
 
 def averaged_sigma_cost_matrix(qp: QuantileProjection, max_pairs: int = 2000,
                                rng=None) -> np.ndarray:
     """Cost matrix averaged over node pairs.
 
-    Averages over every ordered node pair when the pair count is at most
-    ``max_pairs``; above that, a seeded uniform subsample of pairs is used.
+    The mean of :func:`build_sigma_cost_matrix` over every ordered node pair
+    when the pair count is at most ``max_pairs``; above that, over a seeded
+    uniform sample of ``max_pairs`` pairs.  Either way the pairs run through
+    one batched contraction, a chunk of pairs at a time.
     """
     psi = qp.psi_hat
-    n_nodes, order = psi.shape[0], psi.shape[1]
-    cost = np.zeros((order, order))
+    n_nodes = psi.shape[0]
     if n_nodes**2 <= max_pairs:
-        for q1 in range(order):
-            for q2 in range(q1, order):
-                s = psi[:, q1, :] + psi[:, q2, :]
-                b = s.T @ s
-                val = float(np.sum(b * b)) / n_nodes**2
-                cost[q1, q2] = cost[q2, q1] = val
-        return cost
-    rng = ensure_rng(rng if rng is not None else 0)
-    rows = rng.integers(n_nodes, size=max_pairs)
-    cols = rng.integers(n_nodes, size=max_pairs)
-    for q1 in range(order):
-        for q2 in range(q1, order):
-            s = psi[:, q1, :] + psi[:, q2, :]
-            dots = np.einsum("pk,pk->p", s[rows], s[cols])
-            val = float(np.mean(dots**2))
-            cost[q1, q2] = cost[q2, q1] = val
-    return cost
+        rows, cols = np.divmod(np.arange(n_nodes**2), n_nodes)
+    else:
+        rng = ensure_rng(rng if rng is not None else 0)
+        rows = rng.integers(n_nodes, size=max_pairs)
+        cols = rng.integers(n_nodes, size=max_pairs)
+    total = 0.0
+    for start in range(0, len(rows), _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        dots = _pair_sum_dots(psi[rows[chunk]] @ np.swapaxes(psi[cols[chunk]], 1, 2))
+        total = total + np.sum(dots**2, axis=0)
+    return total / len(rows)
 
 
 def solve_sigma_coupling(g: GraphData, p_halt: float, order: int,
@@ -206,14 +200,7 @@ def quadratic_matching_random_projection(vectors: np.ndarray, k_iters: int,
     best_obj = quadratic_objective(vectors, best_perm)
     for _ in range(k_iters):
         gm = rng.standard_normal((dim, dim))
-        t = vectors @ gm @ vectors.T
-        weights = (
-            t.diagonal()[:, None]
-            + t
-            + t.T
-            + t.diagonal()[None, :]
-        )
-        perm, _ = hungarian(weights)
+        perm, _ = hungarian(_pair_sum_dots(vectors @ gm @ vectors.T))
         obj = quadratic_objective(vectors, perm)
         if obj < best_obj:
             best_obj = obj

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -528,6 +529,52 @@ class TestBadInputExits:
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_source_without_path(self, tmp_path, capsys):
+        text = BASE_RF.replace("rf-bench", "gp-eval").replace("source = synthetic", "source = csv")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "path: source 'csv' needs a path" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind", ["grf-bench", "pagerank-bench", "sigma-train", "attention-bench"]
+    )
+    def test_source_the_kind_cannot_read(self, tmp_path, kind, capsys):
+        # a graph kind used to run on an Erdős–Rényi graph, and attention-bench
+        # on Gaussian tokens, whatever the source
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1\n0.1,0.2\n")
+        if kind == "attention-bench":
+            text = BASE_RF.replace("rf-bench", kind)
+        else:
+            text = GRAPH_BENCH.format(kind=kind, couplings="iid", graph="", p_halt_values="0.3")
+        text = re.sub(r"source = \S+", f"source = csv\npath = {data}", text)
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: source: {kind} reads [") and "not 'csv'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, trials, data, message",
+        [
+            ("attention-bench", 25, "", "multiple of 10 for attention-bench, got 25"),
+            ("gp-eval", 30, "splits = 20", "multiple of 20 for gp-eval, got 30"),
+        ],
+    )
+    def test_trials_that_do_not_split_evenly(self, tmp_path, kind, trials, data, message, capsys):
+        # the remainder used to be dropped: trials = 25 ran 20 attention trials
+        text = (
+            BASE_RF.replace("rf-bench", kind)
+            .replace("trials = 20", f"trials = {trials}")
+            .replace("dim = 4", f"dim = 4\n{data}")
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "trials must be a multiple" in err and message in err
         assert not (tmp_path / "o").exists()
 
     def test_zero_splits(self, tmp_path, capsys):

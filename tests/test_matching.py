@@ -20,6 +20,75 @@ from otrf.matching import (
 )
 
 
+def hungarian_loop(cost):
+    """The scalar column scan that ``hungarian`` replaced, kept as its oracle."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match_row = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        match_row[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match_row[j0]
+            delta = np.inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_row[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_row[j0] = match_row[j1]
+            j0 = j1
+    perm = np.empty(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        perm[match_row[j] - 1] = j - 1
+    return perm, float(cost[np.arange(n), perm].sum())
+
+
+def averaged_cost_loop(psi, max_pairs, rng):
+    """The per-(q, q') loop that ``averaged_sigma_cost_matrix`` replaced."""
+    n_nodes, order = psi.shape[0], psi.shape[1]
+    cost = np.zeros((order, order))
+    if n_nodes**2 <= max_pairs:
+        for q1 in range(order):
+            for q2 in range(q1, order):
+                s = psi[:, q1, :] + psi[:, q2, :]
+                b = s.T @ s
+                cost[q1, q2] = cost[q2, q1] = float(np.sum(b * b)) / n_nodes**2
+        return cost
+    rng = np.random.default_rng(rng)
+    rows = rng.integers(n_nodes, size=max_pairs)
+    cols = rng.integers(n_nodes, size=max_pairs)
+    for q1 in range(order):
+        for q2 in range(q1, order):
+            s = psi[:, q1, :] + psi[:, q2, :]
+            dots = np.einsum("pk,pk->p", s[rows], s[cols])
+            cost[q1, q2] = cost[q2, q1] = float(np.mean(dots**2))
+    return cost
+
+
 def brute_force_assignment(cost):
     n = cost.shape[0]
     best, best_perm = np.inf, None
@@ -63,6 +132,24 @@ class TestHungarian:
         perm1, _ = hungarian(cost)
         perm2, _ = hungarian(cost.copy())
         assert np.array_equal(perm1, perm2)
+
+    @pytest.mark.parametrize("kind", ["random", "symmetric", "integer_ties"])
+    def test_matches_scalar_scan_oracle(self, kind):
+        # argmin takes the first least column, as the strict < scan did
+        rng = np.random.default_rng(["random", "symmetric", "integer_ties"].index(kind))
+        for n in range(1, 31):
+            for _ in range(3):
+                if kind == "random":
+                    cost = rng.standard_normal((n, n))
+                elif kind == "symmetric":
+                    cost = rng.random((n, n))
+                    cost = cost + cost.T
+                else:
+                    cost = rng.integers(0, 3, size=(n, n)).astype(float)
+                perm, total = hungarian(cost)
+                oracle_perm, oracle_total = hungarian_loop(cost)
+                assert np.array_equal(perm, oracle_perm)
+                assert total == oracle_total
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -113,20 +200,27 @@ class TestSigmaCostMatrix:
         cost_perm = build_sigma_cost_matrix(a[perm], b[perm])
         assert np.allclose(cost_perm, cost[np.ix_(perm, perm)])
 
-    def test_averaged_matches_explicit_loop(self):
-        rng = np.random.default_rng(5)
-
+    @pytest.mark.parametrize(
+        "n_nodes, max_pairs",
+        [(4, 10_000), (4, 6), (12, 144), (12, 130)],
+        ids=["every_pair", "sampled", "every_pair_chunked", "sampled_chunked"],
+    )
+    def test_averaged_matches_explicit_loop(self, n_nodes, max_pairs):
+        # 144 and 130 pairs run through more than one batched chunk
         class FakeQP:
-            psi_hat = rng.standard_normal((4, 3, 4))
+            psi_hat = np.random.default_rng(5).standard_normal((n_nodes, 3, n_nodes))
 
-        full = averaged_sigma_cost_matrix(FakeQP(), max_pairs=10_000)
-        psi = FakeQP.psi_hat
-        manual = np.zeros((3, 3))
-        for i in range(4):
-            for j in range(4):
-                manual += build_sigma_cost_matrix(psi[i], psi[j])
-        manual /= 16
-        assert np.allclose(full, manual, rtol=1e-10)
+        batched = averaged_sigma_cost_matrix(FakeQP(), max_pairs=max_pairs, rng=8)
+        oracle = averaged_cost_loop(FakeQP.psi_hat, max_pairs, 8)
+        assert np.allclose(batched, oracle, rtol=1e-12, atol=0)
+        if n_nodes**2 <= max_pairs:
+            psi = FakeQP.psi_hat
+            manual = sum(
+                build_sigma_cost_matrix(psi[i], psi[j])
+                for i in range(n_nodes)
+                for j in range(n_nodes)
+            )
+            assert np.allclose(batched, manual / n_nodes**2, rtol=1e-12, atol=0)
 
     def test_subsampled_average_tracks_full(self):
         class FakeQP:
