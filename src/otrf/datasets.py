@@ -56,6 +56,8 @@ def ingest_csv(path, target: str | None = None):
             rows.append(vals)
     if bad_lines:
         raise ValueError(f"{path}: malformed or non-finite rows at lines {bad_lines}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     if target is None:
         return data, None, header

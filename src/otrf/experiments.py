@@ -3,13 +3,14 @@
 Every experiment is a pure function of (config, seed): each trial draws
 only from its own generator, spawned deterministically from the master
 seed, so outputs are identical across runs.  The five grid experiments
-(rf-, grf-, pagerank- and attention-bench, gp-eval) seed their trials and
-build their rows in one loop, :func:`_grid_bench`; each only reduces the
-results to its own summary.  grf-bench and pagerank-bench batch their
-trials: one walk-engine call runs a chunk of trials, each on its own
-generator, so the chunking changes no result.  The other experiments run
-one trial at a time, in order.  A run writes its outputs only once it has
-succeeded.
+(rf-, grf-, pagerank- and attention-bench, gp-eval) run their trials
+through one loop, :func:`_grid_bench`, the only place where trial seeds
+become generators.  Each cell states how many trials go into one call:
+one for the Euclidean kinds, and as many as fit in one walk-engine call
+for grf-bench and pagerank-bench.  Since each trial draws only from its own
+generator, that count changes no result.  Each runner only reduces the
+results to its own summary, and ``_KINDS`` holds one row of facts per
+kind.  A run writes its outputs only once it has succeeded.
 """
 
 from __future__ import annotations
@@ -27,50 +28,15 @@ from . import datasets, eucrf, gp, grf, matching, pagerank
 from . import graph as graphmod
 from .errors import NumericalError
 
-EXPERIMENT_KINDS = (
-    "rf-bench",
-    "copula-train",
-    "grf-bench",
-    "sigma-train",
-    "gp-eval",
-    "pagerank-bench",
-    "attention-bench",
-)
-
-
 class ConfigError(ValueError):
     """Invalid or unusable experiment configuration."""
 
 
-# the count each kind's standard errors run over; an SE needs two values
-_SE_COUNT = {
-    "rf-bench": "trials",
-    "grf-bench": "trials",
-    "pagerank-bench": "trials",
-    "attention-bench": "trials",
-    "gp-eval": "splits",
-}
-_EUCLIDEAN_KINDS = ("rf-bench", "copula-train", "gp-eval", "attention-bench")
 # the least value of each count; a sampled graph needs two nodes to have no
 # isolated node, and a sigma coupling matches at least two quantiles
 _MINIMUM = {
-    "trials": 1, "splits": 1, "steps": 1, "mc_samples": 1, "walkers": 1,
-    "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2, "walks_per_quantile": 1,
-}
-# the couplings each grid kind can run (copula- and sigma-train run none of
-# the list); a copula ensemble needs the parameters copula-train writes
-_FREQUENCY_COUPLINGS = tuple(t for t in cpl.COUPLING_TAGS if t != "copula")
-_KIND_COUPLINGS = {
-    **dict.fromkeys(("rf-bench", "gp-eval", "attention-bench"), _FREQUENCY_COUPLINGS),
-    **dict.fromkeys(("grf-bench", "pagerank-bench"), graphmod.WALK_COUPLING_TAGS),
-}
-# the data sources each kind reads; csv and graph-file read ``path``, and
-# the graph kinds draw an Erdős–Rényi graph from any other source
-_KIND_SOURCES = {
-    **dict.fromkeys(("rf-bench", "copula-train", "gp-eval"), ("synthetic", "csv")),
-    "attention-bench": ("synthetic",),
-    **dict.fromkeys(("grf-bench", "sigma-train", "pagerank-bench"),
-                    ("synthetic", "synthetic-graph", "graph-file")),
+    "trials": 1, "splits": 1, "steps": 1, "mc_samples": 1, "walkers": 1, "n_points": 1,
+    "dim": 1, "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2, "walks_per_quantile": 1,
 }
 # attention-bench splits its trials into at most this many reps
 _MAX_REPS = 10
@@ -120,7 +86,8 @@ class ExperimentConfig:
     lr: float = 1e-2
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seed is None:
             raise ConfigError("a master seed is required")
@@ -131,10 +98,16 @@ class ExperimentConfig:
         bad = [p for p in self.p_halt_values if not 0 < p < 1]
         if bad:
             raise ConfigError(f"p_halt_values must lie in (0, 1), got {bad}")
+        for key in ("edge_prob", "train_edge_prob"):
+            if not 0 < getattr(self, key) <= 1:
+                raise ConfigError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
         for key, low in _MINIMUM.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        se_key = _SE_COUNT.get(self.kind)
+        bad = [m for m in self.m_values if m < 1]
+        if bad:
+            raise ConfigError(f"m_values must be >= 1, got {bad}")
+        se_key = kind.se_count
         if se_key and getattr(self, se_key) < 2:
             raise ConfigError(
                 f"{se_key} must be >= 2 for {self.kind}, whose standard errors "
@@ -145,24 +118,34 @@ class ExperimentConfig:
         if self.trials % count.get(self.kind, 1):
             raise ConfigError(f"trials must be a multiple of {count[self.kind]} "
                               f"for {self.kind}, got {self.trials}")
-        sources = _KIND_SOURCES[self.kind]
-        if self.source not in sources:
-            raise ConfigError(f"source: {self.kind} reads {list(sources)}, not {self.source!r}")
+        if self.source not in kind.sources:
+            raise ConfigError(
+                f"source: {self.kind} reads {list(kind.sources)}, not {self.source!r}"
+            )
         if self.source in ("csv", "graph-file") and self.path is None:
             raise ConfigError(f"path: source {self.source!r} needs a path")
+        # attention-bench has no targets to fit a GP to
+        policies = ("rlf", "auto") if self.kind == "attention-bench" else ("gp", "rlf", "auto")
+        if self.lengthscale not in policies:
+            try:
+                float(self.lengthscale)
+            except ValueError:
+                raise ConfigError(f"lengthscale: {self.kind} takes {list(policies)} or a "
+                                  f"number, not {self.lengthscale!r}") from None
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
-        allowed = _KIND_COUPLINGS.get(self.kind, self.couplings)
+        allowed = kind.couplings or self.couplings
         bad = [c for c in self.couplings if c not in allowed]
         if bad:
             raise ConfigError(f"couplings: {self.kind} cannot run {bad}; it runs {list(allowed)}")
         paired = [c for c in self.couplings if c != "iid"]
-        if self.kind in ("grf-bench", "pagerank-bench") and paired and self.walkers % 2:
+        if kind.couplings == _WALK_COUPLINGS and paired and self.walkers % 2:
             raise ConfigError(
                 f"walkers must be even for the paired couplings {paired}, got {self.walkers}"
             )
-        if self.kind in _EUCLIDEAN_KINDS and self.source == "synthetic":
+        # a kind that reads no graph draws frequency ensembles
+        if "synthetic-graph" not in kind.sources and self.source == "synthetic":
             self.check_ensemble_sizes(self.dim)
 
     def ensemble_sizes(self, d: int, featurizer: str = "rff") -> tuple[int, ...]:
@@ -278,35 +261,6 @@ def _rng(master: int, label: str) -> np.random.Generator:
     return np.random.default_rng(_seeds(master, label, 1)[0])
 
 
-def _map_trials(fn, seeds) -> list:
-    """``fn`` of a fresh generator per seed, one call per trial in seed order.
-
-    grf-bench and pagerank-bench batch their trials with :func:`_in_chunks`
-    instead; every other experiment runs its trials this way.
-    """
-    return [fn(np.random.default_rng(s)) for s in seeds]
-
-
-# walks per library call in grf-bench and pagerank-bench; bounds the step
-# streams and the (trials, N, N) feature block that one call holds
-_CHUNK_WALKS = 4096
-
-
-def _in_chunks(fn, seeds, walks_per_trial: int) -> list:
-    """``fn`` over consecutive chunks of trials of at most _CHUNK_WALKS walks.
-
-    ``fn`` takes a list of fresh generators, one per seed of the chunk, and
-    returns one value per trial.  Each trial draws only from its own
-    generator, so the values do not depend on where the chunks break.
-    """
-    size = max(1, _CHUNK_WALKS // walks_per_trial)
-    return [
-        value
-        for i in range(0, len(seeds), size)
-        for value in fn([np.random.default_rng(s) for s in seeds[i : i + size]])
-    ]
-
-
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
@@ -315,20 +269,29 @@ def _mean_se(values) -> tuple[float, float]:
 def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
     """``count`` seeded trials of every coupling in every grid cell.
 
-    ``cells`` yields ``(name, label, coords, trial)``: ``trial(tag, seeds)``
-    returns one dict of metrics per seed, and ``label.format(tag)`` seeds
-    the trials.  A cell runs all its trials before the next is drawn, so
-    ``trial`` may close over the generator's loop variables.  Each row is
-    ``coords``, then "coupling", ``index`` (the trial's number), "seed" and
-    the metrics; a key already in ``coords`` keeps its place.  Returns the
-    rows and ``{name: {tag: {metric: [values]}}}``.
+    This is the one place where trial seeds become generators.  ``cells``
+    yields ``(name, label, coords, batch, trial)``, and ``label.format(tag)``
+    seeds the cell's trials.  The trials run in order, ``batch`` per call:
+    ``trial(tag, rngs)`` takes one fresh generator per trial and returns one
+    dict of metrics per generator.  Each trial draws only from its own
+    generator, so the results do not depend on ``batch``.  A cell runs all
+    its trials before the next is drawn, so ``trial`` may close over the
+    generator's loop variables.  Each row is ``coords``, then "coupling",
+    ``index`` (the trial's number), "seed" and the metrics; a key already in
+    ``coords`` keeps its place.  Returns the rows and
+    ``{name: {tag: {metric: [values]}}}``.
     """
     rows = []
     grid = {}
-    for name, label, coords, trial in cells:
+    for name, label, coords, batch, trial in cells:
         cell = grid[name] = {}
         for tag in cfg.couplings:
-            metrics = trial(tag, _seeds(cfg.seed, label.format(tag), count))
+            seeds = _seeds(cfg.seed, label.format(tag), count)
+            metrics = [
+                values
+                for i in range(0, count, batch)
+                for values in trial(tag, [np.random.default_rng(s) for s in seeds[i : i + batch]])
+            ]
             for i, values in enumerate(metrics):
                 rows.append({**coords, "coupling": tag, index: i, "seed": cfg.seed, **values})
             cell[tag] = {key: [values[key] for values in metrics] for key in metrics[0]}
@@ -354,6 +317,16 @@ def _normalized_summary(cfg: ExperimentConfig, grid, metric: str, mean_key: str)
 # Shared setup
 
 
+def _read_csv(cfg: ExperimentConfig):
+    """The csv's features and targets (None without ``target``), once its
+    feature count is checked against the ensemble sizes."""
+    X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
+    if X.shape[1] == 0:
+        raise ConfigError(f"path: {cfg.path} has no feature columns")
+    cfg.check_ensemble_sizes(X.shape[1])
+    return X, y
+
+
 def _euclidean_dataset(cfg: ExperimentConfig):
     """Inputs (and targets when available) for the Euclidean benchmarks."""
     if cfg.source == "synthetic":
@@ -362,8 +335,7 @@ def _euclidean_dataset(cfg: ExperimentConfig):
             min(cfg.n_points, cfg.max_points), cfg.dim, true, _rng(cfg.seed, "data")
         )
         return X, y
-    X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
-    cfg.check_ensemble_sizes(X.shape[1])
+    X, y = _read_csv(cfg)
     n = min(cfg.n_points, cfg.max_points, X.shape[0])
     idx = _rng(cfg.seed, "data").permutation(X.shape[0])[:n]
     X = datasets.standardize(X[idx])
@@ -391,14 +363,10 @@ def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.Gauss
         raise ConfigError(f"lengthscale policy {policy!r} needs targets to fit a GP")
     init = eucrf.GaussianKernelParams(np.sqrt(X.shape[1]), 1.0, 0.1)
     data = gp.RegressionData(X, y, X[:1])
-    if policy == "gp":
-        return gp.fit_hyperparams(data, init, gp.GPFitConfig(steps=cfg.fit_steps))
-    if policy == "rlf":
-        heur = eucrf.rlf_lengthscale_heuristic(X)
-        return gp.fit_hyperparams(
-            data, init, gp.GPFitConfig(steps=cfg.fit_steps, fix_lengthscale=heur)
-        )
-    raise ConfigError(f"unknown lengthscale policy {policy!r}")
+    fix = eucrf.rlf_lengthscale_heuristic(X) if policy == "rlf" else None
+    return gp.fit_hyperparams(
+        data, init, gp.GPFitConfig(steps=cfg.fit_steps, fix_lengthscale=fix)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +383,14 @@ def run_rf_bench(cfg: ExperimentConfig):
             k_exact = eucrf.gaussian_gram(X, X, params)
             for m in cfg.ensemble_sizes(d, featurizer):
 
-                def trial(tag, seeds):
-                    def one(rng):
-                        ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
-                        phi = eucrf._feature_matrix(featurizer, X, ens, params)
-                        return {"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)}
-
-                    return _map_trials(one, seeds)
+                def trial(tag, rngs):
+                    (rng,) = rngs
+                    ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
+                    phi = eucrf._feature_matrix(featurizer, X, ens, params)
+                    return [{"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)}]
 
                 coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
-                yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, trial
+                yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, 1, trial
 
     rows, grid = _grid_bench(cfg, cells(), cfg.trials)
     summary = _normalized_summary(cfg, grid, "rmse", "mean_rmse")
@@ -470,6 +436,17 @@ def _graph_for(cfg: ExperimentConfig, label: str, nodes: int, edge_prob: float):
     if cfg.source == "graph-file":
         return graphmod.GraphData.from_file(cfg.path)
     return graphmod.erdos_renyi(nodes, edge_prob, _rng(cfg.seed, label))
+
+
+# walks per library call in grf-bench and pagerank-bench; bounds the step
+# streams and the (trials, N, N) feature block that one call holds
+_CHUNK_WALKS = 4096
+
+
+def _walk_batch(cfg: ExperimentConfig, g) -> int:
+    """Trials per walk-engine call on graph ``g``: at most _CHUNK_WALKS walks
+    of ``walkers`` per node, and at least one trial."""
+    return max(1, _CHUNK_WALKS // (g.n_nodes * cfg.walkers))
 
 
 def _graph_kernel_spec(cfg: ExperimentConfig) -> graphmod.GraphKernelSpec:
@@ -534,20 +511,16 @@ def run_grf_bench(cfg: ExperimentConfig):
     def cells():
         for p_halt in cfg.p_halt_values:
 
-            def trial(tag, seeds):
+            def trial(tag, rngs):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
-
-                def chunk(rngs):
-                    feats = grf.grf_feature_matrix(g, cfg.walkers, coupling, f, p_halt, rngs)
-                    return [
-                        {"frobenius_error": float(np.linalg.norm(F @ F.T - k_exact) / k_norm)}
-                        for F in feats
-                    ]
-
-                return _in_chunks(chunk, seeds, g.n_nodes * cfg.walkers)
+                feats = grf.grf_feature_matrix(g, cfg.walkers, coupling, f, p_halt, rngs)
+                return [
+                    {"frobenius_error": float(np.linalg.norm(F @ F.T - k_exact) / k_norm)}
+                    for F in feats
+                ]
 
             coords = {"coupling": None, "p_halt": p_halt, "m": cfg.walkers}
-            yield f"p_halt={p_halt}", f"grf/{{}}/{p_halt}", coords, trial
+            yield f"p_halt={p_halt}", f"grf/{{}}/{p_halt}", coords, _walk_batch(cfg, g), trial
 
     rows, grid = _grid_bench(cfg, cells(), cfg.trials)
     return rows, _normalized_summary(cfg, grid, "frobenius_error", "mean_error")
@@ -585,10 +558,9 @@ def run_gp_eval(cfg: ExperimentConfig):
         )
         standardized = False
     else:
-        X_all, y_all, _ = datasets.ingest_csv(cfg.path, cfg.target)
+        X_all, y_all = _read_csv(cfg)
         if y_all is None:
             raise ConfigError("gp-eval needs a target column")
-        cfg.check_ensemble_sizes(X_all.shape[1])
         standardized = True
     d = X_all.shape[1]
     m = cfg.ensemble_sizes(d)[0]
@@ -612,21 +584,17 @@ def run_gp_eval(cfg: ExperimentConfig):
             X_joint = np.vstack([X_tr, X_te])
             n_tr = X_tr.shape[0]
 
-            def trial(tag, seeds):
-                def one_draw(rng):
-                    ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
-                    phi = eucrf.rff_feature_matrix(X_joint, ens, params)
-                    approx = gp.approx_posterior(
-                        phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
-                    )
-                    kl = gp.gaussian_kl(approx, exact)
-                    rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
-                    return {"kl": kl, "kl_per_point": kl / len(y_te), "pred_rmse": rmse}
-
-                return _map_trials(one_draw, seeds)
+            def trial(tag, rngs):
+                (rng,) = rngs
+                ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
+                phi = eucrf.rff_feature_matrix(X_joint, ens, params)
+                approx = gp.approx_posterior(phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale)
+                kl = gp.gaussian_kl(approx, exact)
+                rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
+                return [{"kl": kl, "kl_per_point": kl / len(y_te), "pred_rmse": rmse}]
 
             coords = {"split": split, "coupling": None, "m": m}
-            yield split, f"gp/{split}/{{}}", coords, trial
+            yield split, f"gp/{split}/{{}}", coords, 1, trial
 
     rows, grid = _grid_bench(cfg, cells(), draws, index="draw")
     summary = {}
@@ -653,17 +621,13 @@ def run_pagerank_bench(cfg: ExperimentConfig):
         for p_halt in cfg.p_halt_values:
             rho = pagerank.exact_pagerank(g, p_halt).rho
 
-            def trial(tag, seeds):
+            def trial(tag, rngs):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
-
-                def chunk(rngs):
-                    ests = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rngs)
-                    return [{"l2_error": float(np.linalg.norm(est.rho - rho))} for est in ests]
-
-                return _in_chunks(chunk, seeds, g.n_nodes * cfg.walkers)
+                ests = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rngs)
+                return [{"l2_error": float(np.linalg.norm(est.rho - rho))} for est in ests]
 
             coords = {"p_halt": p_halt, "coupling": None, "m": cfg.walkers}
-            yield f"p_halt={p_halt}", f"pr/{{}}/{p_halt}", coords, trial
+            yield f"p_halt={p_halt}", f"pr/{{}}/{p_halt}", coords, _walk_batch(cfg, g), trial
 
     rows, grid = _grid_bench(cfg, cells(), cfg.trials)
     return rows, _normalized_summary(cfg, grid, "l2_error", "mean_l2_error")
@@ -682,23 +646,19 @@ def run_attention_bench(cfg: ExperimentConfig):
     reps = min(_MAX_REPS, cfg.trials)
     rep_trials = cfg.trials // reps
 
-    def trial(tag, seeds):
+    def trial(tag, rngs):
+        (rng,) = rngs
         spec = cpl.CouplingSpec(tag)
-
-        def one_rep(rng):
-            stats = eucrf.attention_estimate(
-                X, lambda r: cpl.build_ensemble(m, d, spec, r), params, rep_trials, rng
-            )
-            return {
-                "attention_mse": stats.mse,
-                "kernel_var": stats.kernel_var,
-                "kernel_cov": stats.kernel_cov,
-            }
-
-        return _map_trials(one_rep, seeds)
+        stats = eucrf.attention_estimate(
+            X, lambda r: cpl.build_ensemble(m, d, spec, r), params, rep_trials, rng
+        )
+        return [
+            {"attention_mse": stats.mse, "kernel_var": stats.kernel_var,
+             "kernel_cov": stats.kernel_cov}
+        ]
 
     coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}
-    rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, trial)], reps, index="rep")
+    rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, 1, trial)], reps, index="rep")
     summary = {}
     for tag, values in grid["attn"].items():
         entry = summary[tag] = {}
@@ -708,15 +668,31 @@ def run_attention_bench(cfg: ExperimentConfig):
     return rows, summary
 
 
-_RUNNERS = {
-    "rf-bench": run_rf_bench,
-    "copula-train": run_copula_train,
-    "grf-bench": run_grf_bench,
-    "sigma-train": run_sigma_train,
-    "gp-eval": run_gp_eval,
-    "pagerank-bench": run_pagerank_bench,
-    "attention-bench": run_attention_bench,
+class _Kind(typing.NamedTuple):
+    """What the config checks and :func:`run` know of one experiment kind."""
+
+    runner: typing.Callable
+    sources: tuple[str, ...]  # csv and graph-file read ``path``
+    couplings: tuple[str, ...] | None = None  # None: runs none of ``couplings``
+    se_count: str | None = None  # the count its standard errors run over
+
+
+# a copula ensemble needs the parameters copula-train writes, and the graph
+# kinds draw an Erdős–Rényi graph from any source but graph-file
+_FREQUENCY_COUPLINGS = tuple(t for t in cpl.COUPLING_TAGS if t != "copula")
+_EUCLIDEAN_SOURCES = ("synthetic", "csv")
+_GRAPH_SOURCES = ("synthetic", "synthetic-graph", "graph-file")
+_WALK_COUPLINGS = graphmod.WALK_COUPLING_TAGS
+_KINDS = {
+    "rf-bench": _Kind(run_rf_bench, _EUCLIDEAN_SOURCES, _FREQUENCY_COUPLINGS, "trials"),
+    "copula-train": _Kind(run_copula_train, _EUCLIDEAN_SOURCES),
+    "grf-bench": _Kind(run_grf_bench, _GRAPH_SOURCES, _WALK_COUPLINGS, "trials"),
+    "sigma-train": _Kind(run_sigma_train, _GRAPH_SOURCES),
+    "gp-eval": _Kind(run_gp_eval, _EUCLIDEAN_SOURCES, _FREQUENCY_COUPLINGS, "splits"),
+    "pagerank-bench": _Kind(run_pagerank_bench, _GRAPH_SOURCES, _WALK_COUPLINGS, "trials"),
+    "attention-bench": _Kind(run_attention_bench, ("synthetic",), _FREQUENCY_COUPLINGS, "trials"),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run(cfg: ExperimentConfig) -> dict:
@@ -726,7 +702,7 @@ def run(cfg: ExperimentConfig) -> dict:
     text)`` outputs.  The output directory is made only once the run has
     succeeded, so a failed run leaves none behind.
     """
-    rows, summary, *files = _RUNNERS[cfg.kind](cfg)
+    rows, summary, *files = _KINDS[cfg.kind].runner(cfg)
     _check_finite(summary)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -78,7 +78,8 @@ class GraphData:
 
     @classmethod
     def from_file(cls, path) -> "GraphData":
-        """Whitespace-separated edge list ``u v [weight]``, 0-indexed."""
+        """Whitespace-separated edge list ``u v [weight]``, 0-indexed, of at
+        least one edge."""
         edges = []
         max_node = -1
         with open(path) as fh:
@@ -89,9 +90,13 @@ class GraphData:
                 if len(parts) not in (2, 3):
                     raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
                 u, v = int(parts[0]), int(parts[1])
+                if u < 0 or v < 0:
+                    raise ValueError(f"{path}:{lineno}: node ids must be >= 0, got {u} {v}")
                 w = float(parts[2]) if len(parts) == 3 else 1.0
                 edges.append((u, v, w))
                 max_node = max(max_node, u, v)
+        if not edges:
+            raise ValueError(f"{path}: no edges")
         return cls.from_edges(max_node + 1, edges)
 
     def to_file(self, path):

@@ -93,7 +93,8 @@ class TestCliProcess:
         def boom(cfg):
             raise NumericalError("diverged")
 
-        monkeypatch.setitem(experiments._RUNNERS, "rf-bench", boom)
+        row = experiments._KINDS["rf-bench"]._replace(runner=boom)
+        monkeypatch.setitem(experiments._KINDS, "rf-bench", row)
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
         assert main(["rf-bench", "--config", cfg_path]) == 3
 
@@ -575,6 +576,76 @@ class TestBadInputExits:
         assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "trials must be a multiple" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, old, new, message",
+        [
+            ("rf-bench", "dim = 4", "dim = 4\n\n[grid]\nm_values = 4, 0",
+             "m_values must be >= 1, got [0]"),
+            ("rf-bench", "n_points = 24", "n_points = 0", "n_points must be >= 1, got 0"),
+            ("rf-bench", "dim = 4", "dim = 0", "dim must be >= 1, got 0"),
+            ("attention-bench", "fit_steps = 60", "fit_steps = 60\nlengthscale = gp",
+             "lengthscale: attention-bench takes ['rlf', 'auto'] or a number, not 'gp'"),
+            ("grf-bench", "edge_prob = 0.4", "edge_prob = 0",
+             "edge_prob must lie in (0, 1], got 0.0"),
+            ("grf-bench", "edge_prob = 0.4", "edge_prob = 1.5",
+             "edge_prob must lie in (0, 1], got 1.5"),
+            ("pagerank-bench", "edge_prob = 0.4", "edge_prob = 0.4\ntrain_edge_prob = 0",
+             "train_edge_prob must lie in (0, 1], got 0.0"),
+        ],
+        ids=["m_values", "n_points", "dim", "lengthscale", "edge_prob-0", "edge_prob-1.5",
+             "train_edge_prob"],
+    )
+    def test_value_out_of_range(self, tmp_path, kind, old, new, message, capsys):
+        # m = 0 used to report the RMSE of a zero-feature estimate, n_points = 0
+        # a non-finite result, edge_prob = 0 a thousand resamples, and
+        # attention-bench ran the rlf heuristic for lengthscale = gp
+        if kind in ("grf-bench", "pagerank-bench"):
+            text = GRAPH_BENCH.format(
+                kind=kind, couplings="iid, sigma", graph="", p_halt_values="0.3"
+            )
+        else:
+            text = BASE_RF.replace("rf-bench", kind)
+        cfg_path = write_cfg(tmp_path / "run.cfg", text.replace(old, new))
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [("", "g.edges: no edges"), ("0 1\n-1 2\n", "g.edges:2: node ids must be >= 0, got -1 2")],
+        ids=["empty", "negative-id"],
+    )
+    def test_bad_graph_file(self, tmp_path, edges, message, capsys):
+        # an empty file divided by zero nodes, and -1 wrapped to the last node
+        path = tmp_path / "g.edges"
+        path.write_text(edges)
+        text = GRAPH_BENCH.format(kind="grf-bench", couplings="iid", graph="", p_halt_values="0.3")
+        text = text.replace("source = synthetic-graph", f"source = graph-file\npath = {path}")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["grf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["rf-bench", "gp-eval"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [("y\n" + "0.1\n" * 30, "has no feature columns"), ("x0,y\n", "no data rows")],
+        ids=["only-the-target", "header-only"],
+    )
+    def test_bad_csv(self, tmp_path, kind, data, message, capsys):
+        # zero feature columns used to divide by zero in the ensemble build,
+        # and zero rows to raise an IndexError
+        path = tmp_path / "data.csv"
+        path.write_text(data)
+        text = BASE_RF.replace("rf-bench", kind).replace(
+            "source = synthetic", f"source = csv\npath = {path}\ntarget = y"
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}" in err and message in err
         assert not (tmp_path / "o").exists()
 
     def test_zero_splits(self, tmp_path, capsys):

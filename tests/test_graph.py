@@ -96,6 +96,19 @@ class TestGraphData:
         with pytest.raises(ValueError):
             GraphData.from_file(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0 1\n-1 2\n", "bad.edges:2: node ids must be >= 0"), ("\n", "bad.edges: no edges")],
+        ids=["negative-id", "empty"],
+    )
+    def test_rejects_negative_id_and_empty_edge_list(self, tmp_path, text, message):
+        # -1 used to wrap to the last node, and no edges to give a 0-node graph
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            GraphData.from_file(path)
+        assert message in str(err.value)
+
 
 class TestLaplacians:
     def test_two_path_normalized(self):
