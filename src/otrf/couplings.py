@@ -20,6 +20,7 @@ from .errors import NumericalError
 from .mathcore import (
     ChiParams,
     _adam,
+    _trial_rngs,
     chi_inv_cdf,
     ensure_rng,
     gauss_cdf,
@@ -122,32 +123,35 @@ def sample_orthogonal_directions(d: int, count: int, rng) -> np.ndarray:
     """``count`` pairwise-orthogonal unit vectors, jointly Haar-rotated.
 
     QR orthonormalisation of a d x d standard Gaussian matrix with sign
-    correction, so each row is marginally uniform on the sphere.
+    correction, so each row is marginally uniform on the sphere.  ``rng``
+    may be a list of T generators, one per trial: each draws its own
+    matrix, one stacked QR factors them all, and the rows form T blocks of
+    ``count`` in trial order, block i equal to ``rng[i]``'s own call.
     """
     if count > d:
         raise ValueError(f"cannot draw {count} orthogonal directions in R^{d}")
-    rng = ensure_rng(rng)
-    gauss = rng.standard_normal((d, d))
+    gauss = np.array([r.standard_normal((d, d)) for r in _trial_rngs(rng)])
     q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))
-    return q[:, :count].T
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q[:, :, :count].transpose(0, 2, 1).reshape(-1, d)
 
 
-def _pnc_norms(count: int, d: ChiParams, rng: np.random.Generator) -> np.ndarray:
-    """Chi_d norms with negative-monotone coupling on consecutive pairs.
+def _pnc_norms(count: int, d: ChiParams, rngs: list) -> np.ndarray:
+    """Chi_d norms with negative-monotone coupling on consecutive pairs,
+    ``count`` per generator in trial order.
 
     F(w1) + F(w2) = 1 holds exactly by construction; an odd trailing norm
     is left independent.
     """
-    out = np.empty(count)
+    out = np.empty((len(rngs), count))
     n_pairs = count // 2
     if n_pairs:
-        u = _open_unit(rng, n_pairs)
-        out[0 : 2 * n_pairs : 2] = chi_inv_cdf(u, d)
-        out[1 : 2 * n_pairs : 2] = chi_inv_cdf(1.0 - u, d)
+        u = np.array([_open_unit(r, n_pairs) for r in rngs])
+        out[:, 0 : 2 * n_pairs : 2] = chi_inv_cdf(u, d)
+        out[:, 1 : 2 * n_pairs : 2] = chi_inv_cdf(1.0 - u, d)
     if count % 2:
-        out[-1] = chi_inv_cdf(_open_unit(rng, 1), d)[0]
-    return out
+        out[:, -1] = chi_inv_cdf(np.concatenate([_open_unit(r, 1) for r in rngs]), d)
+    return out.ravel()
 
 
 def sample_norms(count: int, d: int, scheme: CouplingSpec | str, rng) -> np.ndarray:
@@ -155,27 +159,28 @@ def sample_norms(count: int, d: int, scheme: CouplingSpec | str, rng) -> np.ndar
 
     ``positive_monotone`` norms are equal within consecutive blocks of
     size d; ``copula`` norms are drawn jointly through the Gaussian copula.
+    ``rng`` may be a list of T generators, one per trial: each draws its
+    uniforms in its own call's order, the chi_d quantile maps all trials'
+    uniforms at once, and the norms form T blocks of ``count`` in trial
+    order, block i equal to ``rng[i]``'s own call.
     """
     tag = scheme if isinstance(scheme, str) else scheme.tag
-    rng = ensure_rng(rng)
+    rngs = _trial_rngs(rng)
     chi = ChiParams(d)
     if tag in ("iid", "halton", "orthogonal"):
-        return chi_inv_cdf(_open_unit(rng, count), chi)
+        return chi_inv_cdf(np.concatenate([_open_unit(r, count) for r in rngs]), chi)
     if tag in ("orthogonal_pnc", "orthogonal_pnc_antithetic"):
-        return _pnc_norms(count, chi, rng)
+        return _pnc_norms(count, chi, rngs)
     if tag == "positive_monotone":
-        out = np.empty(count)
-        for start in range(0, count, d):
-            stop = min(start + d, count)
-            out[start:stop] = chi_inv_cdf(_open_unit(rng, 1), chi)[0]
-        return out
+        u = np.array([[_open_unit(r, 1)[0] for _ in range(0, count, d)] for r in rngs])
+        return np.repeat(chi_inv_cdf(u, chi), d, axis=1)[:, :count].ravel()
     if tag == "copula":
         if isinstance(scheme, str):
             raise ValueError("copula norms need a CouplingSpec carrying params")
         params = scheme.params
         if params.m != count:
             raise ValueError(f"copula params are for m={params.m}, need {count}")
-        return sample_copula_norms(params, chi, rng)
+        return np.concatenate([sample_copula_norms(params, chi, r) for r in rngs])
     raise ValueError(f"unknown coupling tag {tag!r}")
 
 
@@ -231,7 +236,9 @@ def check_ensemble_size(m: int, d: int, tag: str) -> None:
         raise ValueError(f"copula needs m <= d or m a multiple of d, got m={m}, d={d}")
 
 
-def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> FrequencyEnsemble:
+def build_ensemble(
+    m: int, d: int, scheme: CouplingSpec | str, rng
+) -> FrequencyEnsemble | list[FrequencyEnsemble]:
     """Draw an m x d frequency ensemble under ``scheme``.
 
     Orthogonal schemes require m to be a multiple of d (independent blocks
@@ -240,47 +247,47 @@ def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> Frequency
     Halton point through the Gaussian quantile function coordinate-wise,
     with a random modulo-1 shift so marginals stay Gaussian; pass
     ``rng=None`` for the raw, unshifted sequence.
+
+    ``rng`` may be a list of T generators, one per trial; the call then
+    returns a list of T ensembles, the i-th equal bit for bit to
+    ``rng[i]``'s own call.  Each generator is read in its own call's order,
+    block by block, while the Halton sequence, each block's QR and each
+    block's chi_d quantile run once for all trials.
     """
     spec = CouplingSpec(scheme) if isinstance(scheme, str) else scheme
     tag = spec.tag
     check_ensemble_size(m, d, tag)
     seed = rng if isinstance(rng, (int, np.integer)) else None
+    rngs = _trial_rngs(rng)
 
     if tag == "halton":
-        pts = halton_points(m, d)
+        pts = halton_points(m, d)[None]
         if rng is not None:
-            pts = np.mod(pts + ensure_rng(rng).random(d), 1.0)
-        pts = np.clip(pts, _TINY, _ONE_MINUS)
-        return FrequencyEnsemble(gauss_inv_cdf(pts), tag, seed)
-
-    rng = ensure_rng(rng)
-    if tag == "iid":
-        return FrequencyEnsemble(rng.standard_normal((m, d)), tag, seed)
-
-    if tag == "copula":
+            pts = np.mod(pts + np.array([r.random(d) for r in rngs])[:, None, :], 1.0)
+        freqs = gauss_inv_cdf(np.clip(pts, _TINY, _ONE_MINUS))
+    elif tag == "iid":
+        freqs = np.array([r.standard_normal((m, d)) for r in rngs])
+    elif tag == "copula":
         if spec.params.m != m:
             raise ValueError(f"copula params are for m={spec.params.m}, need m={m}")
-        dirs = _blockwise_directions(m, d, rng)
-        norms = sample_copula_norms(spec.params, ChiParams(d), rng)
-        return FrequencyEnsemble(norms[:, None] * dirs, tag, seed)
-
-    if tag == "orthogonal_pnc_antithetic":
+        freqs = []
+        for r in rngs:
+            dirs = _blockwise_directions(m, d, r)
+            freqs.append(sample_copula_norms(spec.params, ChiParams(d), r)[:, None] * dirs)
+        freqs = np.array(freqs)
+    else:
+        # orthogonal blocks of d, each followed by its mirror for antithetic
+        mirror = tag == "orthogonal_pnc_antithetic"
         blocks = []
-        for _ in range(m // (2 * d)):
-            dirs = sample_orthogonal_directions(d, d, rng)
-            base = _pnc_norms(d, ChiParams(d), rng)[:, None] * dirs
-            blocks.append(np.vstack([base, -base]))
-        return FrequencyEnsemble(np.vstack(blocks), tag, seed)
+        for _ in range(m // (d + mirror * d)):
+            dirs = sample_orthogonal_directions(d, d, rngs)
+            base = (sample_norms(d, d, spec, rngs)[:, None] * dirs).reshape(-1, d, d)
+            blocks += [base, -base] if mirror else [base]
+        freqs = np.concatenate(blocks, axis=1)
 
-    if tag in ("orthogonal", "orthogonal_pnc", "positive_monotone"):
-        blocks = []
-        for _ in range(m // d):
-            dirs = sample_orthogonal_directions(d, d, rng)
-            norms = sample_norms(d, d, spec, rng)
-            blocks.append(norms[:, None] * dirs)
-        return FrequencyEnsemble(np.vstack(blocks), tag, seed)
-
-    raise ValueError(f"unknown coupling tag {tag!r}")
+    if isinstance(rng, list):
+        return [FrequencyEnsemble(f, tag) for f in freqs]
+    return FrequencyEnsemble(freqs[0], tag, seed)
 
 
 def _blockwise_directions(m: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,8 +6,9 @@ seed, so outputs are identical across runs.  The five grid experiments
 (rf-, grf-, pagerank- and attention-bench, gp-eval) run their trials
 through one loop, :func:`_grid_bench`, the only place where trial seeds
 become generators.  Each cell states how many trials go into one call:
-one for the Euclidean kinds, and as many as fit in one walk-engine call
-for grf-bench and pagerank-bench.  Since each trial draws only from its own
+as many as fit in one ensemble-layer call for rf-bench and gp-eval, one
+for attention-bench, and as many as fit in one walk-engine call for
+grf-bench and pagerank-bench.  Since each trial draws only from its own
 generator, that count changes no result.  Each runner only reduces the
 results to its own summary, and ``_KINDS`` holds one row of facts per
 kind.  A run writes its outputs only once it has succeeded.
@@ -101,6 +102,8 @@ class ExperimentConfig:
         for key in ("edge_prob", "train_edge_prob"):
             if not 0 < getattr(self, key) <= 1:
                 raise ConfigError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
+        if not 1 <= self.fit_steps <= 5000:
+            raise ConfigError(f"fit_steps must lie in [1, 5000], got {self.fit_steps}")
         for key, low in _MINIMUM.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
@@ -271,15 +274,16 @@ def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
 
     This is the one place where trial seeds become generators.  ``cells``
     yields ``(name, label, coords, batch, trial)``, and ``label.format(tag)``
-    seeds the cell's trials.  The trials run in order, ``batch`` per call:
-    ``trial(tag, rngs)`` takes one fresh generator per trial and returns one
-    dict of metrics per generator.  Each trial draws only from its own
-    generator, so the results do not depend on ``batch``.  A cell runs all
-    its trials before the next is drawn, so ``trial`` may close over the
-    generator's loop variables.  Each row is ``coords``, then "coupling",
-    ``index`` (the trial's number), "seed" and the metrics; a key already in
-    ``coords`` keeps its place.  Returns the rows and
-    ``{name: {tag: {metric: [values]}}}``.
+    seeds the cell's trials.  The trials run in order, ``batch`` per call
+    (:func:`_ensemble_batch` in rf-bench and gp-eval, :func:`_walk_batch` in
+    grf- and pagerank-bench, one in attention-bench): ``trial(tag, rngs)``
+    takes one fresh generator per trial and returns one dict of metrics per
+    generator.  Each trial draws only from its own generator, so the results
+    do not depend on ``batch``.  A cell runs all its trials before the next
+    is drawn, so ``trial`` may close over the generator's loop variables.
+    Each row is ``coords``, then "coupling", ``index`` (the trial's number),
+    "seed" and the metrics; a key already in ``coords`` keeps its place.
+    Returns the rows and ``{name: {tag: {metric: [values]}}}``.
     """
     rows = []
     grid = {}
@@ -325,6 +329,17 @@ def _read_csv(cfg: ExperimentConfig):
         raise ConfigError(f"path: {cfg.path} has no feature columns")
     cfg.check_ensemble_sizes(X.shape[1])
     return X, y
+
+
+# frequency entries per ensemble-layer call in rf-bench and gp-eval; bounds
+# the (trials, m, d) block that one build_ensemble call holds
+_CHUNK_FREQS = 1 << 15
+
+
+def _ensemble_batch(m: int, d: int) -> int:
+    """Trials per ensemble-layer call for m x d ensembles: at most
+    _CHUNK_FREQS frequency entries, and at least one trial."""
+    return max(1, _CHUNK_FREQS // (m * d))
 
 
 def _euclidean_dataset(cfg: ExperimentConfig):
@@ -384,13 +399,15 @@ def run_rf_bench(cfg: ExperimentConfig):
             for m in cfg.ensemble_sizes(d, featurizer):
 
                 def trial(tag, rngs):
-                    (rng,) = rngs
-                    ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
-                    phi = eucrf._feature_matrix(featurizer, X, ens, params)
-                    return [{"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)}]
+                    out = []
+                    for ens in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
+                        phi = eucrf._feature_matrix(featurizer, X, ens, params)
+                        out.append({"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)})
+                    return out
 
                 coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
-                yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, 1, trial
+                batch = _ensemble_batch(m, d)
+                yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, batch, trial
 
     rows, grid = _grid_bench(cfg, cells(), cfg.trials)
     summary = _normalized_summary(cfg, grid, "rmse", "mean_rmse")
@@ -585,16 +602,19 @@ def run_gp_eval(cfg: ExperimentConfig):
             n_tr = X_tr.shape[0]
 
             def trial(tag, rngs):
-                (rng,) = rngs
-                ens = cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rng)
-                phi = eucrf.rff_feature_matrix(X_joint, ens, params)
-                approx = gp.approx_posterior(phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale)
-                kl = gp.gaussian_kl(approx, exact)
-                rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
-                return [{"kl": kl, "kl_per_point": kl / len(y_te), "pred_rmse": rmse}]
+                out = []
+                for ens in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
+                    phi = eucrf.rff_feature_matrix(X_joint, ens, params)
+                    approx = gp.approx_posterior(
+                        phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
+                    )
+                    kl = gp.gaussian_kl(approx, exact)
+                    rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
+                    out.append({"kl": kl, "kl_per_point": kl / len(y_te), "pred_rmse": rmse})
+                return out
 
             coords = {"split": split, "coupling": None, "m": m}
-            yield split, f"gp/{split}/{{}}", coords, 1, trial
+            yield split, f"gp/{split}/{{}}", coords, _ensemble_batch(m, d), trial
 
     rows, grid = _grid_bench(cfg, cells(), draws, index="draw")
     summary = {}
@@ -657,6 +677,7 @@ def run_attention_bench(cfg: ExperimentConfig):
              "kernel_cov": stats.kernel_cov}
         ]
 
+    # a rep draws its ensembles from one generator in turn, so reps run one per call
     coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}
     rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, 1, trial)], reps, index="rep")
     summary = {}

@@ -156,14 +156,14 @@ class GPFitConfig:
             raise ValueError("steps must lie in [1, 5000]")
 
 
-def _evidence_and_grad(X, y, log_params, fixed_ls):
-    """Log evidence and its gradient w.r.t. (log l, log s_v, log s_n)."""
+def _evidence_and_grad(sq, y, log_params, fixed_ls):
+    """Log evidence and its gradient w.r.t. (log l, log s_v, log s_n), given
+    the pairwise squared distances ``sq`` of the training inputs."""
     log_l, log_v, log_n = log_params
     if fixed_ls is not None:
         log_l = np.log(fixed_ls)
     ls, sv, sn = np.exp(log_l), np.exp(log_v), np.exp(log_n)
     n = y.size
-    sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
     k = sv**2 * np.exp(-sq / (2 * ls**2))
     cho, alpha, value = _evidence(k, y, sn)
     k_inv = cho_solve(cho, np.eye(n))
@@ -189,9 +189,10 @@ def fit_hyperparams(
     if y.size > 256:
         raise ValueError("training set capped at 256 points for exact fitting")
     log_params = np.log([init.lengthscale, init.output_scale, max(init.noise_scale, 1e-3)])
+    sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)  # fixed across steps
 
     def neg_grad(t, x):  # Adam minimises
-        value, grad = _evidence_and_grad(X, y, x, config.fix_lengthscale)
+        value, grad = _evidence_and_grad(sq, y, x, config.fix_lengthscale)
         if not np.isfinite(value):
             raise NumericalError(f"evidence became non-finite at step {t}")
         return -grad

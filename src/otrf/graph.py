@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import comb
 
 from .errors import NumericalError
-from .mathcore import GeometricParams, ensure_rng, geometric_inv_cdf
+from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
 
 KERNEL_FAMILIES = (
     "d_regularized_laplacian",
@@ -263,17 +263,6 @@ def coupling_tag(coupling, walkers: int) -> str:
     if tag != "iid" and walkers % 2:
         raise ValueError("paired couplings need an even number of walkers")
     return tag
-
-
-def _trial_rngs(rng) -> list:
-    """``rng`` as one generator per trial.
-
-    A list holds one generator (or seed) per trial; anything else is one
-    trial's generator or seed, as :func:`otrf.mathcore.ensure_rng` takes it.
-    """
-    if isinstance(rng, list):
-        return [ensure_rng(r) for r in rng]
-    return [ensure_rng(rng)]
 
 
 def _trial_block(n_walks: int, n_trials: int) -> int:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphData, _step_schedule, _trial_rngs, batch_walk_lengths, coupling_tag
-from .mathcore import GeometricParams, ensure_rng, geometric_inv_cdf
+from .graph import GraphData, _step_schedule, batch_walk_lengths, coupling_tag
+from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
 
 K_MAX_DEFAULT = 64
 

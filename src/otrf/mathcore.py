@@ -47,6 +47,17 @@ def ensure_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _trial_rngs(rng) -> list:
+    """``rng`` as one generator per trial.
+
+    A list holds one generator (or seed) per trial; anything else is one
+    trial's generator or seed, as :func:`ensure_rng` takes it.
+    """
+    if isinstance(rng, list):
+        return [ensure_rng(r) for r in rng]
+    return [ensure_rng(rng)]
+
+
 # ---------------------------------------------------------------------------
 # Gaussian
 
@@ -94,8 +105,10 @@ def chi_cdf(x, d: ChiParams):
 def chi_inv_cdf(u, d: ChiParams):
     """Quantile function of chi_d by bracketed bisection on :func:`chi_cdf`.
 
-    Monotone and derivative-free; tolerance 1e-10 in x with at most 200
-    halvings.  Accepts 0 <= u < 1.
+    Monotone and derivative-free.  Each element halves its own bracket
+    until that bracket is below 1e-10 in x, at most 200 times, so an
+    element's value does not depend on the other elements of the call.
+    Accepts 0 <= u < 1.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
@@ -107,15 +120,26 @@ def chi_inv_cdf(u, d: ChiParams):
         if not np.any(mask):
             break
         hi[mask] *= 2.0
-    lo = np.zeros_like(u_arr)
+    # bisect the unfinished elements; idx holds their flat positions
+    out = np.empty(u_arr.size)
+    idx = np.arange(u_arr.size)
+    target, hi = u_arr.ravel(), hi.ravel()
+    lo = np.zeros_like(hi)
     for _ in range(200):
+        if not idx.size:
+            break
         mid = 0.5 * (lo + hi)
-        below = chi_cdf(mid, d) < u_arr
+        below = chi_cdf(mid, d) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-10:
-            break
-    out = 0.5 * (lo + hi)
+        width = hi - lo
+        if width.min() < 1e-10:
+            done = width < 1e-10
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            left = ~done
+            idx, target, lo, hi = idx[left], target[left], lo[left], hi[left]
+    out[idx] = 0.5 * (lo + hi)
+    out = out.reshape(u_arr.shape)
     out[u_arr == 0.0] = 0.0
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return float(out[0])

@@ -16,13 +16,12 @@ from .errors import ConvergenceError
 from .graph import (
     GraphData,
     SigmaCoupling,
-    _trial_rngs,
     batch_walk_endpoints,
     batch_walk_lengths,
     coupling_tag,
 )
 from .matching import hungarian
-from .mathcore import GeometricParams, ensure_rng, geometric_inv_cdf
+from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
 
 
 @dataclass

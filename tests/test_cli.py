@@ -374,6 +374,25 @@ class TestTrialBatching:
         assert len(five) == 5 * 3 * 2
         assert _rows_below(outputs["first"][1], 5) == five
 
+    @pytest.mark.parametrize("kind", ["rf-bench", "gp-eval"])
+    def test_ensemble_chunks_do_not_change_results(self, tmp_path, kind, monkeypatch):
+        # m = d = 4: the default budget runs each cell's 10 trials in one
+        # call, a budget of m * d runs one trial per call, and 3 * m * d
+        # runs chunks of three that end in a short chunk of one
+        text = BASE_RF.replace("rf-bench", kind).replace("trials = 20", "trials = 10")
+        text = text.replace("dim = 4", "dim = 4\nsplits = 2").replace(
+            "couplings = iid, orthogonal",
+            "couplings = iid, halton, orthogonal_pnc, positive_monotone",
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        outputs = []
+        for chunk_freqs in (experiments._CHUNK_FREQS, 16, 48):
+            monkeypatch.setattr(experiments, "_CHUNK_FREQS", chunk_freqs)
+            out = tmp_path / str(chunk_freqs)
+            assert main([kind, "--config", cfg_path, "--out-dir", str(out)]) == 0
+            outputs.append(((out / "summary.json").read_bytes(), (out / "trials.csv").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestBadInputExits:
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
@@ -585,6 +604,8 @@ class TestBadInputExits:
              "m_values must be >= 1, got [0]"),
             ("rf-bench", "n_points = 24", "n_points = 0", "n_points must be >= 1, got 0"),
             ("rf-bench", "dim = 4", "dim = 0", "dim must be >= 1, got 0"),
+            ("rf-bench", "fit_steps = 60", "fit_steps = 0",
+             "fit_steps must lie in [1, 5000], got 0"),
             ("attention-bench", "fit_steps = 60", "fit_steps = 60\nlengthscale = gp",
              "lengthscale: attention-bench takes ['rlf', 'auto'] or a number, not 'gp'"),
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0",
@@ -594,13 +615,14 @@ class TestBadInputExits:
             ("pagerank-bench", "edge_prob = 0.4", "edge_prob = 0.4\ntrain_edge_prob = 0",
              "train_edge_prob must lie in (0, 1], got 0.0"),
         ],
-        ids=["m_values", "n_points", "dim", "lengthscale", "edge_prob-0", "edge_prob-1.5",
-             "train_edge_prob"],
+        ids=["m_values", "n_points", "dim", "fit_steps", "lengthscale", "edge_prob-0",
+             "edge_prob-1.5", "train_edge_prob"],
     )
     def test_value_out_of_range(self, tmp_path, kind, old, new, message, capsys):
         # m = 0 used to report the RMSE of a zero-feature estimate, n_points = 0
-        # a non-finite result, edge_prob = 0 a thousand resamples, and
-        # attention-bench ran the rlf heuristic for lengthscale = gp
+        # a non-finite result, fit_steps = 0 a late error naming "steps",
+        # edge_prob = 0 a thousand resamples, and attention-bench ran the rlf
+        # heuristic for lengthscale = gp
         if kind in ("grf-bench", "pagerank-bench"):
             text = GRAPH_BENCH.format(
                 kind=kind, couplings="iid, sigma", graph="", p_halt_values="0.3"

@@ -197,6 +197,45 @@ class TestBuildEnsemble:
             build_ensemble(4, 4, "bogus", np.random.default_rng(0))
 
 
+_BATCHED_TAGS = (
+    "iid", "halton", "orthogonal", "orthogonal_pnc", "orthogonal_pnc_antithetic",
+    "positive_monotone",
+)
+
+
+def _trial_rngs(seed, count):
+    return [np.random.default_rng((seed, i)) for i in range(count)]
+
+
+class TestTrialLists:
+    """A list of T generators gives T blocks, block i bit-identical to
+    generator i's own call."""
+
+    @pytest.mark.parametrize(
+        "tag, blocks",
+        [(t, k) for t in _BATCHED_TAGS for k in (1, 2) if k == 2 or "antithetic" not in t],
+    )
+    def test_build_ensemble(self, tag, blocks):
+        d = 3
+        ensembles = build_ensemble(blocks * d, d, tag, _trial_rngs(20, 5))
+        assert len(ensembles) == 5
+        for ens, rng in zip(ensembles, _trial_rngs(20, 5)):
+            assert np.array_equal(ens.freqs, build_ensemble(blocks * d, d, tag, rng).freqs)
+
+    @pytest.mark.parametrize("count", [3, 7])
+    @pytest.mark.parametrize("tag", ["iid", "orthogonal_pnc", "positive_monotone"])
+    def test_sample_norms(self, tag, count):
+        norms = sample_norms(count, 3, tag, _trial_rngs(21, 4))
+        singles = [sample_norms(count, 3, tag, rng) for rng in _trial_rngs(21, 4)]
+        assert np.array_equal(norms, np.concatenate(singles))
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_sample_orthogonal_directions(self, count):
+        dirs = sample_orthogonal_directions(3, count, _trial_rngs(22, 4))
+        singles = [sample_orthogonal_directions(3, count, rng) for rng in _trial_rngs(22, 4)]
+        assert np.array_equal(dirs, np.vstack(singles))
+
+
 class TestCopulaLoss:
     def setup_method(self):
         self.kernel = GaussianKernelParams(1.0)

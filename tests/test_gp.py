@@ -122,17 +122,18 @@ class TestEvidence:
 
         rng = np.random.default_rng(6)
         X = rng.standard_normal((10, 2))
+        sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
         y = rng.standard_normal(10)
         log_params = np.array([0.2, -0.1, -1.0])
-        _, grad = _evidence_and_grad(X, y, log_params, None)
+        _, grad = _evidence_and_grad(sq, y, log_params, None)
         h = 1e-5
         for i in range(3):
             up, dn = log_params.copy(), log_params.copy()
             up[i] += h
             dn[i] -= h
             fd = (
-                _evidence_and_grad(X, y, up, None)[0]
-                - _evidence_and_grad(X, y, dn, None)[0]
+                _evidence_and_grad(sq, y, up, None)[0]
+                - _evidence_and_grad(sq, y, dn, None)[0]
             ) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=0.01)
 

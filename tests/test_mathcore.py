@@ -119,6 +119,17 @@ class TestChi:
             x = chi_inv_cdf(u, ChiParams(dof))
             assert np.max(np.abs(chi_cdf(x, ChiParams(dof)) - u)) < 1e-9
 
+    @pytest.mark.parametrize("dof", [1, 3, 8])
+    def test_quantile_is_elementwise(self, dof):
+        # 0.99999 lies above F(2 + sqrt(dof)), so its bracket doubles and
+        # takes one more halving; the other elements must not take it too
+        chi = ChiParams(dof)
+        assert chi_cdf(2.0 + math.sqrt(dof), chi) < 0.99999
+        u = np.array([0.5, 0.99999, 0.1, 1e-6, 0.0, 0.7])
+        whole = chi_inv_cdf(u, chi)
+        for i in range(u.size):
+            assert whole[i] == chi_inv_cdf(u[i : i + 1], chi)[0]
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             chi_cdf(-0.5, ChiParams(2))
