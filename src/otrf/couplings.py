@@ -268,13 +268,7 @@ def build_ensemble(
     elif tag == "iid":
         freqs = np.array([r.standard_normal((m, d)) for r in rngs])
     elif tag == "copula":
-        if spec.params.m != m:
-            raise ValueError(f"copula params are for m={spec.params.m}, need m={m}")
-        freqs = []
-        for r in rngs:
-            dirs = _blockwise_directions(m, d, r)
-            freqs.append(sample_copula_norms(spec.params, ChiParams(d), r)[:, None] * dirs)
-        freqs = np.array(freqs)
+        freqs = np.array([_blockwise_freqs(m, d, spec, r) for r in rngs])
     else:
         # orthogonal blocks of d, each followed by its mirror for antithetic
         mirror = tag == "orthogonal_pnc_antithetic"
@@ -300,6 +294,13 @@ def _blockwise_directions(m: int, d: int, rng: np.random.Generator) -> np.ndarra
         blocks.append(sample_orthogonal_directions(d, take, rng))
         left -= take
     return np.vstack(blocks)
+
+
+def _blockwise_freqs(m: int, d: int, scheme: CouplingSpec | str, rng) -> np.ndarray:
+    """m frequencies from one generator: :func:`_blockwise_directions`, then
+    :func:`sample_norms` under ``scheme``, each norm scaling its direction."""
+    dirs = _blockwise_directions(m, d, rng)
+    return sample_norms(m, d, scheme, rng)[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +431,7 @@ def reference_coupling_loss(
     k_exact = eucrf.gaussian_gram(dataset, dataset, kernel)
     total = 0.0
     for _ in range(mc_samples):
-        dirs = _blockwise_directions(m, d, rng)
-        norms = sample_norms(m, d, scheme, rng)
-        ens = FrequencyEnsemble(norms[:, None] * dirs, "reference")
+        ens = FrequencyEnsemble(_blockwise_freqs(m, d, scheme, rng), "reference")
         phi = eucrf._feature_matrix(featurizer, dataset, ens, kernel)
         total += eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
     return total / mc_samples

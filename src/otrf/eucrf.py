@@ -13,7 +13,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, FeatureOverflowError
-from .mathcore import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -230,16 +229,14 @@ class AttentionStats:
         return float(np.mean(self.mse_per_row))
 
 
-def attention_estimate(X, sample_ensemble, params: GaussianKernelParams,
-                       trials: int, rng) -> AttentionStats:
+def attention_estimate(X, ensembles, params: GaussianKernelParams) -> AttentionStats:
     """Estimate attention with exponential features over many ensembles.
 
-    ``sample_ensemble`` is called with a Generator once per trial and must
-    return a frequency ensemble; exponential features keep every kernel
-    estimate positive so row sums never vanish.
+    ``ensembles`` is an iterable of frequency ensembles, one per trial, and
+    may be lazy; exponential features keep every kernel estimate positive so
+    row sums never vanish.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    rng = ensure_rng(rng)
     n = X.shape[0]
     a_exact = attention_exact(X, params)
 
@@ -247,8 +244,8 @@ def attention_estimate(X, sample_ensemble, params: GaussianKernelParams,
     k_sum = np.zeros((n, n))
     k_sq_sum = np.zeros((n, n))
     k_cross = np.zeros(n)  # sum over trials of (sum_j khat_ij)^2 per row
-    for _ in range(trials):
-        ens = sample_ensemble(rng)
+    trials = 0
+    for trials, ens in enumerate(ensembles, 1):
         phi = rlf_feature_matrix(X, ens, params)
         k_hat = gram_estimate(phi)
         a_hat = k_hat / np.sum(k_hat, axis=1, keepdims=True)
@@ -256,6 +253,8 @@ def attention_estimate(X, sample_ensemble, params: GaussianKernelParams,
         k_sum += k_hat
         k_sq_sum += k_hat**2
         k_cross += np.sum(k_hat, axis=1) ** 2
+    if not trials:
+        raise ValueError("attention estimate needs at least one ensemble")
 
     mse_rows = np.mean(att_sq_err, axis=1) / trials
     k_mean = k_sum / trials

@@ -7,11 +7,13 @@ seed, so outputs are identical across runs.  The five grid experiments
 through one loop, :func:`_grid_bench`, the only place where trial seeds
 become generators.  Each cell states how many trials go into one call:
 as many as fit in one ensemble-layer call for rf-bench and gp-eval, one
-for attention-bench, and as many as fit in one walk-engine call for
-grf-bench and pagerank-bench.  Since each trial draws only from its own
-generator, that count changes no result.  Each runner only reduces the
-results to its own summary, and ``_KINDS`` holds one row of facts per
-kind.  A run writes its outputs only once it has succeeded.
+rep for attention-bench (whose generator spawns a child per ensemble,
+drawn as many per ensemble-layer call as fit), and as many as fit in one
+walk-engine call for grf-bench and pagerank-bench.  Since each trial and
+ensemble draws only from its own generator, no count changes a result.
+Each runner only reduces the results to its own summary, and ``_KINDS``
+holds one row of facts per kind.  A run writes its outputs only once it
+has succeeded.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class ConfigError(ValueError):
 # isolated node, and a sigma coupling matches at least two quantiles
 _MINIMUM = {
     "trials": 1, "splits": 1, "steps": 1, "mc_samples": 1, "walkers": 1, "n_points": 1,
-    "dim": 1, "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2, "walks_per_quantile": 1,
+    "dim": 1, "max_points": 1, "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2,
+    "walks_per_quantile": 1,
 }
 # attention-bench splits its trials into at most this many reps
 _MAX_REPS = 10
@@ -131,10 +134,17 @@ class ExperimentConfig:
         policies = ("rlf", "auto") if self.kind == "attention-bench" else ("gp", "rlf", "auto")
         if self.lengthscale not in policies:
             try:
-                float(self.lengthscale)
+                fixed = float(self.lengthscale)
             except ValueError:
                 raise ConfigError(f"lengthscale: {self.kind} takes {list(policies)} or a "
                                   f"number, not {self.lengthscale!r}") from None
+            if not 0 < fixed < np.inf:
+                raise ConfigError(f"lengthscale must be finite and > 0, got {fixed}")
+        for key in ("output_scale", "lr"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
@@ -147,8 +157,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"walkers must be even for the paired couplings {paired}, got {self.walkers}"
             )
-        # a kind that reads no graph draws frequency ensembles
-        if "synthetic-graph" not in kind.sources and self.source == "synthetic":
+        # a kind that reads a graph builds its kernel; the others draw ensembles
+        if "synthetic-graph" in kind.sources:
+            try:
+                _graph_kernel_spec(self)
+            except ValueError as exc:
+                raise ConfigError(f"kernel_{exc}") from None
+        elif self.source == "synthetic":
             self.check_ensemble_sizes(self.dim)
 
     def ensemble_sizes(self, d: int, featurizer: str = "rff") -> tuple[int, ...]:
@@ -276,10 +291,11 @@ def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
     yields ``(name, label, coords, batch, trial)``, and ``label.format(tag)``
     seeds the cell's trials.  The trials run in order, ``batch`` per call
     (:func:`_ensemble_batch` in rf-bench and gp-eval, :func:`_walk_batch` in
-    grf- and pagerank-bench, one in attention-bench): ``trial(tag, rngs)``
-    takes one fresh generator per trial and returns one dict of metrics per
-    generator.  Each trial draws only from its own generator, so the results
-    do not depend on ``batch``.  A cell runs all its trials before the next
+    grf- and pagerank-bench, one in attention-bench, where a rep's generator
+    spawns one child per ensemble): ``trial(tag, rngs)`` takes one fresh
+    generator per trial and returns one dict of metrics per generator.  Each
+    trial draws only from its own generator, so the results do not depend
+    on ``batch``.  A cell runs all its trials before the next
     is drawn, so ``trial`` may close over the generator's loop variables.
     Each row is ``coords``, then "coupling", ``index`` (the trial's number),
     "seed" and the metrics; a key already in ``coords`` keeps its place.
@@ -331,8 +347,8 @@ def _read_csv(cfg: ExperimentConfig):
     return X, y
 
 
-# frequency entries per ensemble-layer call in rf-bench and gp-eval; bounds
-# the (trials, m, d) block that one build_ensemble call holds
+# frequency entries per ensemble-layer call in rf-bench, gp-eval and
+# attention-bench; bounds the (trials, m, d) block one build_ensemble call holds
 _CHUNK_FREQS = 1 << 15
 
 
@@ -368,12 +384,8 @@ def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.Gauss
     policy = cfg.lengthscale
     if policy == "auto":
         policy = "gp" if featurizer == "rff" else "rlf"
-    try:
-        fixed = float(policy)
-    except ValueError:
-        fixed = None
-    if fixed is not None:
-        return eucrf.GaussianKernelParams(fixed, cfg.output_scale, cfg.noise_scale)
+    if policy not in ("gp", "rlf"):  # a number, checked by ExperimentConfig
+        return eucrf.GaussianKernelParams(float(policy), cfg.output_scale, cfg.noise_scale)
     if y is None:
         raise ConfigError(f"lengthscale policy {policy!r} needs targets to fit a GP")
     init = eucrf.GaussianKernelParams(np.sqrt(X.shape[1]), 1.0, 0.1)
@@ -656,28 +668,27 @@ def run_pagerank_bench(cfg: ExperimentConfig):
 def run_attention_bench(cfg: ExperimentConfig):
     rng_data = _rng(cfg.seed, "tokens")
     X = datasets.gaussian_inputs(cfg.n_points, cfg.dim, rng_data, scale=cfg.dim**-0.25)
-    try:
-        fixed = float(cfg.lengthscale)
-        params = eucrf.GaussianKernelParams(fixed, 1.0, 0.0)
-    except ValueError:
-        params = eucrf.GaussianKernelParams(eucrf.rlf_lengthscale_heuristic(X), 1.0, 0.0)
+    heuristic = cfg.lengthscale in ("rlf", "auto")
+    lengthscale = eucrf.rlf_lengthscale_heuristic(X) if heuristic else float(cfg.lengthscale)
+    params = eucrf.GaussianKernelParams(lengthscale, 1.0, 0.0)
     d = X.shape[1]
     m = cfg.ensemble_sizes(d)[0]
     reps = min(_MAX_REPS, cfg.trials)
     rep_trials = cfg.trials // reps
+    batch = _ensemble_batch(m, d)
 
     def trial(tag, rngs):
-        (rng,) = rngs
-        spec = cpl.CouplingSpec(tag)
-        stats = eucrf.attention_estimate(
-            X, lambda r: cpl.build_ensemble(m, d, spec, r), params, rep_trials, rng
-        )
+        # a rep runs alone; its generator spawns one child per ensemble
+        children = rngs[0].spawn(rep_trials)
+        chunks = (children[i : i + batch] for i in range(0, rep_trials, batch))
+        ensembles = (ens for chunk in chunks for ens in cpl.build_ensemble(m, d, tag, chunk))
+        stats = eucrf.attention_estimate(X, ensembles, params)
         return [
             {"attention_mse": stats.mse, "kernel_var": stats.kernel_var,
              "kernel_cov": stats.kernel_cov}
         ]
 
-    # a rep draws its ensembles from one generator in turn, so reps run one per call
+    # each rep spawns and chunks its own ensembles, so reps run one per call
     coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}
     rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, 1, trial)], reps, index="rep")
     summary = {}

@@ -138,12 +138,13 @@ class GraphKernelSpec:
     normalized: bool = True
 
     def __post_init__(self):
+        # each message starts with the field it names
         if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "p_step_random_walk" and self.alpha < 2:
-            raise ValueError("p_step_random_walk requires alpha >= 2")
+            raise ValueError(f"family must be one of {list(KERNEL_FAMILIES)}, got {self.family!r}")
+        if self.family == "p_step_random_walk" and not self.alpha >= 2:
+            raise ValueError(f"alpha must be >= 2 for p_step_random_walk, got {self.alpha}")
         if self.family == "d_regularized_laplacian" and self.degree < 1:
-            raise ValueError("regularized Laplacian requires degree >= 1")
+            raise ValueError(f"degree must be >= 1 for d_regularized_laplacian, got {self.degree}")
 
 
 def exact_graph_kernel(g: GraphData, spec: GraphKernelSpec) -> np.ndarray:

@@ -374,12 +374,14 @@ class TestTrialBatching:
         assert len(five) == 5 * 3 * 2
         assert _rows_below(outputs["first"][1], 5) == five
 
-    @pytest.mark.parametrize("kind", ["rf-bench", "gp-eval"])
+    @pytest.mark.parametrize("kind", ["rf-bench", "gp-eval", "attention-bench"])
     def test_ensemble_chunks_do_not_change_results(self, tmp_path, kind, monkeypatch):
-        # m = d = 4: the default budget runs each cell's 10 trials in one
-        # call, a budget of m * d runs one trial per call, and 3 * m * d
-        # runs chunks of three that end in a short chunk of one
-        text = BASE_RF.replace("rf-bench", kind).replace("trials = 20", "trials = 10")
+        # m = d = 4: the default budget runs each cell's 10 trials (each of
+        # attention-bench's 10 reps' 7 ensembles) in one call, a budget of
+        # m * d runs one per call, and 3 * m * d runs chunks of three that
+        # end in a short chunk of one
+        trials = 70 if kind == "attention-bench" else 10
+        text = BASE_RF.replace("rf-bench", kind).replace("trials = 20", f"trials = {trials}")
         text = text.replace("dim = 4", "dim = 4\nsplits = 2").replace(
             "couplings = iid, orthogonal",
             "couplings = iid, halton, orthogonal_pnc, positive_monotone",
@@ -614,16 +616,53 @@ class TestBadInputExits:
              "edge_prob must lie in (0, 1], got 1.5"),
             ("pagerank-bench", "edge_prob = 0.4", "edge_prob = 0.4\ntrain_edge_prob = 0",
              "train_edge_prob must lie in (0, 1], got 0.0"),
+            ("attention-bench", "fit_steps = 60", "lengthscale = -1",
+             "lengthscale must be finite and > 0, got -1.0"),
+            ("attention-bench", "fit_steps = 60", "lengthscale = 0",
+             "lengthscale must be finite and > 0, got 0.0"),
+            ("attention-bench", "fit_steps = 60", "lengthscale = nan",
+             "lengthscale must be finite and > 0, got nan"),
+            ("attention-bench", "fit_steps = 60", "lengthscale = inf",
+             "lengthscale must be finite and > 0, got inf"),
+            ("rf-bench", "fit_steps = 60", "lengthscale = -2",
+             "lengthscale must be finite and > 0, got -2.0"),
+            ("rf-bench", "n_points = 24", "n_points = 24\nmax_points = 0",
+             "max_points must be >= 1, got 0"),
+            ("rf-bench", "fit_steps = 60", "output_scale = 0",
+             "output_scale must be finite and > 0, got 0.0"),
+            ("rf-bench", "fit_steps = 60", "lengthscale = 1\noutput_scale = nan",
+             "output_scale must be finite and > 0, got nan"),
+            ("rf-bench", "fit_steps = 60", "lengthscale = 1\nnoise_scale = -0.1",
+             "noise_scale must be finite and >= 0, got -0.1"),
+            ("rf-bench", "fit_steps = 60", "noise_scale = inf",
+             "noise_scale must be finite and >= 0, got inf"),
+            ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = nan",
+             "lr must be finite and > 0, got nan"),
+            ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = 0",
+             "lr must be finite and > 0, got 0.0"),
+            ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_family = bogus",
+             "kernel_family must be one of ['d_regularized_laplacian', "),
+            ("sigma-train", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_degree = 0",
+             "kernel_degree must be >= 1 for d_regularized_laplacian, got 0"),
+            ("grf-bench", "edge_prob = 0.4",
+             "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_alpha = 1.5",
+             "kernel_alpha must be >= 2 for p_step_random_walk, got 1.5"),
         ],
         ids=["m_values", "n_points", "dim", "fit_steps", "lengthscale", "edge_prob-0",
-             "edge_prob-1.5", "train_edge_prob"],
+             "edge_prob-1.5", "train_edge_prob", "lengthscale-negative", "lengthscale-zero",
+             "lengthscale-nan", "lengthscale-inf", "lengthscale-negative-rf-bench",
+             "max_points", "output_scale-zero", "output_scale-nan", "noise_scale-negative",
+             "noise_scale-inf", "lr-nan", "lr-zero", "kernel_family", "kernel_degree",
+             "kernel_alpha"],
     )
     def test_value_out_of_range(self, tmp_path, kind, old, new, message, capsys):
         # m = 0 used to report the RMSE of a zero-feature estimate, n_points = 0
-        # a non-finite result, fit_steps = 0 a late error naming "steps",
-        # edge_prob = 0 a thousand resamples, and attention-bench ran the rlf
-        # heuristic for lengthscale = gp
-        if kind in ("grf-bench", "pagerank-bench"):
+        # and max_points = 0 a non-finite result, fit_steps = 0 a late error
+        # naming "steps", edge_prob = 0 a thousand resamples, and
+        # attention-bench ran the rlf heuristic for lengthscale = gp, -1 or 0;
+        # a bad kernel scale, lr or graph kernel failed only after compute,
+        # or not at all, with a message naming no key
+        if kind in ("grf-bench", "pagerank-bench", "sigma-train"):
             text = GRAPH_BENCH.format(
                 kind=kind, couplings="iid, sigma", graph="", p_halt_values="0.3"
             )

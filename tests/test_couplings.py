@@ -222,6 +222,16 @@ class TestTrialLists:
         for ens, rng in zip(ensembles, _trial_rngs(20, 5)):
             assert np.array_equal(ens.freqs, build_ensemble(blocks * d, d, tag, rng).freqs)
 
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_build_ensemble_copula(self, m):
+        # d = 3: m = 2 takes one short direction block, m = 6 two full ones
+        theta = np.random.default_rng(23).standard_normal(m * (m - 1) // 2)
+        spec = CouplingSpec("copula", CorrelationParams(m, theta))
+        ensembles = build_ensemble(m, 3, spec, _trial_rngs(23, 4))
+        assert len(ensembles) == 4
+        for ens, rng in zip(ensembles, _trial_rngs(23, 4)):
+            assert np.array_equal(ens.freqs, build_ensemble(m, 3, spec, rng).freqs)
+
     @pytest.mark.parametrize("count", [3, 7])
     @pytest.mark.parametrize("tag", ["iid", "orthogonal_pnc", "positive_monotone"])
     def test_sample_norms(self, tag, count):

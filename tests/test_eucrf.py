@@ -219,9 +219,8 @@ class TestAttention:
         # one positive estimate self-normalises to 1 for every draw
         X = np.array([[0.4, -0.1]])
         p = GaussianKernelParams(1.0)
-        stats = attention_estimate(
-            X, lambda r: build_ensemble(2, 2, "iid", r), p, 20, np.random.default_rng(20)
-        )
+        rng = np.random.default_rng(20)
+        stats = attention_estimate(X, (build_ensemble(2, 2, "iid", rng) for _ in range(20)), p)
         assert stats.mse == 0.0
 
     def test_estimate_statistics_shapes(self):
@@ -229,7 +228,7 @@ class TestAttention:
         X = rng.standard_normal((5, 4)) * 0.3
         p = GaussianKernelParams(rlf_lengthscale_heuristic(X))
         stats = attention_estimate(
-            X, lambda r: build_ensemble(4, 4, "orthogonal", r), p, 50, rng
+            X, (build_ensemble(4, 4, "orthogonal", rng) for _ in range(50)), p
         )
         assert isinstance(stats, AttentionStats)
         assert stats.mse_per_row.shape == (5,)
@@ -240,10 +239,34 @@ class TestAttention:
         rng = np.random.default_rng(14)
         X = rng.standard_normal((4, 3)) * 0.3
         p = GaussianKernelParams(rlf_lengthscale_heuristic(X))
+        rng_few, rng_many = np.random.default_rng(1), np.random.default_rng(1)
         few = attention_estimate(
-            X, lambda r: build_ensemble(3, 3, "orthogonal", r), p, 30, np.random.default_rng(1)
+            X, (build_ensemble(3, 3, "orthogonal", rng_few) for _ in range(30)), p
         )
         many = attention_estimate(
-            X, lambda r: build_ensemble(12, 3, "orthogonal", r), p, 30, np.random.default_rng(1)
+            X, (build_ensemble(12, 3, "orthogonal", rng_many) for _ in range(30)), p
         )
         assert many.mse < few.mse
+
+    @pytest.mark.parametrize(
+        "tag",
+        ["iid", "halton", "orthogonal", "orthogonal_pnc", "orthogonal_pnc_antithetic",
+         "positive_monotone"],
+    )
+    def test_chunked_ensembles_match_one_call_per_generator(self, tag):
+        # seven children in list calls of three, against one call per child
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((5, 4)) * 0.3
+        p = GaussianKernelParams(rlf_lengthscale_heuristic(X))
+        children = np.random.default_rng(16).spawn(7)
+        chunks = [build_ensemble(8, 4, tag, children[i : i + 3]) for i in range(0, 7, 3)]
+        chunked = attention_estimate(X, [ens for chunk in chunks for ens in chunk], p)
+        singles = [build_ensemble(8, 4, tag, c) for c in np.random.default_rng(16).spawn(7)]
+        single = attention_estimate(X, singles, p)
+        assert np.array_equal(chunked.mse_per_row, single.mse_per_row)
+        assert (chunked.kernel_var, chunked.kernel_cov) == (single.kernel_var, single.kernel_cov)
+        assert chunked.trials == single.trials == 7
+
+    def test_estimate_needs_an_ensemble(self):
+        with pytest.raises(ValueError):
+            attention_estimate(np.zeros((2, 2)), [], GaussianKernelParams(1.0))
