@@ -28,6 +28,16 @@ class GaussianKernelParams:
             raise ValueError("kernel parameters must be positive (noise >= 0)")
 
 
+def _gaussian_of_sq(sq, params: GaussianKernelParams):
+    """s_v^2 exp(-sq / (2 l^2)) of squared distances ``sq``.
+
+    The scales are squared as numpy floats, so a huge scale gives inf (later
+    caught as a non-finite result) instead of raising OverflowError.
+    """
+    scale = np.float64(params.output_scale) ** 2
+    return scale * np.exp(-sq / (2 * np.float64(params.lengthscale) ** 2))
+
+
 def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
     """k(x, y) = s_v^2 exp(-||x - y||^2 / (2 l^2))."""
     x = np.asarray(x, dtype=float)
@@ -35,7 +45,7 @@ def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     sq = float(np.sum((x - y) ** 2))
-    return params.output_scale**2 * np.exp(-sq / (2 * params.lengthscale**2))
+    return _gaussian_of_sq(sq, params)
 
 
 def gaussian_gram(X, Y, params: GaussianKernelParams) -> np.ndarray:
@@ -48,7 +58,7 @@ def gaussian_gram(X, Y, params: GaussianKernelParams) -> np.ndarray:
         + np.sum(Y**2, axis=1)[None, :]
     )
     sq = np.maximum(sq, 0.0)
-    return params.output_scale**2 * np.exp(-sq / (2 * params.lengthscale**2))
+    return _gaussian_of_sq(sq, params)
 
 
 def _freqs(ens) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import blas, cho_solve, lapack
 
 from .errors import NumericalError
 from .eucrf import GaussianKernelParams, gaussian_gram
@@ -56,23 +56,30 @@ class RegressionData:
 
 
 def _jittered_cho(mat: np.ndarray):
-    """Cholesky with escalating diagonal jitter.
+    """Cholesky with escalating diagonal jitter, as ``((L, True), jitter)``.
 
-    Tries the matrix as given first, then adds 1e-8 tr/N to the diagonal
-    and escalates tenfold up to 1e-4 tr/N before failing.
+    Each rung calls LAPACK ``dpotrf`` once for the lower factor L, with the
+    strict upper triangle zeroed, so the pair works with ``cho_solve``.  The
+    matrix is tried as given first, then with 1e-8 tr/N added to the
+    diagonal, escalating tenfold up to 1e-4 tr/N before failing.  A
+    non-finite matrix raises ``ValueError``, as ``cho_factor`` does.
     """
+    mat = np.asarray_chkfinite(mat)
     n = mat.shape[0]
     base = max(np.trace(mat) / n, 1e-12)
     jitter = 0.0
     while True:
-        try:
-            return cho_factor(mat + jitter * np.eye(n), lower=True), jitter
-        except LinAlgError:
-            jitter = 1e-8 * base if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-4 * base:
-                raise NumericalError(
-                    "matrix not positive definite even after 1e-4 tr/N jitter"
-                ) from None
+        shifted = mat if jitter == 0.0 else mat + jitter * np.eye(n)
+        c, info = lapack.dpotrf(shifted, lower=1, clean=1)
+        if info == 0:
+            return (c, True), jitter
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+        jitter = 1e-8 * base if jitter == 0.0 else jitter * 10.0
+        if jitter > 1e-4 * base:
+            raise NumericalError(
+                "matrix not positive definite even after 1e-4 tr/N jitter"
+            )
 
 
 def exact_posterior(k_dd, k_pd, k_pp, y, noise_scale: float) -> GaussianPosterior:
@@ -129,7 +136,7 @@ def _evidence(k: np.ndarray, y: np.ndarray, noise_scale: float):
     """Cholesky factor of K + s_n^2 I, alpha = (K + s_n^2 I)^-1 y and the log evidence."""
     n = y.size
     cho, _ = _jittered_cho(k + noise_scale**2 * np.eye(n))
-    alpha = cho_solve(cho, y)
+    alpha, _ = lapack.dpotrs(cho[0], y, lower=1)
     logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
     value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
     return cho, alpha, value
@@ -158,21 +165,28 @@ class GPFitConfig:
 
 def _evidence_and_grad(sq, y, log_params, fixed_ls):
     """Log evidence and its gradient w.r.t. (log l, log s_v, log s_n), given
-    the pairwise squared distances ``sq`` of the training inputs."""
+    the pairwise squared distances D = ``sq`` of the training inputs.
+
+    Each gradient entry is 1/2 tr(W dK/dtheta) with W = alpha alpha^T - K_y^-1
+    (Rasmussen & Williams 2006, eq. 5.9), where K_y = K + s_n^2 I and
+    K_y^-1 = L^-T L^-1 comes from one triangular inverse of its factor.  The
+    three trace terms are 1/2 sum(W o K o D) / l^2, sum(W o K) and
+    s_n^2 (alpha^T alpha - ||L^-1||_F^2).
+    """
     log_l, log_v, log_n = log_params
     if fixed_ls is not None:
         log_l = np.log(fixed_ls)
     ls, sv, sn = np.exp(log_l), np.exp(log_v), np.exp(log_n)
-    n = y.size
     k = sv**2 * np.exp(-sq / (2 * ls**2))
     cho, alpha, value = _evidence(k, y, sn)
-    k_inv = cho_solve(cho, np.eye(n))
-    grads = []
-    for dk in (k * sq / ls**2, 2.0 * k, 2.0 * sn**2 * np.eye(n)):
-        grads.append(0.5 * float(alpha @ dk @ alpha) - 0.5 * float(np.sum(k_inv * dk)))
-    if fixed_ls is not None:
-        grads[0] = 0.0
-    return value, np.array(grads)
+    l_inv, _ = lapack.dtrtri(cho[0], lower=1)
+    # scipy's BLAS, as for the factor: numpy's `@` would wake a second
+    # BLAS thread pool, and on a few cores the two pools starve each other
+    k_inv = blas.dgemm(1.0, l_inv, l_inv, trans_a=1)
+    wk = (np.outer(alpha, alpha) - k_inv) * k
+    grad_l = 0.0 if fixed_ls is not None else 0.5 * float(np.sum(wk * sq)) / ls**2
+    grad_n = sn**2 * (float(alpha @ alpha) - float(np.sum(l_inv * l_inv)))
+    return value, np.array([grad_l, float(np.sum(wk)), grad_n])
 
 
 def fit_hyperparams(

@@ -141,6 +141,10 @@ class GraphKernelSpec:
         # each message starts with the field it names
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"family must be one of {list(KERNEL_FAMILIES)}, got {self.family!r}")
+        if not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if self.family == "p_step_random_walk" and self.p < 0:
+            raise ValueError(f"p must be >= 0 for p_step_random_walk, got {self.p}")
         if self.family == "p_step_random_walk" and not self.alpha >= 2:
             raise ValueError(f"alpha must be >= 2 for p_step_random_walk, got {self.alpha}")
         if self.family == "d_regularized_laplacian" and self.degree < 1:

@@ -450,6 +450,22 @@ class TestBadInputExits:
         assert "trials must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "scales, code",
+        [("lengthscale = 1.0\noutput_scale = 1e300", 3), ("lengthscale = 1e200", 0)],
+        ids=["output_scale", "lengthscale"],
+    )
+    def test_kernel_scale_overflow(self, tmp_path, scales, code, capsys):
+        # squaring a huge scale as a Python float raised an uncaught
+        # OverflowError (exit 1); in numpy it is inf, so an infinite output
+        # scale ends in the non-finite-result check, and an infinite
+        # lengthscale gives the constant kernel, which the features reproduce
+        text = BASE_RF.replace("fit_steps = 60", f"fit_steps = 60\n{scales}")
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == code
+        if code == 3:
+            assert "non-finite result" in capsys.readouterr().err
+
     def test_one_split(self, tmp_path, capsys):
         text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 1")
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
@@ -647,13 +663,21 @@ class TestBadInputExits:
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_alpha = 1.5",
              "kernel_alpha must be >= 2 for p_step_random_walk, got 1.5"),
+            ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_sigma = nan",
+             "kernel_sigma must be finite, got nan"),
+            ("grf-bench", "edge_prob = 0.4",
+             "edge_prob = 0.4\nkernel_family = diffusion\nkernel_sigma = inf",
+             "kernel_sigma must be finite, got inf"),
+            ("grf-bench", "edge_prob = 0.4",
+             "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_p = -1",
+             "kernel_p must be >= 0 for p_step_random_walk, got -1"),
         ],
         ids=["m_values", "n_points", "dim", "fit_steps", "lengthscale", "edge_prob-0",
              "edge_prob-1.5", "train_edge_prob", "lengthscale-negative", "lengthscale-zero",
              "lengthscale-nan", "lengthscale-inf", "lengthscale-negative-rf-bench",
              "max_points", "output_scale-zero", "output_scale-nan", "noise_scale-negative",
              "noise_scale-inf", "lr-nan", "lr-zero", "kernel_family", "kernel_degree",
-             "kernel_alpha"],
+             "kernel_alpha", "kernel_sigma-nan", "kernel_sigma-inf", "kernel_p"],
     )
     def test_value_out_of_range(self, tmp_path, kind, old, new, message, capsys):
         # m = 0 used to report the RMSE of a zero-feature estimate, n_points = 0

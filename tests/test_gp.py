@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from otrf.errors import NumericalError
 from otrf.eucrf import GaussianKernelParams, gaussian_gram
@@ -9,6 +10,8 @@ from otrf.gp import (
     GaussianPosterior,
     GPFitConfig,
     RegressionData,
+    _evidence_and_grad,
+    _jittered_cho,
     approx_posterior,
     exact_posterior,
     fit_hyperparams,
@@ -118,8 +121,6 @@ class TestEvidence:
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_gradient_against_finite_differences(self):
-        from otrf.gp import _evidence_and_grad
-
         rng = np.random.default_rng(6)
         X = rng.standard_normal((10, 2))
         sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
@@ -136,6 +137,128 @@ class TestEvidence:
                 - _evidence_and_grad(sq, y, dn, None)[0]
             ) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=0.01)
+
+
+def _oracle_jittered_cho(mat):
+    """Reference factorisation: cho_factor on the same jitter ladder."""
+    n = mat.shape[0]
+    base = max(np.trace(mat) / n, 1e-12)
+    jitter = 0.0
+    while True:
+        try:
+            return cho_factor(mat + jitter * np.eye(n), lower=True), jitter
+        except LinAlgError:
+            jitter = 1e-8 * base if jitter == 0.0 else jitter * 10.0
+            if jitter > 1e-4 * base:
+                raise NumericalError("not positive definite") from None
+
+
+def _oracle_evidence_and_grad(sq, y, log_params, fixed_ls):
+    """Reference evidence step: K^-1 from a solve against the identity and one
+    dense dK/dtheta per parameter.  Also returns, per gradient entry, the
+    magnitude of the terms its sum cancels, 1/2 (|a|^T |dK| |a| + sum|K^-1 o dK|)."""
+    log_l, log_v, log_n = log_params
+    if fixed_ls is not None:
+        log_l = np.log(fixed_ls)
+    ls, sv, sn = np.exp(log_l), np.exp(log_v), np.exp(log_n)
+    n = y.size
+    k = sv**2 * np.exp(-sq / (2 * ls**2))
+    cho, _ = _oracle_jittered_cho(k + sn**2 * np.eye(n))
+    alpha = cho_solve(cho, y)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
+    k_inv = cho_solve(cho, np.eye(n))
+    grads, scales = [], []
+    for dk in (k * sq / ls**2, 2.0 * k, 2.0 * sn**2 * np.eye(n)):
+        grads.append(0.5 * float(alpha @ dk @ alpha) - 0.5 * float(np.sum(k_inv * dk)))
+        scales.append(0.5 * float(np.abs(alpha) @ np.abs(dk) @ np.abs(alpha))
+                      + 0.5 * float(np.sum(np.abs(k_inv * dk))))
+    if fixed_ls is not None:
+        grads[0] = 0.0
+    return value, np.array(grads), np.array(scales)
+
+
+def _sq_dists(X):
+    return np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
+
+
+class TestEvidenceStepOracle:
+    """The eq. 5.9 step against the reference step it replaced."""
+
+    @pytest.mark.parametrize("fixed_ls", [None, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 10, 64, 256])
+    def test_matches_reference(self, n, fixed_ls):
+        rng = np.random.default_rng(100 + n)
+        sq = _sq_dists(rng.standard_normal((n, 3)))
+        y = rng.standard_normal(n)
+        log_params = np.array([0.3, 0.1, -1.5])
+        value, grad = _evidence_and_grad(sq, y, log_params, fixed_ls)
+        ref_value, ref_grad, _ = _oracle_evidence_and_grad(sq, y, log_params, fixed_ls)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad))
+        if fixed_ls is not None:
+            assert grad[0] == 0.0
+
+    @pytest.mark.parametrize("log_l", [0.0, 1.0, 2.0])
+    def test_near_singular_matches_reference(self, log_l):
+        # duplicated inputs and a 1e-9 noise scale: K + s_n^2 I is singular,
+        # so the factor carries jitter and cond(K_y) >= 1e8.  Each gradient
+        # entry then cancels terms ~1e8 times its size in both routes, so it
+        # is compared relative to the magnitude of those terms
+        rng = np.random.default_rng(5)
+        sq = _sq_dists(np.repeat(rng.standard_normal((8, 2)), 2, axis=0))
+        y = rng.standard_normal(16)
+        log_params = np.array([log_l, 0.0, np.log(1e-9)])
+        k = np.exp(-sq / (2 * np.exp(2 * log_l))) + 1e-18 * np.eye(16)
+        assert _jittered_cho(k)[1] > 0.0
+        value, grad = _evidence_and_grad(sq, y, log_params, None)
+        ref_value, ref_grad, scales = _oracle_evidence_and_grad(sq, y, log_params, None)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-10 * scales)
+
+
+class TestJitteredCho:
+    def test_factor_reproduces_matrix(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((20, 20))
+        mat = a @ a.T + 0.5 * np.eye(20)
+        (c, lower), jitter = _jittered_cho(mat)
+        assert lower and jitter == 0.0
+        assert np.array_equal(np.triu(c, 1), np.zeros((20, 20)))
+        assert np.allclose(c @ c.T, mat, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(cho_solve((c, lower), mat[:, 0]),
+                              cho_solve(_oracle_jittered_cho(mat)[0], mat[:, 0]))
+
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_rank_deficient_jitter_as_reference(self, rank):
+        rng = np.random.default_rng(rank)
+        b = rng.standard_normal((10, rank))
+        mat = b @ b.T
+        (c, _), jitter = _jittered_cho(mat)
+        (ref_c, _), ref_jitter = _oracle_jittered_cho(mat)
+        assert jitter > 0.0 and jitter == ref_jitter
+        assert np.array_equal(np.tril(c), np.tril(ref_c))
+        assert np.allclose(c @ c.T, mat + jitter * np.eye(10), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shift", [-1e-7, -1e-6])
+    def test_later_rungs_as_reference(self, shift):
+        # a negative eigenvalue needs jitter past the first rung
+        mat = np.ones((4, 4)) + shift * np.eye(4)
+        assert _jittered_cho(mat)[1] == _oracle_jittered_cho(mat)[1] > 1e-8
+
+    def test_not_positive_definite(self):
+        with pytest.raises(NumericalError):
+            _jittered_cho(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises_as_reference(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(ValueError) as ref:
+            _oracle_jittered_cho(mat)
+        with pytest.raises(ValueError) as err:
+            _jittered_cho(mat)
+        assert str(err.value) == str(ref.value)
 
 
 class TestFitHyperparams:
