@@ -4,7 +4,8 @@ Usage: otrf <kind> --config run.cfg [--seed N] [--out-dir DIR] [--threads K]
 
 The config file uses key=value sections; every resolved value is echoed to
 config.echo next to summary.json and trials.csv.  Exit codes: 0 success,
-2 configuration problems, 3 numerical failure.
+2 the config or a data file was rejected, 3 the run failed after its config
+was accepted (numerical failure, overflow, out of memory).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import NumericalError
 from .experiments import EXPERIMENT_KINDS, ConfigError, parse_config_file, run
 
 
@@ -47,11 +47,11 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(args.config, overrides)
         summary = run(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for key in sorted(summary["results"]) if isinstance(summary["results"], dict) else []:
         print(f"{key}: {summary['results'][key]}")

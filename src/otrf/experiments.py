@@ -35,13 +35,29 @@ class ConfigError(ValueError):
     """Invalid or unusable experiment configuration."""
 
 
-# the least value of each count; a sampled graph needs two nodes to have no
-# isolated node, and a sigma coupling matches at least two quantiles
-_MINIMUM = {
-    "trials": 1, "splits": 1, "steps": 1, "mc_samples": 1, "walkers": 1, "n_points": 1,
-    "dim": 1, "max_points": 1, "graph_nodes": 2, "train_nodes": 2, "n_quantiles": 2,
-    "walks_per_quantile": 1,
+# each numeric key's interval, checked in table order (a tuple entry by entry).
+# A graph needs two nodes to have no isolated node, a sigma coupling two
+# quantiles; counts stop at 1e6, ~300x the largest a shipped config sets; an
+# exact GP fits at most 256 points.  GraphKernelSpec checks the kernel_* keys.
+_RANGES = {
+    "seed": "[0, inf)", "trials": "[1, 1e6]", "n_points": "[1, 1e6]", "dim": "[1, 1e6]",
+    "splits": "[1, 1e6]", "max_points": "[1, 256]", "lengthscale": "(0, inf)",
+    "output_scale": "(0, inf)", "noise_scale": "[0, inf)", "m_values": "[1, 1e6]",
+    "fit_steps": "[1, 5000]", "graph_nodes": "[2, 1e6]", "edge_prob": "(0, 1]",
+    "p_halt_values": "(0, 1)", "n_quantiles": "[2, 1e6]", "walkers": "[1, 1e6]",
+    "walks_per_quantile": "[1, 1e6]", "train_nodes": "[2, 1e6]", "train_edge_prob": "(0, 1]",
+    "steps": "[1, 1e6]", "mc_samples": "[1, 1e6]", "lr": "(0, inf)",
 }
+
+
+def _check_range(key: str, value, interval: str) -> None:
+    """Reject a value outside an interval written like "[1, 1e6]" or "(0, inf)"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    if not (above and (value <= high if interval[-1] == "]" else value < high)):
+        raise ConfigError(f"{key} must lie in {interval}, got {value}")
+
+
 # attention-bench splits its trials into at most this many reps
 _MAX_REPS = 10
 
@@ -99,20 +115,18 @@ class ExperimentConfig:
             raise ConfigError("coupling list must be nonempty")
         if not self.p_halt_values:
             raise ConfigError("p_halt grid must be nonempty")
-        bad = [p for p in self.p_halt_values if not 0 < p < 1]
-        if bad:
-            raise ConfigError(f"p_halt_values must lie in (0, 1), got {bad}")
-        for key in ("edge_prob", "train_edge_prob"):
-            if not 0 < getattr(self, key) <= 1:
-                raise ConfigError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
-        if not 1 <= self.fit_steps <= 5000:
-            raise ConfigError(f"fit_steps must lie in [1, 5000], got {self.fit_steps}")
-        for key, low in _MINIMUM.items():
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        bad = [m for m in self.m_values if m < 1]
-        if bad:
-            raise ConfigError(f"m_values must be >= 1, got {bad}")
+        # attention-bench has no targets to fit a GP to
+        policies = ("rlf", "auto") if self.kind == "attention-bench" else ("gp", "rlf", "auto")
+        for key, interval in _RANGES.items():
+            value = getattr(self, key)
+            if key == "lengthscale":  # a policy name or a number
+                try:
+                    value = () if value in policies else float(value)
+                except ValueError:
+                    raise ConfigError(f"lengthscale: {self.kind} takes {list(policies)} or a "
+                                      f"number, not {value!r}") from None
+            for entry in value if isinstance(value, tuple) else (value,):
+                _check_range(key, entry, interval)
         se_key = kind.se_count
         if se_key and getattr(self, se_key) < 2:
             raise ConfigError(
@@ -130,21 +144,6 @@ class ExperimentConfig:
             )
         if self.source in ("csv", "graph-file") and self.path is None:
             raise ConfigError(f"path: source {self.source!r} needs a path")
-        # attention-bench has no targets to fit a GP to
-        policies = ("rlf", "auto") if self.kind == "attention-bench" else ("gp", "rlf", "auto")
-        if self.lengthscale not in policies:
-            try:
-                fixed = float(self.lengthscale)
-            except ValueError:
-                raise ConfigError(f"lengthscale: {self.kind} takes {list(policies)} or a "
-                                  f"number, not {self.lengthscale!r}") from None
-            if not 0 < fixed < np.inf:
-                raise ConfigError(f"lengthscale must be finite and > 0, got {fixed}")
-        for key in ("output_scale", "lr"):
-            if not 0 < getattr(self, key) < np.inf:
-                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
-        if not 0 <= self.noise_scale < np.inf:
-            raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         for f_name in self.featurizers:
             if f_name not in ("rff", "rlf"):
                 raise ConfigError(f"unknown featurizer {f_name!r}")
@@ -340,7 +339,10 @@ def _normalized_summary(cfg: ExperimentConfig, grid, metric: str, mean_key: str)
 def _read_csv(cfg: ExperimentConfig):
     """The csv's features and targets (None without ``target``), once its
     feature count is checked against the ensemble sizes."""
-    X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
+    try:
+        X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
+    except ValueError as exc:
+        raise ConfigError(f"path: {exc}") from None
     if X.shape[1] == 0:
         raise ConfigError(f"path: {cfg.path} has no feature columns")
     cfg.check_ensemble_sizes(X.shape[1])
@@ -463,7 +465,10 @@ def run_copula_train(cfg: ExperimentConfig):
 
 def _graph_for(cfg: ExperimentConfig, label: str, nodes: int, edge_prob: float):
     if cfg.source == "graph-file":
-        return graphmod.GraphData.from_file(cfg.path)
+        try:
+            return graphmod.GraphData.from_file(cfg.path)
+        except ValueError as exc:
+            raise ConfigError(f"path: {exc}") from None
     return graphmod.erdos_renyi(nodes, edge_prob, _rng(cfg.seed, label))
 
 
@@ -516,16 +521,15 @@ def _sigma_couplings(cfg: ExperimentConfig, label: str, solve) -> dict:
         )
         trained = _train_sigmas(cfg, train_graph, label, solve)
         return {round(p, 10): c for p, c in zip(cfg.p_halt_values, trained)}
-    out = {}
-    for item in json.loads(Path(cfg.sigma_path).read_text()):
-        try:
-            c = graphmod.SigmaCoupling.from_json(json.dumps(item))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed coupling in {cfg.sigma_path}: {exc!r}") from None
-        out[round(c.p_halt, 10)] = c
+    try:
+        items = json.loads(Path(cfg.sigma_path).read_text())
+        loaded = (graphmod.SigmaCoupling.from_json(json.dumps(item)) for item in items)
+        out = {round(c.p_halt, 10): c for c in loaded}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sigma_path: malformed couplings in {cfg.sigma_path}: {exc!r}") from None
     missing = [p for p in cfg.p_halt_values if round(p, 10) not in out]
     if missing:
-        raise ConfigError(f"sigma file lacks couplings for p_halt {missing}")
+        raise ConfigError(f"sigma_path: {cfg.sigma_path} lacks couplings for p_halt {missing}")
     return out
 
 

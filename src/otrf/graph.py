@@ -145,8 +145,8 @@ class GraphKernelSpec:
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.family == "p_step_random_walk" and self.p < 0:
             raise ValueError(f"p must be >= 0 for p_step_random_walk, got {self.p}")
-        if self.family == "p_step_random_walk" and not self.alpha >= 2:
-            raise ValueError(f"alpha must be >= 2 for p_step_random_walk, got {self.alpha}")
+        if self.family == "p_step_random_walk" and not 2 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must lie in [2, inf) for p_step_random_walk, got {self.alpha}")
         if self.family == "d_regularized_laplacian" and self.degree < 1:
             raise ValueError(f"degree must be >= 1 for d_regularized_laplacian, got {self.degree}")
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestCliProcess:
         monkeypatch.setitem(experiments._KINDS, "rf-bench", row)
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
         assert main(["rf-bench", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize(
+        "error", [MemoryError("cannot allocate"), OverflowError("too large"), ValueError("not PSD")]
+    )
+    def test_runner_failure_exit(self, tmp_path, monkeypatch, error, capsys):
+        # any failure after the config is accepted exits 3, a ValueError too
+        def boom(cfg):
+            raise error
+
+        row = experiments._KINDS["rf-bench"]._replace(runner=boom)
+        monkeypatch.setitem(experiments._KINDS, "rf-bench", row)
+        cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
+        assert main(["rf-bench", "--config", cfg_path]) == 3
+        assert f"{type(error).__name__}: {error}" in capsys.readouterr().err
 
     def test_determinism_across_threads(self, tmp_path):
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
@@ -396,6 +411,35 @@ class TestTrialBatching:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+TINY_EUCLIDEAN = dict(
+    seed=7, trials=2, n_points=8, dim=2, fit_steps=5, couplings="iid, orthogonal"
+)
+TINY_GRAPH = dict(
+    seed=4, trials=2, source="synthetic-graph", graph_nodes=6, edge_prob=0.5, train_nodes=6,
+    n_quantiles=2, walks_per_quantile=4, p_halt_values=0.3, couplings="iid, sigma",
+)
+# a tiny config of each kind, and the numeric keys the probe sets in it
+PROBE_BASES = {
+    "rf-bench": TINY_EUCLIDEAN,
+    "copula-train": dict(TINY_EUCLIDEAN, steps=2, mc_samples=1),
+    "gp-eval": dict(TINY_EUCLIDEAN, splits=2),
+    "attention-bench": dict(TINY_EUCLIDEAN, n_points=4),
+    "grf-bench": TINY_GRAPH,
+    "pagerank-bench": TINY_GRAPH,
+}
+PROBE_KEYS = {
+    "rf-bench": ("seed", "threads", "trials", "n_points", "dim", "max_points", "lengthscale",
+                 "output_scale", "noise_scale", "m_values", "fit_steps"),
+    "copula-train": ("steps", "mc_samples", "lr"),
+    "gp-eval": ("trials", "splits", "n_points", "max_points", "fit_steps"),
+    "attention-bench": ("trials", "n_points", "dim", "lengthscale", "m_values"),
+    "grf-bench": ("trials", "graph_nodes", "edge_prob", "kernel_sigma", "kernel_degree",
+                  "kernel_alpha", "kernel_p", "p_halt_values", "n_quantiles", "walkers",
+                  "walks_per_quantile", "train_nodes", "train_edge_prob"),
+    "pagerank-bench": ("trials", "graph_nodes", "walkers", "walks_per_quantile", "n_quantiles"),
+}
+
+
 class TestBadInputExits:
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
     @pytest.mark.parametrize(
@@ -418,6 +462,19 @@ class TestBadInputExits:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    def test_sigma_file_not_json(self, tmp_path, kind, capsys):
+        sigma_file = tmp_path / "sigma.json"
+        sigma_file.write_text('[{"sigma": [2, 1],')
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings="iid, sigma", graph=f"sigma_path = {sigma_file}",
+            p_halt_values="0.3",
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"sigma_path: malformed couplings in {sigma_file}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("p_halt", ["0.0", "1.0"])
     def test_antithetic_p_halt_outside_open_interval(self, tmp_path, p_halt, capsys):
         text = GRAPH_BENCH.format(
@@ -431,7 +488,7 @@ class TestBadInputExits:
     def test_zero_trials(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF.replace("trials = 20", "trials = 0"))
         assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
-        assert "trials must be >= 1" in capsys.readouterr().err
+        assert "trials must lie in [1, 1e6], got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -541,20 +598,27 @@ class TestBadInputExits:
         text = BASE_RF.replace("rf-bench", "copula-train") + f"\n[copula]\n{key} = 0\n"
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main(["copula-train", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
-        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert f"{key} must lie in [1, 1e6], got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
     @pytest.mark.parametrize(
         "couplings, graph, message",
         [
-            ("iid", "walkers = 0", "walkers must be >= 1"),
-            ("iid", "graph_nodes = 0", "graph_nodes must be >= 2"),
-            ("iid", "graph_nodes = 1", "graph_nodes must be >= 2"),
-            ("iid, sigma", "train_nodes = 0", "train_nodes must be >= 2"),
-            ("iid, sigma", "n_quantiles = 1", "n_quantiles must be >= 2"),
-            ("iid, sigma", "walks_per_quantile = 0", "walks_per_quantile must be >= 1"),
+            ("iid", "walkers = 0", "walkers must lie in [1, 1e6], got 0"),
+            ("iid", "graph_nodes = 0", "graph_nodes must lie in [2, 1e6], got 0"),
+            ("iid", "graph_nodes = 1", "graph_nodes must lie in [2, 1e6], got 1"),
+            ("iid, sigma", "train_nodes = 0", "train_nodes must lie in [2, 1e6], got 0"),
+            ("iid, sigma", "n_quantiles = 1", "n_quantiles must lie in [2, 1e6], got 1"),
+            ("iid, sigma", "walks_per_quantile = 0",
+             "walks_per_quantile must lie in [1, 1e6], got 0"),
         ],
+        # the ids the cases were first collected under, kept so their names stay stable
+        ids=["iid-walkers = 0-walkers must be >= 1", "iid-graph_nodes = 0-graph_nodes must be >= 2",
+             "iid-graph_nodes = 1-graph_nodes must be >= 2",
+             "iid, sigma-train_nodes = 0-train_nodes must be >= 2",
+             "iid, sigma-n_quantiles = 1-n_quantiles must be >= 2",
+             "iid, sigma-walks_per_quantile = 0-walks_per_quantile must be >= 1"],
     )
     def test_graph_bench_bad_count(self, tmp_path, kind, couplings, graph, message, capsys):
         # rejected before a graph is sampled or a coupling trained; one node
@@ -619,9 +683,9 @@ class TestBadInputExits:
         "kind, old, new, message",
         [
             ("rf-bench", "dim = 4", "dim = 4\n\n[grid]\nm_values = 4, 0",
-             "m_values must be >= 1, got [0]"),
-            ("rf-bench", "n_points = 24", "n_points = 0", "n_points must be >= 1, got 0"),
-            ("rf-bench", "dim = 4", "dim = 0", "dim must be >= 1, got 0"),
+             "m_values must lie in [1, 1e6], got 0"),
+            ("rf-bench", "n_points = 24", "n_points = 0", "n_points must lie in [1, 1e6], got 0"),
+            ("rf-bench", "dim = 4", "dim = 0", "dim must lie in [1, 1e6], got 0"),
             ("rf-bench", "fit_steps = 60", "fit_steps = 0",
              "fit_steps must lie in [1, 5000], got 0"),
             ("attention-bench", "fit_steps = 60", "fit_steps = 60\nlengthscale = gp",
@@ -633,36 +697,36 @@ class TestBadInputExits:
             ("pagerank-bench", "edge_prob = 0.4", "edge_prob = 0.4\ntrain_edge_prob = 0",
              "train_edge_prob must lie in (0, 1], got 0.0"),
             ("attention-bench", "fit_steps = 60", "lengthscale = -1",
-             "lengthscale must be finite and > 0, got -1.0"),
+             "lengthscale must lie in (0, inf), got -1.0"),
             ("attention-bench", "fit_steps = 60", "lengthscale = 0",
-             "lengthscale must be finite and > 0, got 0.0"),
+             "lengthscale must lie in (0, inf), got 0.0"),
             ("attention-bench", "fit_steps = 60", "lengthscale = nan",
-             "lengthscale must be finite and > 0, got nan"),
+             "lengthscale must lie in (0, inf), got nan"),
             ("attention-bench", "fit_steps = 60", "lengthscale = inf",
-             "lengthscale must be finite and > 0, got inf"),
+             "lengthscale must lie in (0, inf), got inf"),
             ("rf-bench", "fit_steps = 60", "lengthscale = -2",
-             "lengthscale must be finite and > 0, got -2.0"),
+             "lengthscale must lie in (0, inf), got -2.0"),
             ("rf-bench", "n_points = 24", "n_points = 24\nmax_points = 0",
-             "max_points must be >= 1, got 0"),
+             "max_points must lie in [1, 256], got 0"),
             ("rf-bench", "fit_steps = 60", "output_scale = 0",
-             "output_scale must be finite and > 0, got 0.0"),
+             "output_scale must lie in (0, inf), got 0.0"),
             ("rf-bench", "fit_steps = 60", "lengthscale = 1\noutput_scale = nan",
-             "output_scale must be finite and > 0, got nan"),
+             "output_scale must lie in (0, inf), got nan"),
             ("rf-bench", "fit_steps = 60", "lengthscale = 1\nnoise_scale = -0.1",
-             "noise_scale must be finite and >= 0, got -0.1"),
+             "noise_scale must lie in [0, inf), got -0.1"),
             ("rf-bench", "fit_steps = 60", "noise_scale = inf",
-             "noise_scale must be finite and >= 0, got inf"),
+             "noise_scale must lie in [0, inf), got inf"),
             ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = nan",
-             "lr must be finite and > 0, got nan"),
+             "lr must lie in (0, inf), got nan"),
             ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = 0",
-             "lr must be finite and > 0, got 0.0"),
+             "lr must lie in (0, inf), got 0.0"),
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_family = bogus",
              "kernel_family must be one of ['d_regularized_laplacian', "),
             ("sigma-train", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_degree = 0",
              "kernel_degree must be >= 1 for d_regularized_laplacian, got 0"),
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_alpha = 1.5",
-             "kernel_alpha must be >= 2 for p_step_random_walk, got 1.5"),
+             "kernel_alpha must lie in [2, inf) for p_step_random_walk, got 1.5"),
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_sigma = nan",
              "kernel_sigma must be finite, got nan"),
             ("grf-bench", "edge_prob = 0.4",
@@ -737,7 +801,39 @@ class TestBadInputExits:
         text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 0")
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
-        assert "splits must be >= 1" in capsys.readouterr().err
+        assert "splits must lie in [1, 1e6], got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            (kind, key, value)
+            for kind, keys in PROBE_KEYS.items()
+            for key in keys
+            for value in ("nan", "inf", "-1", "0", "huge")
+        ],
+    )
+    def test_probe_every_numeric_key(self, tmp_path, kind, key, value, capsys):
+        # each case exits 0, or 2 naming the key before any output, or 3;
+        # an exception that escapes main (exit 1) fails the case
+        fields = dict(PROBE_BASES[kind], kind=kind)
+        if key in ("kernel_alpha", "kernel_p"):
+            fields["kernel_family"] = "p_step_random_walk"
+        if key in ("output_scale", "noise_scale"):
+            fields["lengthscale"] = "1.0"
+        if value == "huge":
+            ftype = typing.get_type_hints(ExperimentConfig)[key]
+            value = str(10**12) if int in (ftype, *typing.get_args(ftype)) else "1e300"
+        fields[key] = value
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{k} = {fields[k]}\n" for k in keys if k in fields)
+            for section, keys in experiments._SECTION_FIELDS.items()
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        code = main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 def _run_rows(tmp_path, **fields):
