@@ -38,7 +38,8 @@ class ConfigError(ValueError):
 # each numeric key's interval, checked in table order (a tuple entry by entry).
 # A graph needs two nodes to have no isolated node, a sigma coupling two
 # quantiles; counts stop at 1e6, ~300x the largest a shipped config sets; an
-# exact GP fits at most 256 points.  GraphKernelSpec checks the kernel_* keys.
+# exact GP fits at most 256 points; Adam moves theta by about lr per step, so
+# lr <= 1 bounds |theta|.  The kernel_* keys are checked with the kernel.
 _RANGES = {
     "seed": "[0, inf)", "trials": "[1, 1e6]", "n_points": "[1, 1e6]", "dim": "[1, 1e6]",
     "splits": "[1, 1e6]", "max_points": "[1, 256]", "lengthscale": "(0, inf)",
@@ -46,7 +47,7 @@ _RANGES = {
     "fit_steps": "[1, 5000]", "graph_nodes": "[2, 1e6]", "edge_prob": "(0, 1]",
     "p_halt_values": "(0, 1)", "n_quantiles": "[2, 1e6]", "walkers": "[1, 1e6]",
     "walks_per_quantile": "[1, 1e6]", "train_nodes": "[2, 1e6]", "train_edge_prob": "(0, 1]",
-    "steps": "[1, 1e6]", "mc_samples": "[1, 1e6]", "lr": "(0, inf)",
+    "steps": "[1, 1e6]", "mc_samples": "[1, 1e6]", "lr": "(0, 1]",
 }
 
 
@@ -60,6 +61,10 @@ def _check_range(key: str, value, interval: str) -> None:
 
 # attention-bench splits its trials into at most this many reps
 _MAX_REPS = 10
+
+# the kernel_* keys each graph kernel family reads; inverse_cosine reads none
+_KERNEL_KEYS = {"d_regularized_laplacian": ("sigma", "degree"), "diffusion": ("sigma",),
+                "p_step_random_walk": ("alpha", "p")}
 
 
 @dataclass
@@ -159,9 +164,18 @@ class ExperimentConfig:
         # a kind that reads a graph builds its kernel; the others draw ensembles
         if "synthetic-graph" in kind.sources:
             try:
-                _graph_kernel_spec(self)
+                spec = _graph_kernel_spec(self)
             except ValueError as exc:
                 raise ConfigError(f"kernel_{exc}") from None
+            # the modulation takes the lead coefficient's square root, and the
+            # sigma cost squares kernel-sized dot products
+            with np.errstate(all="ignore"):
+                coeffs = graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT)
+                bounded = coeffs[0] > 0 and np.isfinite(np.sum(np.abs(coeffs)) ** 2)
+            if not bounded:
+                keys = [f"kernel_{k} = {getattr(spec, k)}" for k in _KERNEL_KEYS[spec.family]]
+                raise ConfigError(f"{', '.join(keys)}: the {spec.family} kernel's walk "
+                                  "expansion overflows or vanishes")
         elif self.source == "synthetic":
             self.check_ensemble_sizes(self.dim)
 

@@ -49,22 +49,12 @@ class GraphData:
         self.degrees = degrees
         inv_sqrt = 1.0 / np.sqrt(degrees)
         self.adjacency_norm = W * inv_sqrt[:, None] * inv_sqrt[None, :]
-        # CSR neighbour structure for walking
-        indptr = [0]
-        indices = []
-        for u in range(self.n_nodes):
-            nbrs = np.flatnonzero(W[u] > 0)
-            indices.extend(nbrs.tolist())
-            indptr.append(len(indices))
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.neighbor_counts = np.diff(self.indptr)
-        self.anorm_data = self.adjacency_norm[
-            np.repeat(np.arange(self.n_nodes), self.neighbor_counts), self.indices
-        ]
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+        # CSR neighbour structure; a walk stepping along edge e = (u, v)
+        # multiplies its weight by step_weight[e] = a_uv deg(u)
+        sources, self.indices = np.nonzero(W > 0)
+        self.neighbor_counts = counts = np.bincount(sources, minlength=self.n_nodes)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.step_weight = self.adjacency_norm[sources, self.indices] * counts[sources]
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "GraphData":
@@ -126,8 +116,8 @@ class GraphKernelSpec:
 
     Families: ``d_regularized_laplacian`` (I + sigma^2 L)^-degree,
     ``p_step_random_walk`` (alpha I - L)^p with alpha >= 2, ``diffusion``
-    exp(-sigma^2 L / 2), and ``inverse_cosine`` cos(L pi/4).  ``normalized``
-    selects the normalised Laplacian (required for walk expansions).
+    exp(-sigma^2 L / 2), and ``inverse_cosine`` cos(L pi/4), all of the
+    normalised Laplacian L.
     """
 
     family: str
@@ -135,7 +125,6 @@ class GraphKernelSpec:
     degree: int = 1
     alpha: float = 2.0
     p: int = 1
-    normalized: bool = True
 
     def __post_init__(self):
         # each message starts with the field it names
@@ -152,15 +141,15 @@ class GraphKernelSpec:
 
 
 def exact_graph_kernel(g: GraphData, spec: GraphKernelSpec) -> np.ndarray:
-    """Kernel matrix via symmetric eigendecomposition of the Laplacian."""
-    lap = normalized_laplacian(g) if spec.normalized else laplacian(g)
-    evals, evecs = np.linalg.eigh(lap)
+    """Kernel matrix via eigendecomposition of the normalised Laplacian."""
+    evals, evecs = np.linalg.eigh(normalized_laplacian(g))
+    sigma_sq = np.float64(spec.sigma) ** 2
     if spec.family == "d_regularized_laplacian":
-        fn = (1.0 + spec.sigma**2 * evals) ** (-spec.degree)
+        fn = (1.0 + sigma_sq * evals) ** (-spec.degree)
     elif spec.family == "p_step_random_walk":
         fn = (spec.alpha - evals) ** spec.p
     elif spec.family == "diffusion":
-        fn = np.exp(-spec.sigma**2 * evals / 2.0)
+        fn = np.exp(-sigma_sq * evals / 2.0)
     else:  # inverse_cosine
         fn = np.cos(evals * np.pi / 4.0)
     K = (evecs * fn) @ evecs.T
@@ -173,15 +162,14 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
     Regularised-Laplacian and diffusion families have nonnegative
     coefficients; the inverse-cosine expansion alternates in sign.
     """
-    if not spec.normalized:
-        raise ValueError("walk expansions require the normalised Laplacian")
     k = np.arange(max_order + 1)
+    sigma_sq = np.float64(spec.sigma) ** 2
     if spec.family == "d_regularized_laplacian":
-        rho = spec.sigma**2 / (1.0 + spec.sigma**2)
-        lead = (1.0 + spec.sigma**2) ** (-spec.degree)
+        rho = sigma_sq / (1.0 + sigma_sq)
+        lead = (1.0 + sigma_sq) ** (-spec.degree)
         return lead * comb(k + spec.degree - 1, spec.degree - 1) * rho**k
     if spec.family == "diffusion":
-        gamma_sq = spec.sigma**2 / 2.0
+        gamma_sq = sigma_sq / 2.0
         out = np.empty(max_order + 1)
         out[0] = np.exp(-gamma_sq)
         for i in range(1, max_order + 1):
@@ -326,21 +314,20 @@ def batch_walk_lengths(n_walks: int, p_halt: float, rng,
 # ---------------------------------------------------------------------------
 # Batched walking (all walkers stepped in parallel)
 
-# uniforms a step schedule holds at once; it draws the step streams in
-# rounds of as many steps as fit
+# uniforms a walk holds at once; it draws the step streams in rounds of as
+# many steps as fit
 _STREAM_BUDGET = 1 << 15
 
 
-def _step_schedule(steps: np.ndarray, rngs: list):
-    """Yield ``(t, idx, u)`` for t = 1, 2, ...: the walks that take step t
-    and one uniform for each.
+def _walk(g: GraphData, cur: np.ndarray, steps: np.ndarray, rngs: list):
+    """Step walk w from node ``cur[w]`` to a uniform neighbour ``steps[w]``
+    times, in place; after step t yield ``(t, idx, pick)``: the walks that
+    took it and the CSR edges they took (``cur[idx] == g.indices[pick]``).
 
-    ``steps[w]`` is the number of steps walk w takes; the walks form
-    ``len(rngs)`` equal blocks in trial order.  Trial i's uniforms come
-    from ``rngs[i]`` in step order and, within a step, in walk order: the
-    stream that one ``rngs[i].random`` call per step would give, since
-    consecutive ``random`` calls of a generator concatenate.  The streams
-    are drawn a round of steps at a time, with one call per trial per round.
+    The walks form ``len(rngs)`` equal blocks in trial order.  Trial i's
+    uniforms come from ``rngs[i]`` in step order and, within a step, in walk
+    order: the stream of one ``rngs[i].random`` call per step, drawn a round
+    of steps at a time with one call per trial per round.
     """
     n_trials = len(rngs)
     per_trial = _trial_block(steps.size, n_trials)
@@ -371,7 +358,10 @@ def _step_schedule(steps: np.ndarray, rngs: list):
                 # next unread one plus its rank among the trial's active walks
                 first = np.cumsum(counts) - counts
                 u = stream[np.repeat(start - first, counts) + ranks[: idx.size]]
-            yield t, idx, u
+            nodes = cur[idx]
+            pick = g.indptr[nodes] + (u * g.neighbor_counts[nodes]).astype(np.int64)
+            cur[idx] = g.indices[pick]
+            yield t, idx, pick
             start += counts
             idx = idx[steps[idx] > t]
 
@@ -385,12 +375,20 @@ def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
     call with ``rng[i]`` and that block's starts and lengths ends.
     """
     cur = np.asarray(starts, dtype=np.int64).copy()
-    lengths = np.asarray(lengths, dtype=np.int64)
-    for _, idx, u in _step_schedule(lengths, _trial_rngs(rng)):
-        nodes = cur[idx]
-        pick = g.indptr[nodes] + (u * g.neighbor_counts[nodes]).astype(np.int64)
-        cur[idx] = g.indices[pick]
+    for _ in _walk(g, cur, np.asarray(lengths, dtype=np.int64), _trial_rngs(rng)):
+        pass
     return cur
+
+
+def _quantile_walks(n_nodes: int, order: int, p_halt: float, per_node: int, rng):
+    """Yield ``(q, starts, lengths)`` for tiles q = 0, ..., order - 1: ``per_node``
+    walks from each node, whose lengths are geometric quantiles of uniforms in
+    [q/order, (q+1)/order) from one ``rng.random`` call when tile q is reached."""
+    gp = GeometricParams(p_halt)
+    starts = np.repeat(np.arange(n_nodes), per_node)
+    for q in range(order):
+        u = (q + rng.random(starts.size)) / order
+        yield q, starts, np.asarray(geometric_inv_cdf(u, gp))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +412,10 @@ def erdos_renyi(n_nodes: int, p_edge: float, rng) -> GraphData:
 
 
 def _is_connected(W: np.ndarray) -> bool:
-    n = W.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(W[u] > 0):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(np.all(seen))
+    """Breadth-first search from node 0, one whole frontier per step."""
+    seen = np.zeros(W.shape[0], dtype=bool)
+    frontier = np.arange(W.shape[0]) == 0
+    while frontier.any():
+        seen |= frontier
+        frontier = (W[frontier] > 0).any(axis=0) & ~seen
+    return bool(seen.all())

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphData, _step_schedule, batch_walk_lengths, coupling_tag
-from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
+from .graph import GraphData, _quantile_walks, _walk, batch_walk_lengths, coupling_tag
+from .mathcore import _trial_rngs, ensure_rng
 
 K_MAX_DEFAULT = 64
 
@@ -105,20 +105,14 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
     add no load and draw no uniform.
     """
     global _truncations
-    survival = 1.0 - p_halt
     cur = np.asarray(starts, dtype=np.int64).copy()
     lengths = np.asarray(lengths, dtype=np.int64)
     _truncations += int(np.count_nonzero(lengths > f.k_max))
     weight = np.ones(cur.size)
     np.add.at(out, (row_of_walk, cur), f(0))
-    for t, idx, u in _step_schedule(np.minimum(lengths, f.k_max), _trial_rngs(rng)):
-        nodes = cur[idx]
-        deg = g.neighbor_counts[nodes]
-        pick = g.indptr[nodes] + (u * deg).astype(np.int64)
-        nxt = g.indices[pick]
-        weight[idx] *= g.anorm_data[pick] * deg / survival
-        cur[idx] = nxt
-        np.add.at(out, (row_of_walk[idx], nxt), weight[idx] * f(t))
+    for t, idx, pick in _walk(g, cur, np.minimum(lengths, f.k_max), _trial_rngs(rng)):
+        weight[idx] *= g.step_weight[pick] / (1.0 - p_halt)
+        np.add.at(out, (row_of_walk[idx], cur[idx]), weight[idx] * f(t))
 
 
 def _node_features(g: GraphData, nodes, m: int, coupling, f: ModulationFn,
@@ -153,44 +147,24 @@ def grf_feature_matrix(g: GraphData, m: int, coupling, f: ModulationFn,
     return feats if isinstance(rng, list) else feats[0]
 
 
-@dataclass
-class QuantileProjection:
-    """Estimated mean projections per (node, length-quantile).
-
-    ``psi_hat[i, q]`` estimates the projection of a walk from node i whose
-    length is drawn from the qth of ``order`` equal-probability quantiles
-    of the geometric length distribution, averaged over directions.
-    """
-
-    psi_hat: np.ndarray  # (n_nodes, order, n_nodes)
-    p_halt: float
-
-    @property
-    def order(self) -> int:
-        return self.psi_hat.shape[1]
-
-
 def estimate_quantile_projections(g: GraphData, order: int, p_halt: float,
                                   f: ModulationFn, walks_per_quantile: int,
-                                  rng) -> QuantileProjection:
+                                  rng) -> np.ndarray:
     """Monte Carlo estimate of per-quantile mean projections for all nodes.
 
-    For each quantile a uniform variate is drawn inside its tile, converted
-    to a length, and a fixed-length walk is projected; averaging over
-    ``walks_per_quantile`` draws estimates the tile-conditional mean.
+    Entry ``[i, q]`` of the (n_nodes, order, n_nodes) result estimates the
+    projection of a walk from node i whose length is drawn from the qth of
+    ``order`` equal-probability tiles of the geometric length distribution:
+    the mean over ``walks_per_quantile`` walks with lengths drawn by
+    :func:`otrf.graph._quantile_walks`.
     """
     if walks_per_quantile < 1:
         raise ValueError("walks_per_quantile must be >= 1")
     rng = ensure_rng(rng)
     n = g.n_nodes
-    gp = GeometricParams(p_halt)
     psi_hat = np.zeros((n, order, n))
-    starts = np.repeat(np.arange(n), walks_per_quantile)
-    rows = starts
-    for q in range(order):
-        u = (q + rng.random(n * walks_per_quantile)) / order
-        lengths = np.asarray(geometric_inv_cdf(u, gp))
-        out = np.zeros((n, n))
-        _projected_batch(g, starts, lengths, f, p_halt, rng, rows, out)
+    for q, starts, lengths in _quantile_walks(n, order, p_halt, walks_per_quantile, rng):
+        out = np.zeros((n, n))  # add.at runs faster here than on psi_hat[:, q, :]
+        _projected_batch(g, starts, lengths, f, p_halt, rng, starts, out)
         psi_hat[:, q, :] = out / walks_per_quantile
-    return QuantileProjection(psi_hat, p_halt)
+    return psi_hat

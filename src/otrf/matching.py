@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import GraphData, SigmaCoupling
-from .grf import ModulationFn, QuantileProjection, estimate_quantile_projections
+from .grf import ModulationFn, estimate_quantile_projections
 from .mathcore import ensure_rng
 
 
@@ -92,16 +92,15 @@ def build_sigma_cost_matrix(psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
 _PAIR_CHUNK = 50
 
 
-def averaged_sigma_cost_matrix(qp: QuantileProjection, max_pairs: int = 2000,
+def averaged_sigma_cost_matrix(psi: np.ndarray, max_pairs: int = 2000,
                                rng=None) -> np.ndarray:
-    """Cost matrix averaged over node pairs.
+    """Cost matrix averaged over node pairs of (n_nodes, order, dim) projections.
 
     The mean of :func:`build_sigma_cost_matrix` over every ordered node pair
     when the pair count is at most ``max_pairs``; above that, over a seeded
     uniform sample of ``max_pairs`` pairs.  Either way the pairs run through
     one batched contraction, a chunk of pairs at a time.
     """
-    psi = qp.psi_hat
     n_nodes = psi.shape[0]
     if n_nodes**2 <= max_pairs:
         rows, cols = np.divmod(np.arange(n_nodes**2), n_nodes)
@@ -128,8 +127,8 @@ def solve_sigma_coupling(g: GraphData, p_halt: float, order: int,
     if order < 2:
         raise ValueError("permutation order must be >= 2")
     rng = ensure_rng(rng)
-    qp = estimate_quantile_projections(g, order, p_halt, f, walks_per_quantile, rng)
-    cost = averaged_sigma_cost_matrix(qp, rng=rng)
+    psi = estimate_quantile_projections(g, order, p_halt, f, walks_per_quantile, rng)
+    cost = averaged_sigma_cost_matrix(psi, rng=rng)
     perm, _ = hungarian(cost)
     return SigmaCoupling(perm, p_halt)
 

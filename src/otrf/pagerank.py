@@ -16,12 +16,13 @@ from .errors import ConvergenceError
 from .graph import (
     GraphData,
     SigmaCoupling,
+    _quantile_walks,
     batch_walk_endpoints,
     batch_walk_lengths,
     coupling_tag,
 )
 from .matching import hungarian
-from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
+from .mathcore import _trial_rngs, ensure_rng
 
 
 @dataclass
@@ -56,11 +57,7 @@ class PageRankEstimate:
 
 def transition_matrix(g: GraphData) -> np.ndarray:
     """Row-stochastic uniform-neighbour transition matrix."""
-    P = np.zeros((g.n_nodes, g.n_nodes))
-    for u in range(g.n_nodes):
-        nbrs = g.neighbors(u)
-        P[u, nbrs] = 1.0 / len(nbrs)
-    return P
+    return (g.weights > 0) / g.neighbor_counts[:, None]
 
 
 def exact_pagerank(g: GraphData, p_halt: float) -> PageRankVector:
@@ -118,12 +115,8 @@ def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,
         raise ValueError("permutation order must be >= 2")
     rng = ensure_rng(rng)
     n = g.n_nodes
-    gp = GeometricParams(p_halt)
     profile = np.zeros((n, order, n))  # (start, quantile, end)
-    starts = np.repeat(np.arange(n), samples_per_quantile)
-    for q in range(order):
-        u = (q + rng.random(starts.size)) / order
-        lengths = np.asarray(geometric_inv_cdf(u, gp))
+    for q, starts, lengths in _quantile_walks(n, order, p_halt, samples_per_quantile, rng):
         ends = batch_walk_endpoints(g, starts, lengths, rng)
         np.add.at(profile, (starts, q, ends), 1.0)
     profile /= samples_per_quantile

@@ -551,7 +551,7 @@ def test_c12_jlt_and_random_projection_solver():
     for s in range(100):
         r = np.random.default_rng((seed, 7, s))
         g = graphmod.erdos_renyi(6, 0.5, r)
-        vectors = grf.estimate_quantile_projections(g, 5, 0.3, f, 20, r).psi_hat[0]
+        vectors = grf.estimate_quantile_projections(g, 5, 0.3, f, 20, r)[0]
         best = min(
             matching.quadratic_objective(vectors, np.array(p))
             for p in itertools.permutations(range(5))

@@ -717,9 +717,11 @@ class TestBadInputExits:
             ("rf-bench", "fit_steps = 60", "noise_scale = inf",
              "noise_scale must lie in [0, inf), got inf"),
             ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = nan",
-             "lr must lie in (0, inf), got nan"),
+             "lr must lie in (0, 1], got nan"),
             ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = 0",
-             "lr must lie in (0, inf), got 0.0"),
+             "lr must lie in (0, 1], got 0.0"),
+            ("copula-train", "fit_steps = 60", "fit_steps = 60\n\n[copula]\nlr = 1e300",
+             "lr must lie in (0, 1], got 1e+300"),
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_family = bogus",
              "kernel_family must be one of ['d_regularized_laplacian', "),
             ("sigma-train", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_degree = 0",
@@ -735,13 +737,24 @@ class TestBadInputExits:
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_p = -1",
              "kernel_p must be >= 0 for p_step_random_walk, got -1"),
+            ("grf-bench", "edge_prob = 0.4",
+             "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_alpha = 1e300",
+             "kernel_alpha = 1e+300, kernel_p = 1: the p_step_random_walk kernel's walk "
+             "expansion overflows or vanishes"),
+            ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_sigma = 1e300",
+             "kernel_sigma = 1e+300, kernel_degree = 2: the d_regularized_laplacian kernel's "
+             "walk expansion overflows or vanishes"),
+            ("sigma-train", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_degree = 1000000000000",
+             "kernel_sigma = 1.0, kernel_degree = 1000000000000: the d_regularized_laplacian "
+             "kernel's walk expansion overflows or vanishes"),
         ],
         ids=["m_values", "n_points", "dim", "fit_steps", "lengthscale", "edge_prob-0",
              "edge_prob-1.5", "train_edge_prob", "lengthscale-negative", "lengthscale-zero",
              "lengthscale-nan", "lengthscale-inf", "lengthscale-negative-rf-bench",
              "max_points", "output_scale-zero", "output_scale-nan", "noise_scale-negative",
-             "noise_scale-inf", "lr-nan", "lr-zero", "kernel_family", "kernel_degree",
-             "kernel_alpha", "kernel_sigma-nan", "kernel_sigma-inf", "kernel_p"],
+             "noise_scale-inf", "lr-nan", "lr-zero", "lr-huge", "kernel_family", "kernel_degree",
+             "kernel_alpha", "kernel_sigma-nan", "kernel_sigma-inf", "kernel_p",
+             "kernel_alpha-huge", "kernel_sigma-huge", "kernel_degree-huge"],
     )
     def test_value_out_of_range(self, tmp_path, kind, old, new, message, capsys):
         # m = 0 used to report the RMSE of a zero-feature estimate, n_points = 0
@@ -749,7 +762,9 @@ class TestBadInputExits:
         # naming "steps", edge_prob = 0 a thousand resamples, and
         # attention-bench ran the rlf heuristic for lengthscale = gp, -1 or 0;
         # a bad kernel scale, lr or graph kernel failed only after compute,
-        # or not at all, with a message naming no key
+        # or not at all, with a message naming no key; a huge lr diverged, and
+        # a finite kernel key whose walk expansion overflows failed after
+        # sampling the graph and training sigma
         if kind in ("grf-bench", "pagerank-bench", "sigma-train"):
             text = GRAPH_BENCH.format(
                 kind=kind, couplings="iid, sigma", graph="", p_halt_values="0.3"

@@ -65,6 +65,31 @@ def endpoint_oracle(g, starts, lengths, rng):
     return cur
 
 
+def csr_oracle(g):
+    """The per-node loop that once built the CSR arrays: (indptr, indices,
+    step weights a_uv deg(u))."""
+    indptr, indices, step_weight = [0], [], []
+    for u in range(g.n_nodes):
+        nbrs = np.flatnonzero(g.weights[u] > 0)
+        indices.extend(nbrs.tolist())
+        indptr.append(len(indices))
+        step_weight.extend(g.adjacency_norm[u, nbrs] * len(nbrs))
+    return np.array(indptr), np.array(indices), np.array(step_weight)
+
+
+def connected_oracle(W):
+    """Depth-first search from node 0, one neighbour at a time."""
+    seen = np.zeros(W.shape[0], dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        for v in np.flatnonzero(W[stack.pop()] > 0):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(np.all(seen))
+
+
 WALK_COUPLINGS = ["iid", "antithetic_termination", SigmaCoupling(np.array([2, 0, 3, 1]), 0.3)]
 
 
@@ -79,9 +104,20 @@ class TestGraphData:
 
     def test_neighbors_and_degrees(self):
         g = GraphData.from_edges(3, [(0, 1), (1, 2, 2.0)])
-        assert list(g.neighbors(1)) == [0, 2]
+        assert list(g.indices[g.indptr[1] : g.indptr[2]]) == [0, 2]
         assert g.degrees[1] == 3.0
         assert g.neighbor_counts[1] == 2
+
+    def test_csr_matches_per_node_loop(self):
+        rng = np.random.default_rng(22)
+        scale = rng.uniform(0.1, 3.0, (9, 9))
+        g = GraphData(erdos_renyi(9, 0.5, rng).weights * (scale + scale.T))
+        indptr, indices, step_weight = csr_oracle(g)
+        assert g.indptr.dtype == g.indices.dtype == g.neighbor_counts.dtype == np.int64
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert np.array_equal(g.neighbor_counts, np.diff(indptr))
+        assert np.array_equal(g.step_weight, step_weight)
 
     def test_file_round_trip(self, tmp_path):
         g = GraphData.from_edges(4, [(0, 1), (1, 2, 0.5), (2, 3), (0, 3, 2.0)])
@@ -215,11 +251,6 @@ class TestTaylorCoefficients:
         ):
             assert np.all(taylor_coefficients(spec, 30) >= 0)
 
-    def test_unnormalized_rejected(self):
-        spec = GraphKernelSpec("diffusion", sigma=1.0, normalized=False)
-        with pytest.raises(ValueError):
-            taylor_coefficients(spec, 10)
-
 
 class TestWalks:
     def test_fixed_length_zero(self):
@@ -292,10 +323,25 @@ class TestWalks:
         rng = np.random.default_rng(12)
         start = 3
         ends = batch_walk_endpoints(g, np.full(30_000, start), np.ones(30_000), rng)
-        nbrs = g.neighbors(start)
+        nbrs = g.indices[g.indptr[start] : g.indptr[start + 1]]
         counts = np.bincount(ends, minlength=12)[nbrs]
         assert stats.chisquare(counts).pvalue > 0.01
         assert counts.sum() == 30_000
+
+
+class TestQuantileWalks:
+    @pytest.mark.parametrize("p_halt", [0.05, 0.3, 0.9])
+    def test_lengths_lie_in_their_tile(self, p_halt):
+        # F(l) >= q/order and F(l - 1) < (q + 1)/order, with F(-1) = 0
+        gp = GeometricParams(p_halt)
+        order = 7
+        tiles = list(graph._quantile_walks(5, order, p_halt, 40, np.random.default_rng(23)))
+        assert [q for q, _, _ in tiles] == list(range(order))
+        for q, starts, lengths in tiles:
+            assert np.array_equal(starts, np.repeat(np.arange(5), 40))
+            below = np.where(lengths > 0, geometric_cdf(np.maximum(lengths - 1, 0), gp), 0.0)
+            assert np.all(geometric_cdf(lengths, gp) >= q / order)
+            assert np.all(below < (q + 1) / order)
 
 
 class TestCoupledLengths:
@@ -353,6 +399,17 @@ class TestAntitheticTermination:
 
 
 class TestSyntheticGraphs:
+    def test_connectivity_matches_depth_first_search(self):
+        rng = np.random.default_rng(24)
+        verdicts = []
+        for n, p in [(1, 0.5), (2, 0.5), (6, 0.2), (12, 0.15), (12, 0.3), (30, 0.1)]:
+            for _ in range(20):
+                W = np.triu(rng.random((n, n)) < p, k=1).astype(float)
+                W = W + W.T
+                verdicts.append(graph._is_connected(W))
+                assert verdicts[-1] == connected_oracle(W)
+        assert any(verdicts) and not all(verdicts)
+
     def test_connected(self):
         for seed in range(5):
             g = erdos_renyi(30, 0.08, np.random.default_rng(seed))

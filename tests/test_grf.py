@@ -57,7 +57,7 @@ def projection_oracle(g, starts, lengths, f, p_halt, rng, rows, out):
         nodes = cur[idx]
         deg = g.neighbor_counts[nodes]
         pick = g.indptr[nodes] + (rng.random(idx.size) * deg).astype(np.int64)
-        weight[idx] *= g.anorm_data[pick] * deg / (1.0 - p_halt)
+        weight[idx] *= g.adjacency_norm[nodes, g.indices[pick]] * deg / (1.0 - p_halt)
         cur[idx] = g.indices[pick]
         np.add.at(out, (rows[idx], cur[idx]), weight[idx] * f(t))
     return 0
@@ -270,10 +270,10 @@ class TestQuantileProjections:
     def test_degenerate_high_halt_tile(self):
         # with p_halt = 0.99 the first tiles contain only length-0 walks
         f = modulation_for(REG2)
-        qp = estimate_quantile_projections(TWO_PATH, 2, 0.99, f, 50, np.random.default_rng(11))
+        psi = estimate_quantile_projections(TWO_PATH, 2, 0.99, f, 50, np.random.default_rng(11))
         expected = np.zeros(2)
         expected[0] = f(0)
-        assert np.array_equal(qp.psi_hat[0, 0], expected)
+        assert np.array_equal(psi[0, 0], expected)
 
     def test_variance_halves_with_double_sampling(self):
         f = modulation_for(REG2, 16)
@@ -283,7 +283,7 @@ class TestQuantileProjections:
             vals = [
                 estimate_quantile_projections(
                     g, 3, 0.3, f, wpq, np.random.default_rng((13, wpq, r))
-                ).psi_hat[0, 2, 0]
+                )[0, 2, 0]
                 for r in range(reps)
             ]
             return np.var(vals, ddof=1)

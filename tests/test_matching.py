@@ -207,14 +207,11 @@ class TestSigmaCostMatrix:
     )
     def test_averaged_matches_explicit_loop(self, n_nodes, max_pairs):
         # 144 and 130 pairs run through more than one batched chunk
-        class FakeQP:
-            psi_hat = np.random.default_rng(5).standard_normal((n_nodes, 3, n_nodes))
-
-        batched = averaged_sigma_cost_matrix(FakeQP(), max_pairs=max_pairs, rng=8)
-        oracle = averaged_cost_loop(FakeQP.psi_hat, max_pairs, 8)
+        psi = np.random.default_rng(5).standard_normal((n_nodes, 3, n_nodes))
+        batched = averaged_sigma_cost_matrix(psi, max_pairs=max_pairs, rng=8)
+        oracle = averaged_cost_loop(psi, max_pairs, 8)
         assert np.allclose(batched, oracle, rtol=1e-12, atol=0)
         if n_nodes**2 <= max_pairs:
-            psi = FakeQP.psi_hat
             manual = sum(
                 build_sigma_cost_matrix(psi[i], psi[j])
                 for i in range(n_nodes)
@@ -223,11 +220,9 @@ class TestSigmaCostMatrix:
             assert np.allclose(batched, manual / n_nodes**2, rtol=1e-12, atol=0)
 
     def test_subsampled_average_tracks_full(self):
-        class FakeQP:
-            psi_hat = np.random.default_rng(6).standard_normal((10, 3, 6))
-
-        full = averaged_sigma_cost_matrix(FakeQP(), max_pairs=10_000)
-        sub = averaged_sigma_cost_matrix(FakeQP(), max_pairs=60, rng=7)
+        psi = np.random.default_rng(6).standard_normal((10, 3, 6))
+        full = averaged_sigma_cost_matrix(psi, max_pairs=10_000)
+        sub = averaged_sigma_cost_matrix(psi, max_pairs=60, rng=7)
         assert np.allclose(sub, sub.T)
         assert np.all(sub >= 0)
         assert np.linalg.norm(sub - full) / np.linalg.norm(full) < 0.5

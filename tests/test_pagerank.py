@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from otrf.graph import GraphData, SigmaCoupling, erdos_renyi
+from otrf import pagerank
+from otrf.graph import GraphData, SigmaCoupling, batch_walk_endpoints, erdos_renyi
+from otrf.matching import hungarian
+from otrf.mathcore import GeometricParams, geometric_inv_cdf
 from otrf.pagerank import (
     PageRankVector,
     exact_pagerank,
@@ -23,7 +26,36 @@ def dense_solve_oracle(g, p_halt):
     return x / x.sum()
 
 
+def profile_oracle(g, p_halt, order, samples, rng):
+    """The sigma trainer's (start, quantile, end) endpoint profile, with each
+    tile's lengths drawn by the loop the trainer once inlined."""
+    n = g.n_nodes
+    profile = np.zeros((n, order, n))
+    starts = np.repeat(np.arange(n), samples)
+    gp = GeometricParams(p_halt)
+    for q in range(order):
+        u = (q + rng.random(starts.size)) / order
+        lengths = np.asarray(geometric_inv_cdf(u, gp))
+        ends = batch_walk_endpoints(g, starts, lengths, rng)
+        np.add.at(profile, (starts, q, ends), 1.0)
+    return profile / samples
+
+
+def profile_cost(profile):
+    return np.einsum("jqi,jri->qr", profile, profile) / profile.shape[0]
+
+
 class TestExactPagerank:
+    def test_transition_matrix_matches_per_node_loop(self):
+        rng = np.random.default_rng(16)
+        scale = rng.uniform(0.1, 3.0, (8, 8))
+        g = GraphData(erdos_renyi(8, 0.4, rng).weights * (scale + scale.T))
+        P = np.zeros((8, 8))
+        for u in range(8):
+            nbrs = np.flatnonzero(g.weights[u] > 0)
+            P[u, nbrs] = 1.0 / len(nbrs)
+        assert np.array_equal(transition_matrix(g), P)
+
     def test_two_node_symmetry(self):
         g = GraphData(np.array([[0.0, 1.0], [1.0, 0.0]]))
         rho = exact_pagerank(g, 0.3).rho
@@ -105,25 +137,10 @@ class TestSolvePagerankSigma:
     def test_matches_exhaustive_small_order(self):
         import itertools
 
-        from otrf.matching import hungarian
-        from otrf.mathcore import GeometricParams, geometric_inv_cdf
-        from otrf.graph import batch_walk_endpoints
-
         g = erdos_renyi(12, 0.35, np.random.default_rng(10))
         order, samples, p_halt = 4, 400, 0.3
-        rng = np.random.default_rng(11)
         # reproduce the solver's cost construction, then compare optima
-        n = g.n_nodes
-        profile = np.zeros((n, order, n))
-        starts = np.repeat(np.arange(n), samples)
-        gp = GeometricParams(p_halt)
-        for q in range(order):
-            u = (q + rng.random(starts.size)) / order
-            lengths = np.asarray(geometric_inv_cdf(u, gp))
-            ends = batch_walk_endpoints(g, starts, lengths, rng)
-            np.add.at(profile, (starts, q, ends), 1.0)
-        profile /= samples
-        cost = np.einsum("jqi,jri->qr", profile, profile) / n
+        cost = profile_cost(profile_oracle(g, p_halt, order, samples, np.random.default_rng(11)))
         _, total = hungarian(cost)
         best = min(
             sum(cost[q, perm[q]] for q in range(order))
@@ -132,6 +149,34 @@ class TestSolvePagerankSigma:
         assert total == pytest.approx(best, abs=1e-12)
         coupling = solve_pagerank_sigma(g, p_halt, order, samples, np.random.default_rng(11))
         assert sorted(coupling.perm.tolist()) == list(range(order))
+
+    def test_profile_matches_tile_loop(self, monkeypatch):
+        # the walks the solver runs rebuild the oracle's profile exactly, and
+        # the matching sees the oracle's cost
+        g = erdos_renyi(9, 0.4, np.random.default_rng(14))
+        order, samples, p_halt = 5, 60, 0.2
+        walks, costs = [], []
+
+        def endpoints_spy(g, starts, lengths, rng):
+            ends = batch_walk_endpoints(g, starts, lengths, rng)
+            walks.append((starts, ends))
+            return ends
+
+        def hungarian_spy(cost):
+            costs.append(cost)
+            return hungarian(cost)
+
+        monkeypatch.setattr(pagerank, "batch_walk_endpoints", endpoints_spy)
+        monkeypatch.setattr(pagerank, "hungarian", hungarian_spy)
+        coupling = solve_pagerank_sigma(g, p_halt, order, samples, np.random.default_rng(15))
+        expected = profile_oracle(g, p_halt, order, samples, np.random.default_rng(15))
+        profile = np.zeros_like(expected)
+        for q, (starts, ends) in enumerate(walks):
+            np.add.at(profile, (starts, q, ends), 1.0)
+        assert len(walks) == order
+        assert np.array_equal(profile / samples, expected)
+        assert np.array_equal(costs[0], profile_cost(expected))
+        assert np.array_equal(coupling.perm, hungarian(profile_cost(expected))[0])
 
     def test_degenerate_high_halt_returns_valid_permutation(self):
         g = erdos_renyi(10, 0.4, np.random.default_rng(12))
