@@ -119,6 +119,15 @@ def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
     return u
 
 
+def _orthonormal_rows(gauss: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` sign-corrected QR directions of each d x d matrix
+    in the stack ``gauss``, as a (k, count, d) array; one stacked QR factors
+    each matrix as its own call would."""
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q[:, :, :count].transpose(0, 2, 1)
+
+
 def sample_orthogonal_directions(d: int, count: int, rng) -> np.ndarray:
     """``count`` pairwise-orthogonal unit vectors, jointly Haar-rotated.
 
@@ -131,57 +140,72 @@ def sample_orthogonal_directions(d: int, count: int, rng) -> np.ndarray:
     if count > d:
         raise ValueError(f"cannot draw {count} orthogonal directions in R^{d}")
     gauss = np.array([r.standard_normal((d, d)) for r in _trial_rngs(rng)])
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    return q[:, :, :count].transpose(0, 2, 1).reshape(-1, d)
+    return _orthonormal_rows(gauss, count).reshape(-1, d)
 
 
-def _pnc_norms(count: int, d: ChiParams, rngs: list) -> np.ndarray:
-    """Chi_d norms with negative-monotone coupling on consecutive pairs,
-    ``count`` per generator in trial order.
+def _norm_uniforms(count: int, d: int, spec: CouplingSpec):
+    """The draw half of :func:`sample_norms`: a function of one generator
+    that draws its uniforms for ``count`` norms under ``spec``.
 
-    F(w1) + F(w2) = 1 holds exactly by construction; an odd trailing norm
-    is left independent.
+    iid, halton and orthogonal draw ``count``; pnc draws one per pair, then
+    one for an odd trailing norm; positive_monotone one per block of d, one
+    at a time; copula maps a standard Gaussian z to clip(Phi(L z)).
     """
-    out = np.empty((len(rngs), count))
-    n_pairs = count // 2
-    if n_pairs:
-        u = np.array([_open_unit(r, n_pairs) for r in rngs])
-        out[:, 0 : 2 * n_pairs : 2] = chi_inv_cdf(u, d)
-        out[:, 1 : 2 * n_pairs : 2] = chi_inv_cdf(1.0 - u, d)
-    if count % 2:
-        out[:, -1] = chi_inv_cdf(np.concatenate([_open_unit(r, 1) for r in rngs]), d)
-    return out.ravel()
+    tag = spec.tag
+    if tag in ("orthogonal_pnc", "orthogonal_pnc_antithetic"):
+        if count % 2:
+            return lambda r: np.append(_open_unit(r, count // 2), _open_unit(r, 1))
+        return lambda r: _open_unit(r, count // 2)
+    if tag == "positive_monotone":
+        return lambda r: np.array([_open_unit(r, 1)[0] for _ in range(0, count, d)])
+    if tag == "copula":
+        if spec.params.m != count:
+            raise ValueError(f"copula params are for m={spec.params.m}, need {count}")
+        L = cholesky_from_params(spec.params)
+        return lambda r: np.clip(gauss_cdf(L @ r.standard_normal(count)), _TINY, _ONE_MINUS)
+    return lambda r: _open_unit(r, count)
+
+
+def _chi_norms(u: np.ndarray, count: int, d: int, tag: str) -> np.ndarray:
+    """The map half of :func:`sample_norms`: (T, count) norms from the
+    (T, k) uniforms of T generators, one chi_d quantile call for them all.
+
+    positive_monotone repeats each block's norm d times.  A pnc pair is
+    (F^-1(u), F^-1(1 - u)), the mirrored half mapped by a second call, so
+    F(w1) + F(w2) = 1 holds exactly; an odd trailing norm stays independent.
+    """
+    chi = ChiParams(d)
+    w = chi_inv_cdf(u, chi)
+    if tag == "positive_monotone":
+        return np.repeat(w, d, axis=1)[:, :count]
+    if tag not in ("orthogonal_pnc", "orthogonal_pnc_antithetic"):
+        return w
+    pairs = count // 2
+    out = np.empty((len(u), count))
+    out[:, 0 : 2 * pairs : 2] = w[:, :pairs]
+    out[:, 2 * pairs :] = w[:, pairs:]
+    if pairs:
+        out[:, 1 : 2 * pairs : 2] = chi_inv_cdf(1.0 - u[:, :pairs], chi)
+    return out
 
 
 def sample_norms(count: int, d: int, scheme: CouplingSpec | str, rng) -> np.ndarray:
     """Frequency norms, marginally chi_d, coupled per ``scheme``.
 
+    ``orthogonal_pnc`` norms are negative-monotone in consecutive pairs;
     ``positive_monotone`` norms are equal within consecutive blocks of
     size d; ``copula`` norms are drawn jointly through the Gaussian copula.
-    ``rng`` may be a list of T generators, one per trial: each draws its
-    uniforms in its own call's order, the chi_d quantile maps all trials'
-    uniforms at once, and the norms form T blocks of ``count`` in trial
-    order, block i equal to ``rng[i]``'s own call.
+    Each scheme only chooses the uniforms it draws (:func:`_norm_uniforms`);
+    drawing comes first, then one chi_d quantile call maps them
+    (:func:`_chi_norms`).  ``rng`` may be a list of T generators, one per
+    trial: each draws its uniforms in its own call's order, one quantile
+    call maps all trials' uniforms, and the norms form T blocks of
+    ``count`` in trial order, block i equal to ``rng[i]``'s own call.
     """
-    tag = scheme if isinstance(scheme, str) else scheme.tag
-    rngs = _trial_rngs(rng)
-    chi = ChiParams(d)
-    if tag in ("iid", "halton", "orthogonal"):
-        return chi_inv_cdf(np.concatenate([_open_unit(r, count) for r in rngs]), chi)
-    if tag in ("orthogonal_pnc", "orthogonal_pnc_antithetic"):
-        return _pnc_norms(count, chi, rngs)
-    if tag == "positive_monotone":
-        u = np.array([[_open_unit(r, 1)[0] for _ in range(0, count, d)] for r in rngs])
-        return np.repeat(chi_inv_cdf(u, chi), d, axis=1)[:, :count].ravel()
-    if tag == "copula":
-        if isinstance(scheme, str):
-            raise ValueError("copula norms need a CouplingSpec carrying params")
-        params = scheme.params
-        if params.m != count:
-            raise ValueError(f"copula params are for m={params.m}, need {count}")
-        return np.concatenate([sample_copula_norms(params, chi, r) for r in rngs])
-    raise ValueError(f"unknown coupling tag {tag!r}")
+    spec = CouplingSpec(scheme) if isinstance(scheme, str) else scheme
+    draw = _norm_uniforms(count, d, spec)
+    u = np.array([draw(r) for r in _trial_rngs(rng)])
+    return _chi_norms(u, count, d, spec.tag).ravel()
 
 
 def cholesky_from_params(theta: CorrelationParams) -> np.ndarray:
@@ -210,11 +234,7 @@ def sample_copula_norms(theta: CorrelationParams, d: ChiParams, rng) -> np.ndarr
     normal CDF and then the chi_d quantile function; the marginals are
     chi_d for every theta.
     """
-    rng = ensure_rng(rng)
-    L = cholesky_from_params(theta)
-    g = L @ rng.standard_normal(theta.m)
-    u = np.clip(gauss_cdf(g), _TINY, _ONE_MINUS)
-    return chi_inv_cdf(u, d)
+    return sample_norms(theta.m, d.dof, CouplingSpec("copula", theta), rng)
 
 
 def check_ensemble_size(m: int, d: int, tag: str) -> None:
@@ -268,7 +288,7 @@ def build_ensemble(
     elif tag == "iid":
         freqs = np.array([r.standard_normal((m, d)) for r in rngs])
     elif tag == "copula":
-        freqs = np.array([_blockwise_freqs(m, d, spec, r) for r in rngs])
+        freqs = _blockwise_freqs(m, d, spec, rngs)
     else:
         # orthogonal blocks of d, each followed by its mirror for antithetic
         mirror = tag == "orthogonal_pnc_antithetic"
@@ -284,23 +304,44 @@ def build_ensemble(
     return FrequencyEnsemble(freqs[0], tag, seed)
 
 
-def _blockwise_directions(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal unit directions in independent blocks of at most d."""
+def _direction_blocks(m: int, d: int) -> tuple[int, int]:
+    """(blocks, directions per block) for m directions in independent
+    orthogonal blocks of at most d: one short block when m < d, else m / d."""
     check_ensemble_size(m, d, "copula")
-    blocks = []
-    left = m
-    while left > 0:
-        take = min(left, d)
-        blocks.append(sample_orthogonal_directions(d, take, rng))
-        left -= take
-    return np.vstack(blocks)
+    return -(-m // d), min(m, d)
 
 
-def _blockwise_freqs(m: int, d: int, scheme: CouplingSpec | str, rng) -> np.ndarray:
-    """m frequencies from one generator: :func:`_blockwise_directions`, then
-    :func:`sample_norms` under ``scheme``, each norm scaling its direction."""
-    dirs = _blockwise_directions(m, d, rng)
-    return sample_norms(m, d, scheme, rng)[:, None] * dirs
+def _blockwise_freqs(m: int, d: int, spec: CouplingSpec, rng) -> np.ndarray:
+    """(T, m, d) frequencies, one m x d sample per generator in ``rng``.
+
+    Each generator draws the d x d Gaussian matrix of each direction block
+    (:func:`_direction_blocks`), then its norm uniforms
+    (:func:`_norm_uniforms`).  A list may hold one generator several times;
+    it then draws those samples one after another.  Mapping comes after all
+    draws: one stacked QR turns every block into directions and one
+    :func:`_chi_norms` call maps every sample's uniforms to the norms that
+    scale them.
+    """
+    blocks, per_block = _direction_blocks(m, d)
+    draw = _norm_uniforms(m, d, spec)
+    gauss, u = [], []
+    for r in _trial_rngs(rng):
+        gauss.append(r.standard_normal((blocks, d, d)))
+        u.append(draw(r))
+    dirs = _orthonormal_rows(np.concatenate(gauss), per_block).reshape(len(u), m, d)
+    return _chi_norms(np.array(u), m, d, spec.tag)[:, :, None] * dirs
+
+
+# frequency entries per ensemble-layer call in rf-bench, gp-eval,
+# attention-bench and the reference loss; bounds the (trials, m, d) block
+# that one build_ensemble or _blockwise_freqs call holds
+_CHUNK_FREQS = 1 << 15
+
+
+def _ensemble_batch(m: int, d: int) -> int:
+    """Ensembles per ensemble-layer call for m x d ensembles: at most
+    _CHUNK_FREQS frequency entries, and at least one ensemble."""
+    return max(1, _CHUNK_FREQS // (m * d))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +358,21 @@ def _factor_grad(L: np.ndarray, grad_L: np.ndarray) -> np.ndarray:
     """
     grad_r = (grad_L - L * np.sum(L * grad_L, axis=1)[:, None]) * np.diag(L)[:, None]
     return grad_r[np.tril_indices(L.shape[0], -1)]
+
+
+def _check_mc_samples(mc_samples: int) -> None:
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+
+
+def _loss_dataset(dataset, mc_samples: int) -> np.ndarray:
+    """``dataset`` as a 2-D float array, after the checks both RMSE losses
+    share: at least one Monte Carlo draw and a nonempty dataset."""
+    _check_mc_samples(mc_samples)
+    dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
+    if dataset.size == 0:
+        raise ValueError("copula loss requires a nonempty dataset")
+    return dataset
 
 
 def _rmse_loss_and_grad(
@@ -336,12 +392,12 @@ def _rmse_loss_and_grad(
     norms w = F_chi^-1(Phi(g)), g = L z and the row-normalised factor L.
     The norms use implicit reparameterisation: dw/dg = phi(g) / f_chi(w),
     taken in log space and zero where the uniform Phi(g) was clipped.
+    All draws come first; one gauss_cdf and one chi_d quantile call then
+    map every draw's g, and the forward and reverse passes run per draw.
     """
     if featurizer not in ("rff", "rlf"):
         raise ValueError(f"featurizer must be 'rff' or 'rlf', got {featurizer!r}")
-    dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
-    if dataset.size == 0:
-        raise ValueError("copula loss requires a nonempty dataset")
+    dataset = _loss_dataset(dataset, mc_samples)
     n, d = dataset.shape
     m = int(round((1 + np.sqrt(1 + 8 * theta.size)) / 2))
     rng = np.random.default_rng(seed)
@@ -355,15 +411,19 @@ def _rmse_loss_and_grad(
     log_norm = (d / 2 - 1) * np.log(2.0) + gammaln(d / 2) - 0.5 * np.log(2 * np.pi)
 
     L = cholesky_from_params(CorrelationParams(m, theta))
+    blocks, per_block = _direction_blocks(m, d)
+    draws = []
+    for _ in range(mc_samples):
+        # one list entry per direction block, each drawn from rng in turn
+        dirs = sample_orthogonal_directions(d, per_block, [rng] * blocks)
+        draws.append((dirs, rng.standard_normal(m)))
+    g_all = np.array([L @ z for _, z in draws])
+    p_all = gauss_cdf(g_all)
+    u_all = np.clip(p_all, _TINY, _ONE_MINUS)
+    norms_all = chi_inv_cdf(u_all, chi)
     loss = 0.0
     grad_L = np.zeros((m, m))
-    for _ in range(mc_samples):
-        dirs = _blockwise_directions(m, d, rng)
-        z = rng.standard_normal(m)
-        g = L @ z
-        p = gauss_cdf(g)
-        u = np.clip(p, _TINY, _ONE_MINUS)
-        norms = chi_inv_cdf(u, chi)
+    for (dirs, z), g, p, u, norms in zip(draws, g_all, p_all, u_all, norms_all):
         # projections of every datapoint on every direction: (m, N)
         proj = dirs @ x_scaled.T
         args = norms[:, None] * proj
@@ -424,16 +484,25 @@ def reference_coupling_loss(
 
     Gives a like-for-like baseline (e.g. orthogonal with independent or
     negative-monotone-paired norms) to compare learned copulas against.
+    The ``mc_samples`` ensembles are drawn from ``rng`` one after another,
+    each reading it in :func:`_blockwise_freqs` order: the Gaussian matrix
+    of each direction block, then the norm uniforms.  Mapping runs once per
+    chunk of at most ``_CHUNK_FREQS`` frequency entries: one stacked QR and
+    one chi_d quantile call.  Feature maps and RMSEs stay per ensemble.
     """
-    dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
+    dataset = _loss_dataset(dataset, mc_samples)
+    spec = CouplingSpec(scheme) if isinstance(scheme, str) else scheme
     rng = ensure_rng(rng)
     d = dataset.shape[1]
     k_exact = eucrf.gaussian_gram(dataset, dataset, kernel)
+    batch = _ensemble_batch(m, d)
     total = 0.0
-    for _ in range(mc_samples):
-        ens = FrequencyEnsemble(_blockwise_freqs(m, d, scheme, rng), "reference")
-        phi = eucrf._feature_matrix(featurizer, dataset, ens, kernel)
-        total += eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
+    for start in range(0, mc_samples, batch):
+        chunk = [rng] * min(batch, mc_samples - start)
+        for freqs in _blockwise_freqs(m, d, spec, chunk):
+            ens = FrequencyEnsemble(freqs, "reference")
+            phi = eucrf._feature_matrix(featurizer, dataset, ens, kernel)
+            total += eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
     return total / mc_samples
 
 
@@ -451,6 +520,9 @@ class CopulaOptConfig:
     mc_samples: int = 2
     m: int | None = None  # ensemble size; defaults to the data dimension
     init: CorrelationParams | None = None
+
+    def __post_init__(self):
+        _check_mc_samples(self.mc_samples)
 
 
 @dataclass

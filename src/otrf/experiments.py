@@ -303,9 +303,10 @@ def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
     This is the one place where trial seeds become generators.  ``cells``
     yields ``(name, label, coords, batch, trial)``, and ``label.format(tag)``
     seeds the cell's trials.  The trials run in order, ``batch`` per call
-    (:func:`_ensemble_batch` in rf-bench and gp-eval, :func:`_walk_batch` in
-    grf- and pagerank-bench, one in attention-bench, where a rep's generator
-    spawns one child per ensemble): ``trial(tag, rngs)`` takes one fresh
+    (:func:`otrf.couplings._ensemble_batch` in rf-bench and gp-eval,
+    :func:`_walk_batch` in grf- and pagerank-bench, one in attention-bench,
+    where a rep's generator spawns one child per ensemble): ``trial(tag,
+    rngs)`` takes one fresh
     generator per trial and returns one dict of metrics per generator.  Each
     trial draws only from its own generator, so the results do not depend
     on ``batch``.  A cell runs all its trials before the next
@@ -361,17 +362,6 @@ def _read_csv(cfg: ExperimentConfig):
         raise ConfigError(f"path: {cfg.path} has no feature columns")
     cfg.check_ensemble_sizes(X.shape[1])
     return X, y
-
-
-# frequency entries per ensemble-layer call in rf-bench, gp-eval and
-# attention-bench; bounds the (trials, m, d) block one build_ensemble call holds
-_CHUNK_FREQS = 1 << 15
-
-
-def _ensemble_batch(m: int, d: int) -> int:
-    """Trials per ensemble-layer call for m x d ensembles: at most
-    _CHUNK_FREQS frequency entries, and at least one trial."""
-    return max(1, _CHUNK_FREQS // (m * d))
 
 
 def _euclidean_dataset(cfg: ExperimentConfig):
@@ -434,7 +424,7 @@ def run_rf_bench(cfg: ExperimentConfig):
                     return out
 
                 coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
-                batch = _ensemble_batch(m, d)
+                batch = cpl._ensemble_batch(m, d)
                 yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, batch, trial
 
     rows, grid = _grid_bench(cfg, cells(), cfg.trials)
@@ -644,7 +634,7 @@ def run_gp_eval(cfg: ExperimentConfig):
                 return out
 
             coords = {"split": split, "coupling": None, "m": m}
-            yield split, f"gp/{split}/{{}}", coords, _ensemble_batch(m, d), trial
+            yield split, f"gp/{split}/{{}}", coords, cpl._ensemble_batch(m, d), trial
 
     rows, grid = _grid_bench(cfg, cells(), draws, index="draw")
     summary = {}
@@ -693,7 +683,7 @@ def run_attention_bench(cfg: ExperimentConfig):
     m = cfg.ensemble_sizes(d)[0]
     reps = min(_MAX_REPS, cfg.trials)
     rep_trials = cfg.trials // reps
-    batch = _ensemble_batch(m, d)
+    batch = cpl._ensemble_batch(m, d)
 
     def trial(tag, rngs):
         # a rep runs alone; its generator spawns one child per ensemble

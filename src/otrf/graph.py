@@ -383,7 +383,10 @@ def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
 def _quantile_walks(n_nodes: int, order: int, p_halt: float, per_node: int, rng):
     """Yield ``(q, starts, lengths)`` for tiles q = 0, ..., order - 1: ``per_node``
     walks from each node, whose lengths are geometric quantiles of uniforms in
-    [q/order, (q+1)/order) from one ``rng.random`` call when tile q is reached."""
+    [q/order, (q+1)/order) from one ``rng.random`` call when tile q is reached.
+    Both sigma trainers draw through here, so here ``per_node`` is checked."""
+    if per_node < 1:
+        raise ValueError(f"walks_per_quantile / samples_per_quantile must be >= 1, got {per_node}")
     gp = GeometricParams(p_halt)
     starts = np.repeat(np.arange(n_nodes), per_node)
     for q in range(order):

@@ -158,8 +158,6 @@ def estimate_quantile_projections(g: GraphData, order: int, p_halt: float,
     the mean over ``walks_per_quantile`` walks with lengths drawn by
     :func:`otrf.graph._quantile_walks`.
     """
-    if walks_per_quantile < 1:
-        raise ValueError("walks_per_quantile must be >= 1")
     rng = ensure_rng(rng)
     n = g.n_nodes
     psi_hat = np.zeros((n, order, n))

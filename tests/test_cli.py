@@ -9,7 +9,7 @@ import typing
 import numpy as np
 import pytest
 
-from otrf import experiments
+from otrf import couplings, experiments
 from otrf.cli import main
 from otrf.datasets import ingest_csv, split_dataset, standardize
 from otrf.experiments import ConfigError, ExperimentConfig, parse_config_file, run
@@ -403,8 +403,8 @@ class TestTrialBatching:
         )
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         outputs = []
-        for chunk_freqs in (experiments._CHUNK_FREQS, 16, 48):
-            monkeypatch.setattr(experiments, "_CHUNK_FREQS", chunk_freqs)
+        for chunk_freqs in (couplings._CHUNK_FREQS, 16, 48):
+            monkeypatch.setattr(couplings, "_CHUNK_FREQS", chunk_freqs)
             out = tmp_path / str(chunk_freqs)
             assert main([kind, "--config", cfg_path, "--out-dir", str(out)]) == 0
             outputs.append(((out / "summary.json").read_bytes(), (out / "trials.csv").read_bytes()))

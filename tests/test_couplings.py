@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln, xlogy
 
+from otrf import couplings
 from otrf.couplings import (
     CorrelationParams,
     CopulaOptConfig,
     CouplingSpec,
+    FrequencyEnsemble,
+    _factor_grad,
+    _open_unit,
     build_ensemble,
     cholesky_from_params,
     copula_loss,
@@ -20,8 +25,16 @@ from otrf.couplings import (
     sample_orthogonal_directions,
 )
 from otrf.errors import FeatureOverflowError, NumericalError
-from otrf.eucrf import GaussianKernelParams
-from otrf.mathcore import ChiParams, chi_cdf, gauss_inv_cdf
+from otrf.eucrf import (
+    GaussianKernelParams,
+    _exp_features,
+    _feature_matrix,
+    _trig_features,
+    gaussian_gram,
+    gram_estimate,
+    relative_rmse,
+)
+from otrf.mathcore import ChiParams, chi_cdf, chi_inv_cdf, gauss_cdf, gauss_inv_cdf
 
 
 class TestOrthogonalDirections:
@@ -299,6 +312,141 @@ class TestCopulaLoss:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             copula_loss(self.theta, np.zeros((0, 2)), self.kernel, "rff", 1, 0)
+        with pytest.raises(ValueError, match="nonempty dataset"):
+            reference_coupling_loss("orthogonal", 2, np.zeros((0, 2)), self.kernel, "rff", 1, 0)
+
+    def test_zero_mc_samples_rejected(self):
+        data = np.ones((3, 2))
+        with pytest.raises(ValueError, match="mc_samples"):
+            copula_loss(self.theta, data, self.kernel, "rff", 0, 0)
+        with pytest.raises(ValueError, match="mc_samples"):
+            reference_coupling_loss("orthogonal", 2, data, self.kernel, "rff", 0, 0)
+        with pytest.raises(ValueError, match="mc_samples"):
+            optimize_copula(data, self.kernel, "rff", CopulaOptConfig(mc_samples=0), 0)
+
+
+# Oracles for the draw-then-map layer: the per-sample code it replaced, where
+# each norm scheme called the chi_d quantile on its own uniforms and every
+# sample or Monte Carlo draw was mapped before the next one was drawn.
+
+
+def _norms_oracle(count, d, spec, rng):
+    chi = ChiParams(d)
+    if spec.tag in ("iid", "halton", "orthogonal"):
+        return chi_inv_cdf(_open_unit(rng, count), chi)
+    if spec.tag == "positive_monotone":
+        u = np.array([_open_unit(rng, 1)[0] for _ in range(0, count, d)])
+        return np.repeat(chi_inv_cdf(u, chi), d)[:count]
+    if spec.tag == "copula":
+        g = cholesky_from_params(spec.params) @ rng.standard_normal(count)
+        return chi_inv_cdf(np.clip(gauss_cdf(g), 1e-300, 1.0 - 1e-16), chi)
+    out, pairs = np.empty(count), count // 2
+    if pairs:
+        u = _open_unit(rng, pairs)
+        out[0 : 2 * pairs : 2] = chi_inv_cdf(u, chi)
+        out[1 : 2 * pairs : 2] = chi_inv_cdf(1.0 - u, chi)
+    if count % 2:
+        out[-1] = chi_inv_cdf(_open_unit(rng, 1), chi)[0]
+    return out
+
+
+def _directions_oracle(m, d, rng):
+    blocks = [sample_orthogonal_directions(d, min(left, d), rng) for left in range(m, 0, -d)]
+    return np.vstack(blocks)
+
+
+def _reference_loss_oracle(spec, m, data, kernel, featurizer, mc_samples, rng):
+    k_exact = gaussian_gram(data, data, kernel)
+    total = 0.0
+    for _ in range(mc_samples):
+        dirs = _directions_oracle(m, data.shape[1], rng)
+        freqs = _norms_oracle(m, data.shape[1], spec, rng)[:, None] * dirs
+        phi = _feature_matrix(featurizer, data, FrequencyEnsemble(freqs, "reference"), kernel)
+        total += relative_rmse(gram_estimate(phi), k_exact)
+    return total / mc_samples
+
+
+def _rmse_loss_and_grad_oracle(theta, data, kernel, featurizer, mc_samples, seed):
+    n, d = data.shape
+    m = int(round((1 + np.sqrt(1 + 8 * theta.size)) / 2))
+    rng = np.random.default_rng(seed)
+    k_exact = gaussian_gram(data, data, kernel)
+    x_scaled = data / kernel.lengthscale
+    sq = np.sum(x_scaled**2, axis=1)[None, :]
+    scale = kernel.output_scale / np.sqrt(m)
+    log_norm = (d / 2 - 1) * np.log(2.0) + gammaln(d / 2) - 0.5 * np.log(2 * np.pi)
+    L = cholesky_from_params(CorrelationParams(m, theta))
+    loss, grad_L = 0.0, np.zeros((m, m))
+    for _ in range(mc_samples):
+        dirs = _directions_oracle(m, d, rng)
+        z = rng.standard_normal(m)
+        g = L @ z
+        p = gauss_cdf(g)
+        u = np.clip(p, 1e-300, 1.0 - 1e-16)
+        norms = chi_inv_cdf(u, ChiParams(d))
+        proj = dirs @ x_scaled.T
+        args = norms[:, None] * proj
+        if featurizer == "rff":
+            phi = _trig_features(args, scale)
+        else:
+            phi = _exp_features(args, sq, scale)
+        resid = phi.T @ phi - k_exact
+        rmse = np.sqrt(np.mean(resid**2))
+        loss += rmse
+        grad_phi = (2.0 / (n * n * rmse)) * (phi @ resid)
+        if featurizer == "rff":
+            grad_args = grad_phi[:m] * phi[m:] - grad_phi[m:] * phi[:m]
+        else:
+            grad_args = grad_phi * phi
+        grad_norms = np.sum(grad_args * proj, axis=1)
+        log_dw_dg = log_norm - 0.5 * g**2 - xlogy(d - 1, norms) + 0.5 * norms**2
+        grad_L += np.outer(grad_norms * np.where(u == p, np.exp(log_dw_dg), 0.0), z)
+    return loss / mc_samples, _factor_grad(L, grad_L) / mc_samples
+
+
+class TestDrawThenMap:
+    """Drawing every sample first and mapping them together gives the
+    per-sample oracles' values bit for bit."""
+
+    def setup_method(self):
+        self.data = np.random.default_rng(30).standard_normal((10, 4)) * 0.6
+        self.kernel = GaussianKernelParams(1.7, 1.2)
+
+    @pytest.mark.parametrize(
+        "tag, m",
+        [("iid", 4), ("orthogonal", 4), ("orthogonal_pnc", 3), ("orthogonal_pnc", 8),
+         ("positive_monotone", 4), ("copula", 3), ("copula", 8)],
+    )
+    @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_reference_loss_matches_per_sample_loop(self, tag, m, featurizer, chunk, monkeypatch):
+        # chunk = 2 caps each mapping call at two ensembles, so the seven
+        # ensembles run in chunks of 2, 2, 2 and 1
+        if chunk:
+            monkeypatch.setattr(couplings, "_CHUNK_FREQS", chunk * m * 4)
+        theta = np.random.default_rng(m).standard_normal(m * (m - 1) // 2)
+        spec = CouplingSpec(tag, CorrelationParams(m, theta) if tag == "copula" else None)
+        args = (m, self.data, self.kernel, featurizer, 7)
+        loss = reference_coupling_loss(spec, *args, np.random.default_rng(31))
+        assert loss == _reference_loss_oracle(spec, *args, np.random.default_rng(31))
+
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    def test_rmse_loss_and_grad_match_per_draw_loop(self, m, featurizer, mc_samples):
+        theta = np.random.default_rng(32 + m).standard_normal(m * (m - 1) // 2)
+        args = (theta, self.data, self.kernel, featurizer, mc_samples, 33)
+        loss, grad = couplings._rmse_loss_and_grad(*args)
+        expected_loss, expected_grad = _rmse_loss_and_grad_oracle(*args)
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("count", [1, 4, 7])
+    @pytest.mark.parametrize("tag", _BATCHED_TAGS)
+    def test_sample_norms_match_per_scheme_calls(self, tag, count):
+        spec = CouplingSpec(tag)
+        norms = sample_norms(count, 3, spec, np.random.default_rng(34))
+        assert np.array_equal(norms, _norms_oracle(count, 3, spec, np.random.default_rng(34)))
 
 
 class TestOptimizeCopula:

@@ -275,6 +275,11 @@ class TestQuantileProjections:
         expected[0] = f(0)
         assert np.array_equal(psi[0, 0], expected)
 
+    def test_zero_walks_per_quantile_rejected(self):
+        f = modulation_for(REG2)
+        with pytest.raises(ValueError, match="walks_per_quantile"):
+            estimate_quantile_projections(TWO_PATH, 2, 0.3, f, 0, np.random.default_rng(11))
+
     def test_variance_halves_with_double_sampling(self):
         f = modulation_for(REG2, 16)
         g = erdos_renyi(6, 0.5, np.random.default_rng(12))

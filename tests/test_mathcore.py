@@ -130,6 +130,20 @@ class TestChi:
         for i in range(u.size):
             assert whole[i] == chi_inv_cdf(u[i : i + 1], chi)[0]
 
+    @pytest.mark.parametrize("dof", [1, 4, 8])
+    def test_quantile_of_concatenation_is_per_element(self, dof):
+        # one call over several callers' uniforms, as the copula loss and
+        # the reference loss make it, equals each element's own call; the
+        # mirrored 1 - u of a pnc pair may share that call
+        chi = ChiParams(dof)
+        u = np.random.default_rng(dof).random(9)
+        parts = [np.array([0.0, 1e-300, 1.0 - 1e-16]), u, 1.0 - u]
+        whole = chi_inv_cdf(np.concatenate(parts), chi)
+        singles = [chi_inv_cdf(v, chi) for part in parts for v in part]
+        assert np.array_equal(whole, singles)
+        stacked = chi_inv_cdf(np.stack([u, 1.0 - u]), chi)
+        assert np.array_equal(stacked, [chi_inv_cdf(u, chi), chi_inv_cdf(1.0 - u, chi)])
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             chi_cdf(-0.5, ChiParams(2))

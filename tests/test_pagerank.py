@@ -187,6 +187,12 @@ class TestSolvePagerankSigma:
         with pytest.raises(ValueError):
             solve_pagerank_sigma(SELF_LOOP, 0.3, 1, 10, np.random.default_rng(0))
 
+    def test_zero_samples_per_quantile_rejected(self):
+        # checked where both sigma trainers draw their tiles, before any walk
+        g = erdos_renyi(6, 0.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="samples_per_quantile"):
+            solve_pagerank_sigma(g, 0.3, 4, 0, np.random.default_rng(1))
+
 
 class TestPageRankVector:
     def test_sum_validation(self):
