@@ -12,12 +12,15 @@ drawn as many per ensemble-layer call as fit), and as many as fit in one
 walk-engine call for grf-bench and pagerank-bench.  Since each trial and
 ensemble draws only from its own generator, no count changes a result.
 Each runner only reduces the results to its own summary, and ``_KINDS``
-holds one row of facts per kind.  A run writes its outputs only once it
-has succeeded.
+holds one row of facts per kind.  The graph kinds' runners live here and
+need numpy alone; the Euclidean kinds' live in :mod:`otrf.euclidean_kinds`,
+which a config check imports, so only a Euclidean run loads scipy.  A run
+writes its outputs only once it has succeeded.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import typing
 import zlib
@@ -26,9 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import couplings as cpl
-from . import datasets, eucrf, gp, grf, matching, pagerank
 from . import graph as graphmod
+from . import grf, matching, pagerank
 from .errors import NumericalError
 
 class ConfigError(ValueError):
@@ -114,6 +116,7 @@ class ExperimentConfig:
         kind = _KINDS.get(self.kind)
         if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        _runner(self.kind)  # loads the kind's stack
         if self.seed is None:
             raise ConfigError("a master seed is required")
         if not self.couplings:
@@ -169,9 +172,12 @@ class ExperimentConfig:
                 raise ConfigError(f"kernel_{exc}") from None
             # the modulation takes the lead coefficient's square root, and the
             # sigma cost squares kernel-sized dot products
-            with np.errstate(all="ignore"):
-                coeffs = graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT)
-                bounded = coeffs[0] > 0 and np.isfinite(np.sum(np.abs(coeffs)) ** 2)
+            try:
+                with np.errstate(all="ignore"):
+                    coeffs = graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT)
+                    bounded = coeffs[0] > 0 and np.isfinite(np.sum(np.abs(coeffs)) ** 2)
+            except OverflowError:  # a binomial beyond the float range
+                bounded = False
             if not bounded:
                 keys = [f"kernel_{k} = {getattr(spec, k)}" for k in _KERNEL_KEYS[spec.family]]
                 raise ConfigError(f"{', '.join(keys)}: the {spec.family} kernel's walk "
@@ -195,12 +201,14 @@ class ExperimentConfig:
         copula-train draws copula ensembles; the other kinds draw one per
         listed coupling (see :func:`couplings.check_ensemble_size`).
         """
+        from .couplings import check_ensemble_size  # loaded with the kind's runner
+
         tags = ("copula",) if self.kind == "copula-train" else self.couplings
         for featurizer in self.featurizers:
             for m in self.ensemble_sizes(d, featurizer):
                 for tag in tags:
                     try:
-                        cpl.check_ensemble_size(m, d, tag)
+                        check_ensemble_size(m, d, tag)
                     except ValueError as exc:
                         raise ConfigError(f"m_values: {exc}") from None
 
@@ -348,123 +356,7 @@ def _normalized_summary(cfg: ExperimentConfig, grid, metric: str, mean_key: str)
 
 
 # ---------------------------------------------------------------------------
-# Shared setup
-
-
-def _read_csv(cfg: ExperimentConfig):
-    """The csv's features and targets (None without ``target``), once its
-    feature count is checked against the ensemble sizes."""
-    try:
-        X, y, _ = datasets.ingest_csv(cfg.path, cfg.target)
-    except ValueError as exc:
-        raise ConfigError(f"path: {exc}") from None
-    if X.shape[1] == 0:
-        raise ConfigError(f"path: {cfg.path} has no feature columns")
-    cfg.check_ensemble_sizes(X.shape[1])
-    return X, y
-
-
-def _euclidean_dataset(cfg: ExperimentConfig):
-    """Inputs (and targets when available) for the Euclidean benchmarks."""
-    if cfg.source == "synthetic":
-        true = eucrf.GaussianKernelParams(np.sqrt(cfg.dim), 1.0, 0.1)
-        X, y = datasets.gp_synthetic_data(
-            min(cfg.n_points, cfg.max_points), cfg.dim, true, _rng(cfg.seed, "data")
-        )
-        return X, y
-    X, y = _read_csv(cfg)
-    n = min(cfg.n_points, cfg.max_points, X.shape[0])
-    idx = _rng(cfg.seed, "data").permutation(X.shape[0])[:n]
-    X = datasets.standardize(X[idx])
-    return X, (y[idx] if y is not None else None)
-
-
-def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.GaussianKernelParams:
-    """Kernel hyperparameters per the benchmark protocol.
-
-    'gp' fits all three parameters by exact-GP evidence; 'rlf' pins the
-    lengthscale to twice the average summed pair norm and fits the scales;
-    'auto' picks 'gp' for trigonometric features and 'rlf' for exponential
-    ones; a numeric literal fixes the lengthscale directly.
-    """
-    policy = cfg.lengthscale
-    if policy == "auto":
-        policy = "gp" if featurizer == "rff" else "rlf"
-    if policy not in ("gp", "rlf"):  # a number, checked by ExperimentConfig
-        return eucrf.GaussianKernelParams(float(policy), cfg.output_scale, cfg.noise_scale)
-    if y is None:
-        raise ConfigError(f"lengthscale policy {policy!r} needs targets to fit a GP")
-    init = eucrf.GaussianKernelParams(np.sqrt(X.shape[1]), 1.0, 0.1)
-    data = gp.RegressionData(X, y, X[:1])
-    fix = eucrf.rlf_lengthscale_heuristic(X) if policy == "rlf" else None
-    return gp.fit_hyperparams(
-        data, init, gp.GPFitConfig(steps=cfg.fit_steps, fix_lengthscale=fix)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Experiments
-
-
-def run_rf_bench(cfg: ExperimentConfig):
-    X, y = _euclidean_dataset(cfg)
-    d = X.shape[1]
-
-    def cells():
-        for featurizer in cfg.featurizers:
-            params = _resolve_kernel(cfg, featurizer, X, y)
-            k_exact = eucrf.gaussian_gram(X, X, params)
-            for m in cfg.ensemble_sizes(d, featurizer):
-
-                def trial(tag, rngs):
-                    out = []
-                    for ens in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
-                        phi = eucrf._feature_matrix(featurizer, X, ens, params)
-                        out.append({"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)})
-                    return out
-
-                coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
-                batch = cpl._ensemble_batch(m, d)
-                yield f"{featurizer}/m={m}", f"rf/{featurizer}/{{}}/{m}", coords, batch, trial
-
-    rows, grid = _grid_bench(cfg, cells(), cfg.trials)
-    summary = _normalized_summary(cfg, grid, "rmse", "mean_rmse")
-    summary["kernel_note"] = "rmse normalised by the iid coupling where present"
-    return rows, summary
-
-
-def run_copula_train(cfg: ExperimentConfig):
-    X, y = _euclidean_dataset(cfg)
-    d = X.shape[1]
-    featurizer = cfg.featurizers[0]
-    params = _resolve_kernel(cfg, featurizer, X, y)
-    m = cfg.ensemble_sizes(d)[0]
-    opt_cfg = cpl.CopulaOptConfig(
-        steps=cfg.steps, lr=cfg.lr, mc_samples=cfg.mc_samples, m=m
-    )
-    result = cpl.optimize_copula(X, params, featurizer, opt_cfg, _rng(cfg.seed, "copula"))
-    rows = [
-        {"step": i, "loss": float(v), "seed": cfg.seed, "coupling": "copula"}
-        for i, v in enumerate(result.loss_trace)
-    ]
-    ref_rng = _rng(cfg.seed, "copula-ref")
-    pnc = cpl.reference_coupling_loss(
-        "orthogonal_pnc", m, X, params, featurizer, 200, ref_rng
-    )
-    orth = cpl.reference_coupling_loss(
-        "orthogonal", m, X, params, featurizer, 200, _rng(cfg.seed, "copula-ref2")
-    )
-    tail = result.loss_trace[-max(1, cfg.steps // 10) :]
-    summary = {
-        "featurizer": featurizer,
-        "m": m,
-        "final_loss_smoothed": float(np.mean(tail)),
-        "pnc_reference_loss": pnc,
-        "orthogonal_reference_loss": orth,
-        "ratio_to_pnc": float(np.mean(tail)) / pnc,
-        "theta": [float(v) for v in result.params.theta],
-    }
-    return rows, summary, ("copula_params.json", result.params.to_json())
+# Graph experiments
 
 
 def _graph_for(cfg: ExperimentConfig, label: str, nodes: int, edge_prob: float):
@@ -587,66 +479,6 @@ def run_sigma_train(cfg: ExperimentConfig):
     return rows, summary, ("sigma_couplings.json", json.dumps(payload, indent=2, sort_keys=True))
 
 
-def run_gp_eval(cfg: ExperimentConfig):
-    if cfg.source == "synthetic":
-        true = eucrf.GaussianKernelParams(np.sqrt(cfg.dim), 1.0, 0.1)
-        X_all, y_all = datasets.gp_synthetic_data(
-            cfg.n_points, cfg.dim, true, _rng(cfg.seed, "data")
-        )
-        standardized = False
-    else:
-        X_all, y_all = _read_csv(cfg)
-        if y_all is None:
-            raise ConfigError("gp-eval needs a target column")
-        standardized = True
-    d = X_all.shape[1]
-    m = cfg.ensemble_sizes(d)[0]
-    draws = cfg.trials // cfg.splits
-
-    def cells():
-        for split in range(cfg.splits):
-            rng_split = _rng(cfg.seed, f"split/{split}")
-            X_tr, y_tr, X_te, y_te = datasets.split_dataset(
-                X_all, y_all, rng_split, cfg.max_points
-            )
-            if standardized:
-                X_tr, X_te = datasets.standardize(X_tr, X_te)
-            params = gp.fit_hyperparams(
-                gp.RegressionData(X_tr, y_tr, X_te),
-                eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1),
-                gp.GPFitConfig(steps=cfg.fit_steps),
-            )
-            k_dd, k_pd, k_pp = gp.kernel_blocks(X_tr, X_te, params)
-            exact = gp.exact_posterior(k_dd, k_pd, k_pp, y_tr, params.noise_scale)
-            X_joint = np.vstack([X_tr, X_te])
-            n_tr = X_tr.shape[0]
-
-            def trial(tag, rngs):
-                out = []
-                for ens in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
-                    phi = eucrf.rff_feature_matrix(X_joint, ens, params)
-                    approx = gp.approx_posterior(
-                        phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
-                    )
-                    kl = gp.gaussian_kl(approx, exact)
-                    rmse = float(np.sqrt(np.mean((approx.mean - y_te) ** 2)))
-                    out.append({"kl": kl, "kl_per_point": kl / len(y_te), "pred_rmse": rmse})
-                return out
-
-            coords = {"split": split, "coupling": None, "m": m}
-            yield split, f"gp/{split}/{{}}", coords, cpl._ensemble_batch(m, d), trial
-
-    rows, grid = _grid_bench(cfg, cells(), draws, index="draw")
-    summary = {}
-    for tag in cfg.couplings:
-        entry = summary[tag] = {}
-        for key in ("kl", "pred_rmse"):
-            split_means = [np.mean(cell[tag][key]) for cell in grid.values()]
-            entry[f"{key}_mean"], entry[f"{key}_se"] = _mean_se(split_means)
-        entry.update(kl_two_se=2 * entry["kl_se"], splits=cfg.splits, draws_per_split=draws, m=m)
-    return rows, summary
-
-
 def run_pagerank_bench(cfg: ExperimentConfig):
     g = _graph_for(cfg, "graph", cfg.graph_nodes, cfg.edge_prob)
     sigmas = _sigma_couplings(
@@ -673,66 +505,49 @@ def run_pagerank_bench(cfg: ExperimentConfig):
     return rows, _normalized_summary(cfg, grid, "l2_error", "mean_l2_error")
 
 
-def run_attention_bench(cfg: ExperimentConfig):
-    rng_data = _rng(cfg.seed, "tokens")
-    X = datasets.gaussian_inputs(cfg.n_points, cfg.dim, rng_data, scale=cfg.dim**-0.25)
-    heuristic = cfg.lengthscale in ("rlf", "auto")
-    lengthscale = eucrf.rlf_lengthscale_heuristic(X) if heuristic else float(cfg.lengthscale)
-    params = eucrf.GaussianKernelParams(lengthscale, 1.0, 0.0)
-    d = X.shape[1]
-    m = cfg.ensemble_sizes(d)[0]
-    reps = min(_MAX_REPS, cfg.trials)
-    rep_trials = cfg.trials // reps
-    batch = cpl._ensemble_batch(m, d)
-
-    def trial(tag, rngs):
-        # a rep runs alone; its generator spawns one child per ensemble
-        children = rngs[0].spawn(rep_trials)
-        chunks = (children[i : i + batch] for i in range(0, rep_trials, batch))
-        ensembles = (ens for chunk in chunks for ens in cpl.build_ensemble(m, d, tag, chunk))
-        stats = eucrf.attention_estimate(X, ensembles, params)
-        return [
-            {"attention_mse": stats.mse, "kernel_var": stats.kernel_var,
-             "kernel_cov": stats.kernel_cov}
-        ]
-
-    # each rep spawns and chunks its own ensembles, so reps run one per call
-    coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}
-    rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, 1, trial)], reps, index="rep")
-    summary = {}
-    for tag, values in grid["attn"].items():
-        entry = summary[tag] = {}
-        for key in ("attention_mse", "kernel_var", "kernel_cov"):
-            entry[f"{key}_mean"], entry[f"{key}_se"] = _mean_se(values[key])
-        entry.update(reps=reps, trials_per_rep=rep_trials, m=m)
-    return rows, summary
-
-
 class _Kind(typing.NamedTuple):
     """What the config checks and :func:`run` know of one experiment kind."""
 
-    runner: typing.Callable
+    runner: str  # "module.function" in otrf; see :func:`_runner`
     sources: tuple[str, ...]  # csv and graph-file read ``path``
     couplings: tuple[str, ...] | None = None  # None: runs none of ``couplings``
     se_count: str | None = None  # the count its standard errors run over
 
 
-# a copula ensemble needs the parameters copula-train writes, and the graph
-# kinds draw an Erdős–Rényi graph from any source but graph-file
-_FREQUENCY_COUPLINGS = tuple(t for t in cpl.COUPLING_TAGS if t != "copula")
+# every otrf.couplings.COUPLING_TAGS entry but copula, whose ensembles need the
+# parameters copula-train writes; the graph kinds draw an Erdős–Rényi graph
+# from any source but graph-file
+_FREQUENCY_COUPLINGS = ("iid", "halton", "orthogonal", "orthogonal_pnc",
+                        "orthogonal_pnc_antithetic", "positive_monotone")
 _EUCLIDEAN_SOURCES = ("synthetic", "csv")
 _GRAPH_SOURCES = ("synthetic", "synthetic-graph", "graph-file")
 _WALK_COUPLINGS = graphmod.WALK_COUPLING_TAGS
 _KINDS = {
-    "rf-bench": _Kind(run_rf_bench, _EUCLIDEAN_SOURCES, _FREQUENCY_COUPLINGS, "trials"),
-    "copula-train": _Kind(run_copula_train, _EUCLIDEAN_SOURCES),
-    "grf-bench": _Kind(run_grf_bench, _GRAPH_SOURCES, _WALK_COUPLINGS, "trials"),
-    "sigma-train": _Kind(run_sigma_train, _GRAPH_SOURCES),
-    "gp-eval": _Kind(run_gp_eval, _EUCLIDEAN_SOURCES, _FREQUENCY_COUPLINGS, "splits"),
-    "pagerank-bench": _Kind(run_pagerank_bench, _GRAPH_SOURCES, _WALK_COUPLINGS, "trials"),
-    "attention-bench": _Kind(run_attention_bench, ("synthetic",), _FREQUENCY_COUPLINGS, "trials"),
+    "rf-bench": _Kind("euclidean_kinds.run_rf_bench", _EUCLIDEAN_SOURCES,
+                      _FREQUENCY_COUPLINGS, "trials"),
+    "copula-train": _Kind("euclidean_kinds.run_copula_train", _EUCLIDEAN_SOURCES),
+    "grf-bench": _Kind("experiments.run_grf_bench", _GRAPH_SOURCES, _WALK_COUPLINGS, "trials"),
+    "sigma-train": _Kind("experiments.run_sigma_train", _GRAPH_SOURCES),
+    "gp-eval": _Kind("euclidean_kinds.run_gp_eval", _EUCLIDEAN_SOURCES,
+                     _FREQUENCY_COUPLINGS, "splits"),
+    "pagerank-bench": _Kind("experiments.run_pagerank_bench", _GRAPH_SOURCES,
+                            _WALK_COUPLINGS, "trials"),
+    "attention-bench": _Kind("euclidean_kinds.run_attention_bench", ("synthetic",),
+                             _FREQUENCY_COUPLINGS, "trials"),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
+
+
+def _runner(kind: str) -> typing.Callable:
+    """The runner of ``kind``, imported with its module.
+
+    The graph kinds run here, on numpy alone.  The Euclidean kinds run in
+    :mod:`otrf.euclidean_kinds`, which loads couplings, eucrf, gp and scipy;
+    the config check calls this first, so that stack loads before
+    :func:`run` starts.
+    """
+    module, name = _KINDS[kind].runner.rsplit(".", 1)
+    return getattr(importlib.import_module(f"otrf.{module}"), name)
 
 
 def run(cfg: ExperimentConfig) -> dict:
@@ -742,7 +557,7 @@ def run(cfg: ExperimentConfig) -> dict:
     text)`` outputs.  The output directory is made only once the run has
     succeeded, so a failed run leaves none behind.
     """
-    rows, summary, *files = _KINDS[cfg.kind].runner(cfg)
+    rows, summary, *files = _runner(cfg.kind)(cfg)
     _check_finite(summary)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,10 +9,10 @@ distribution in :mod:`otrf.mathcore`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import NumericalError
 from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
@@ -161,13 +161,16 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
 
     Regularised-Laplacian and diffusion families have nonnegative
     coefficients; the inverse-cosine expansion alternates in sign.
+    Binomials are exact integers rounded once to a float; one beyond the
+    float range raises OverflowError.
     """
     k = np.arange(max_order + 1)
     sigma_sq = np.float64(spec.sigma) ** 2
     if spec.family == "d_regularized_laplacian":
         rho = sigma_sq / (1.0 + sigma_sq)
         lead = (1.0 + sigma_sq) ** (-spec.degree)
-        return lead * comb(k + spec.degree - 1, spec.degree - 1) * rho**k
+        binom = [float(math.comb(i + spec.degree - 1, i)) for i in range(max_order + 1)]
+        return lead * np.array(binom) * rho**k
     if spec.family == "diffusion":
         gamma_sq = sigma_sq / 2.0
         out = np.empty(max_order + 1)
@@ -179,7 +182,8 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
         out = np.zeros(max_order + 1)
         top = min(spec.p, max_order)
         kk = np.arange(top + 1)
-        out[: top + 1] = comb(spec.p, kk) * (spec.alpha - 1.0) ** (spec.p - kk)
+        binom = [float(math.comb(spec.p, i)) for i in range(top + 1)]
+        out[: top + 1] = np.array(binom) * (spec.alpha - 1.0) ** (spec.p - kk)
         return out
     # inverse cosine: cos((I - A) pi/4) = cos(pi/4) cos(A pi/4) + sin(pi/4) sin(A pi/4)
     c = np.pi / 4.0

@@ -97,9 +97,10 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
                      row_of_walk: np.ndarray, out: np.ndarray):
     """Step a batch of fixed-length walks, scattering prefix loads into out.
 
-    ``out`` has one row per feature (node) and one column per graph node;
-    ``row_of_walk`` maps each walk to its output row.  All walks advance
-    synchronously so the modulation coefficient is a scalar per step.
+    ``out`` is a C-contiguous block with one row per feature (node) and one
+    column per graph node; ``row_of_walk`` maps each walk to its output
+    row.  All walks advance synchronously so the modulation coefficient is
+    a scalar per step.
     ``rng`` may be a list of generators, one per equal block of walks, as
     in :func:`otrf.graph.batch_walk_endpoints`.  Steps past ``f.k_max``
     add no load and draw no uniform.
@@ -109,10 +110,12 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
     lengths = np.asarray(lengths, dtype=np.int64)
     _truncations += int(np.count_nonzero(lengths > f.k_max))
     weight = np.ones(cur.size)
-    np.add.at(out, (row_of_walk, cur), f(0))
+    # add.at on one flat index runs 4-5x faster than on a (row, column) pair
+    flat, row_start = out.reshape(-1), row_of_walk * out.shape[1]
+    np.add.at(flat, row_start + cur, f(0))
     for t, idx, pick in _walk(g, cur, np.minimum(lengths, f.k_max), _trial_rngs(rng)):
         weight[idx] *= g.step_weight[pick] / (1.0 - p_halt)
-        np.add.at(out, (row_of_walk[idx], cur[idx]), weight[idx] * f(t))
+        np.add.at(flat, row_start[idx] + cur[idx], weight[idx] * f(t))
 
 
 def _node_features(g: GraphData, nodes, m: int, coupling, f: ModulationFn,
@@ -162,7 +165,7 @@ def estimate_quantile_projections(g: GraphData, order: int, p_halt: float,
     n = g.n_nodes
     psi_hat = np.zeros((n, order, n))
     for q, starts, lengths in _quantile_walks(n, order, p_halt, walks_per_quantile, rng):
-        out = np.zeros((n, n))  # add.at runs faster here than on psi_hat[:, q, :]
+        out = np.zeros((n, n))  # contiguous, unlike psi_hat[:, q, :]
         _projected_batch(g, starts, lengths, f, p_halt, rng, starts, out)
         psi_hat[:, q, :] = out / walks_per_quantile
     return psi_hat

@@ -4,6 +4,8 @@ Every public function here is a pure function of its inputs.  CDFs accept
 scalars or numpy arrays and broadcast; inverse CDFs round-trip to 1e-9
 (continuous distributions) or exactly (discrete).  The private ``_adam`` is
 the one Adam update, shared by GP hyperparameter fitting and copula training.
+Only the Gaussian and chi functions need ``scipy.special``, and they import
+it themselves, so the graph modules, which import this one, load no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,8 @@ def gauss_cdf(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("gauss_cdf requires finite input")
+    from scipy import special
+
     out = np.where(x >= 0, special.ndtr(x), 1.0 - special.ndtr(-x))
     return float(out) if out.ndim == 0 else out
 
@@ -81,6 +84,8 @@ def gauss_inv_cdf(u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("gauss_inv_cdf requires 0 < u < 1")
+    from scipy import special
+
     out = special.ndtri(u)
     return float(out) if out.ndim == 0 else out
 
@@ -98,6 +103,8 @@ def chi_cdf(x, d: ChiParams):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("chi_cdf requires x >= 0")
+    from scipy import special
+
     out = special.gammainc(d.dof / 2.0, np.square(x) / 2.0)
     return float(out) if out.ndim == 0 else out
 

@@ -118,7 +118,7 @@ def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,
     profile = np.zeros((n, order, n))  # (start, quantile, end)
     for q, starts, lengths in _quantile_walks(n, order, p_halt, samples_per_quantile, rng):
         ends = batch_walk_endpoints(g, starts, lengths, rng)
-        np.add.at(profile, (starts, q, ends), 1.0)
+        np.add.at(profile.reshape(-1), (starts * order + q) * n + ends, 1.0)
     profile /= samples_per_quantile
     cost = np.einsum("jqi,jri->qr", profile, profile) / n
     perm, _ = hungarian(cost)

@@ -1,15 +1,21 @@
 """Config handling, ingestion, report emission and determinism."""
 
 import csv
+import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otrf import couplings, experiments
+import otrf
+from otrf import couplings, euclidean_kinds, experiments
 from otrf.cli import main
 from otrf.datasets import ingest_csv, split_dataset, standardize
 from otrf.experiments import ConfigError, ExperimentConfig, parse_config_file, run
@@ -88,14 +94,12 @@ class TestCliProcess:
         assert main(["rf-bench", "--config", bad]) == 2
 
     def test_numerical_failure_exit(self, tmp_path, monkeypatch):
-        from otrf import experiments
         from otrf.errors import NumericalError
 
         def boom(cfg):
             raise NumericalError("diverged")
 
-        row = experiments._KINDS["rf-bench"]._replace(runner=boom)
-        monkeypatch.setitem(experiments._KINDS, "rf-bench", row)
+        monkeypatch.setattr(euclidean_kinds, "run_rf_bench", boom)
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
         assert main(["rf-bench", "--config", cfg_path]) == 3
 
@@ -107,8 +111,7 @@ class TestCliProcess:
         def boom(cfg):
             raise error
 
-        row = experiments._KINDS["rf-bench"]._replace(runner=boom)
-        monkeypatch.setitem(experiments._KINDS, "rf-bench", row)
+        monkeypatch.setattr(euclidean_kinds, "run_rf_bench", boom)
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
         assert main(["rf-bench", "--config", cfg_path]) == 3
         assert f"{type(error).__name__}: {error}" in capsys.readouterr().err
@@ -839,16 +842,109 @@ class TestBadInputExits:
             ftype = typing.get_type_hints(ExperimentConfig)[key]
             value = str(10**12) if int in (ftype, *typing.get_args(ftype)) else "1e300"
         fields[key] = value
-        text = "".join(
-            f"[{section}]\n" + "".join(f"{k} = {fields[k]}\n" for k in keys if k in fields)
-            for section, keys in experiments._SECTION_FIELDS.items()
-        )
-        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(fields))
         code = main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
         assert code in (0, 2, 3)
         if code == 2:
             assert key in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "fields, keys",
+        [
+            ({"kernel_degree": 10**12}, "kernel_sigma = 1.0, kernel_degree = 1000000000000"),
+            ({"kernel_family": "p_step_random_walk", "kernel_p": 10**12},
+             "kernel_alpha = 2.0, kernel_p = 1000000000000"),
+        ],
+    )
+    def test_kernel_binomial_beyond_float_range(self, tmp_path, fields, keys, capsys):
+        # the exact binomial overflows a float where scipy's comb gave inf
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(dict(TINY_GRAPH, **fields)))
+        assert main(["grf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{keys}: the {fields.get('kernel_family', 'd_regularized_laplacian')} kernel's " \
+            "walk expansion overflows or vanishes" in capsys.readouterr().err
+
+
+def _cfg_text(fields) -> str:
+    """A config file's text setting ``fields``, each in its own section."""
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {fields[k]}\n" for k in keys if k in fields)
+        for section, keys in experiments._SECTION_FIELDS.items()
+    )
+
+
+# Prints, as JSON on its last line, the scipy modules loaded after ``import
+# otrf.cli``, when the runner starts and when ``cli.main(argv)`` returns,
+# and main's exit code.
+_STACK_PROBE = """
+import json, sys
+from otrf import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+seen = {"imported": scipy_modules()}
+run = cli.run
+
+def spy(cfg):
+    seen["run_start"] = scipy_modules()
+    return run(cfg)
+
+cli.run = spy
+seen["code"] = cli.main(sys.argv[1:])
+seen["returned"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def _fresh_python(args, code: str) -> str:
+    """The last line ``code`` prints in a new interpreter that imports this otrf."""
+    src = str(Path(otrf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestModuleStacks:
+    """A graph kind runs on numpy alone; a Euclidean kind loads scipy while its
+    config is checked, so its run starts with the stack loaded."""
+
+    def test_bare_import_loads_no_scipy(self):
+        out = _fresh_python([], "import sys, otrf, otrf.cli\n"
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out == "[]"
+
+    def test_every_exported_name_resolves(self):
+        for name in otrf.__all__:
+            module = importlib.import_module(f"otrf.{otrf._EXPORTS[name]}")
+            assert getattr(otrf, name) is getattr(module, name)
+        with pytest.raises(AttributeError):
+            otrf.no_such_name
+
+    def test_frequency_couplings_are_the_tags_but_copula(self):
+        tags = tuple(t for t in couplings.COUPLING_TAGS if t != "copula")
+        assert experiments._FREQUENCY_COUPLINGS == tags
+
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench", "sigma-train"])
+    def test_graph_kind_runs_without_scipy(self, tmp_path, kind):
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(dict(TINY_GRAPH, kind=kind)))
+        seen = json.loads(_fresh_python(
+            [kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")], _STACK_PROBE))
+        assert seen == {"imported": [], "run_start": [], "code": 0, "returned": []}
+
+    @pytest.mark.parametrize(
+        "kind, fits_gp",
+        [("rf-bench", True), ("copula-train", True), ("gp-eval", True),
+         ("attention-bench", False)],
+    )
+    def test_euclidean_kind_loads_scipy_before_run(self, tmp_path, kind, fits_gp):
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(dict(PROBE_BASES[kind], kind=kind)))
+        seen = json.loads(_fresh_python(
+            [kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")], _STACK_PROBE))
+        assert seen["imported"] == [] and seen["code"] == 0
+        assert "scipy.special" in seen["run_start"]
+        assert "scipy.linalg" in seen["run_start"] or not fits_gp
 
 
 def _run_rows(tmp_path, **fields):

@@ -251,6 +251,45 @@ class TestTaylorCoefficients:
         ):
             assert np.all(taylor_coefficients(spec, 30) >= 0)
 
+    # scipy's float binomial is the oracle: exact up to degree 10 and p 30 at
+    # 64 orders, then up to 9e-13 away from the exactly rounded integer
+    @pytest.mark.parametrize(
+        "family, values, rtol",
+        [
+            ("d_regularized_laplacian", range(1, 11), 0.0),
+            ("d_regularized_laplacian", range(11, 101), 1e-14),
+            ("d_regularized_laplacian", range(101, 400), 1e-12),
+            ("p_step_random_walk", range(0, 31), 0.0),
+            ("p_step_random_walk", range(31, 101), 1e-14),
+            ("p_step_random_walk", range(101, 400), 1e-12),
+        ],
+    )
+    def test_binomials_match_scipy_comb(self, family, values, rtol):
+        from scipy.special import comb
+
+        k = np.arange(65)
+        sigma_sq = np.float64(0.7) ** 2
+        for n in values:
+            if family == "p_step_random_walk":
+                spec = GraphKernelSpec(family, alpha=2.5, p=n)
+                oracle = np.where(k <= n, comb(n, k) * 1.5 ** (n - k), 0.0)
+            else:
+                spec = GraphKernelSpec(family, sigma=0.7, degree=n)
+                rho = sigma_sq / (1.0 + sigma_sq)
+                oracle = (1.0 + sigma_sq) ** (-n) * comb(k + n - 1, n - 1) * rho**k
+            np.testing.assert_allclose(taylor_coefficients(spec, 64), oracle, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GraphKernelSpec("d_regularized_laplacian", degree=10**12),
+            GraphKernelSpec("p_step_random_walk", p=10**12),
+        ],
+    )
+    def test_binomial_beyond_float_range_raises(self, spec):
+        with pytest.raises(OverflowError):
+            taylor_coefficients(spec, 64)
+
 
 class TestWalks:
     def test_fixed_length_zero(self):
