@@ -11,9 +11,15 @@ was accepted (numerical failure, overflow, out of memory).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .experiments import EXPERIMENT_KINDS, ConfigError, parse_config_file, run
+# one BLAS thread unless the caller sets one: outputs are byte-identical only at
+# a fixed thread count, and BLAS reads these when the next import loads numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .experiments import EXPERIMENT_KINDS, ConfigError, parse_config_file, run  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

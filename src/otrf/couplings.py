@@ -227,16 +227,6 @@ def cholesky_from_params(theta: CorrelationParams) -> np.ndarray:
     return L
 
 
-def sample_copula_norms(theta: CorrelationParams, d: ChiParams, rng) -> np.ndarray:
-    """Norms with chi_d marginals and a Gaussian-copula joint.
-
-    A correlated Gaussian vector g = L z is pushed through the standard
-    normal CDF and then the chi_d quantile function; the marginals are
-    chi_d for every theta.
-    """
-    return sample_norms(theta.m, d.dof, CouplingSpec("copula", theta), rng)
-
-
 def check_ensemble_size(m: int, d: int, tag: str) -> None:
     """Raise ValueError unless scheme ``tag`` can draw m frequencies in R^d.
 

@@ -5,9 +5,5 @@ class NumericalError(RuntimeError):
     """A numerical routine produced a non-finite or unusable result."""
 
 
-class ConvergenceError(NumericalError):
-    """An iterative routine failed to converge within its budget."""
-
-
 class FeatureOverflowError(NumericalError):
     """Exponential feature map overflowed; enlarge the kernel lengthscale."""

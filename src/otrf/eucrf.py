@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy import special
 
-from .errors import ConvergenceError, FeatureOverflowError
+from .errors import FeatureOverflowError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,22 @@ def _exp_features(args: np.ndarray, sq_norms, scale: float) -> np.ndarray:
     return scale * np.exp(args - sq_norms)
 
 
+def _check_point(x, ens) -> np.ndarray:
+    """``x`` as one point of the ensemble's dimension, as a 1 x d row."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (_freqs(ens).shape[1],):
+        raise ValueError(f"dimension mismatch: x {x.shape}, freqs {_freqs(ens).shape}")
+    return x[None, :]
+
+
 def rff_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
     """Trigonometric features of length 2m: sqrt(1/m) [sin, cos](w_i . x/l).
 
     The output is scaled by the kernel output scale, so the self dot
-    product is exactly output_scale^2 for any input and ensemble.
+    product is exactly output_scale^2 for any input and ensemble.  One
+    column of :func:`rff_feature_matrix`.
     """
-    freqs = _freqs(ens)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (freqs.shape[1],):
-        raise ValueError(f"dimension mismatch: x {x.shape}, freqs {freqs.shape}")
-    args = freqs @ (x / params.lengthscale)
-    return _trig_features(args, params.output_scale / np.sqrt(freqs.shape[0]))
+    return rff_feature_matrix(_check_point(x, ens), ens, params)[:, 0]
 
 
 def rlf_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
@@ -98,15 +102,9 @@ def rlf_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
 
     phi(x) = output_scale sqrt(1/m) exp(-||x/l||^2) exp(w_i . x/l).  Raises
     :class:`FeatureOverflowError` when the exponent would overflow; the fix
-    is a larger lengthscale.
+    is a larger lengthscale.  One column of :func:`rlf_feature_matrix`.
     """
-    freqs = _freqs(ens)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (freqs.shape[1],):
-        raise ValueError(f"dimension mismatch: x {x.shape}, freqs {freqs.shape}")
-    xs = x / params.lengthscale
-    scale = params.output_scale / np.sqrt(freqs.shape[0])
-    return _exp_features(freqs @ xs, np.sum(xs**2), scale)
+    return rlf_feature_matrix(_check_point(x, ens), ens, params)[:, 0]
 
 
 def rff_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
@@ -162,46 +160,32 @@ def rlf_lengthscale_heuristic(X) -> float:
 # ---------------------------------------------------------------------------
 # Pair cost series
 
-_SERIES_TOL = 1e-12
-_SERIES_MAX_TERMS = 200
-
 
 def _pair_cost_series(t: float, omega_sq_sum: float, d: int, alternating: bool) -> float:
     """sum_k (+-1)^k t^(2k) (w1^2+w2^2)^k / (4^k k! Gamma(k + d/2)).
 
-    Terms are accumulated through their recurrence; truncates once a term
-    falls below _SERIES_TOL * |partial sum| and raises ConvergenceError if
-    _SERIES_MAX_TERMS terms do not get there.
+    The series is 0F1(; d/2; +-t^2 (w1^2+w2^2) / 4) / Gamma(d/2) (DLMF
+    16.2.1); the alternating one is a Bessel J in closed form (DLMF
+    10.16.9), the positive one a Bessel I.  Raises NumericalError where
+    scipy's 0F1 fails, at some negative arguments once d exceeds 176: nan,
+    or inf though the alternating series is at most 1/Gamma(d/2).
     """
-    term = np.exp(-gammaln(d / 2.0))  # k = 0 term, 1/Gamma(d/2)
-    total = term
-    ratio_base = t * t * omega_sq_sum / 4.0
-    sign = -1.0 if alternating else 1.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term *= sign * ratio_base / (k * (k - 1 + d / 2.0))
-        total += term
-        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
-            return float(total)
-    raise ConvergenceError(
-        f"pair cost series did not converge within {_SERIES_MAX_TERMS} terms"
-    )
+    x = (-1.0 if alternating else 1.0) * t * t * omega_sq_sum / 4.0
+    value = special.hyp0f1(d / 2.0, x) * special.rgamma(d / 2.0)
+    if np.isnan(value) or alternating and np.isinf(value):
+        raise NumericalError(f"0F1({d / 2}; {x}) evaluated to {value}")
+    return float(value)
 
 
 def cost_rff(omega1: float, omega2: float, z: float, d: int) -> float:
-    """Single ordered-pair trigonometric cost; alternating series in z.
-
-    Raises ConvergenceError when 200 terms miss relative tolerance 1e-12.
-    """
+    """Single ordered-pair trigonometric cost; alternating series in z."""
     if omega1 < 0 or omega2 < 0 or z < 0:
         raise ValueError("cost_rff requires nonnegative inputs")
     return _pair_cost_series(z, omega1**2 + omega2**2, d, alternating=True)
 
 
 def cost_rlf(omega1: float, omega2: float, v: float, d: int) -> float:
-    """Single ordered-pair exponential cost; positive-term series in v.
-
-    Raises ConvergenceError when 200 terms miss relative tolerance 1e-12.
-    """
+    """Single ordered-pair exponential cost; positive-term series in v."""
     if omega1 < 0 or omega2 < 0 or v < 0:
         raise ValueError("cost_rlf requires nonnegative inputs")
     return _pair_cost_series(v, omega1**2 + omega2**2, d, alternating=False)

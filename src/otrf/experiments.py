@@ -558,27 +558,19 @@ def run(cfg: ExperimentConfig) -> dict:
     succeeded, so a failed run leaves none behind.
     """
     rows, summary, *files = _runner(cfg.kind)(cfg)
-    _check_finite(summary)
+    payload = {"kind": cfg.kind, "seed": cfg.seed, "results": summary}
+    try:  # JSON has no nan or inf, so a non-finite summary fails here
+        summary_json = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError("experiment produced a non-finite result") from None
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files:
         (out_dir / name).write_text(text)
     (out_dir / "config.echo").write_text(cfg.echo())
     _write_rows(out_dir / "trials.csv", rows)
-    payload = {"kind": cfg.kind, "seed": cfg.seed, "results": summary}
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    (out_dir / "summary.json").write_text(summary_json)
     return payload
-
-
-def _check_finite(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
-    elif isinstance(obj, float) and not np.isfinite(obj):
-        raise NumericalError("experiment produced a non-finite result")
 
 
 def _write_rows(path, rows):

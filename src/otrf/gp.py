@@ -30,14 +30,6 @@ class GaussianPosterior:
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise ValueError("covariance shape does not match mean length")
 
-    def validate(self, atol: float = 1e-10):
-        if not np.allclose(self.cov, self.cov.T, atol=atol):
-            raise ValueError("covariance is not symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))
-        floor = -1e-8 * max(np.trace(self.cov), 1.0)
-        if np.min(eigs) < floor:
-            raise ValueError(f"covariance not numerically PSD (min eig {eigs.min()})")
-
 
 @dataclass
 class RegressionData:
@@ -142,15 +134,6 @@ def _evidence(k: np.ndarray, y: np.ndarray, noise_scale: float):
     return cho, alpha, value
 
 
-def log_marginal_likelihood(k_dd, y, noise_scale: float) -> float:
-    """Gaussian log evidence of targets under kernel matrix + noise."""
-    k_dd = np.atleast_2d(np.asarray(k_dd, dtype=float))
-    _, _, value = _evidence(k_dd, np.asarray(y, dtype=float).ravel(), noise_scale)
-    if not np.isfinite(value):
-        raise NumericalError("log marginal likelihood is non-finite")
-    return value
-
-
 @dataclass
 class GPFitConfig:
     """Adam steps for :func:`fit_hyperparams`, whose learning rate is fixed at 1e-2."""
@@ -220,12 +203,10 @@ def fit_hyperparams(
     )
 
 
-def gaussian_kl(p: GaussianPosterior, q: GaussianPosterior,
-                per_datapoint: bool = False) -> float:
+def gaussian_kl(p: GaussianPosterior, q: GaussianPosterior) -> float:
     """KL(p || q) in nats between Gaussian posteriors of equal dimension.
 
-    Tiny negative values from roundoff are clamped to zero; set
-    ``per_datapoint`` to divide by the dimension.
+    Tiny negative values from roundoff are clamped to zero.
     """
     if p.mean.size != q.mean.size:
         raise ValueError("posteriors have different dimensions")
@@ -242,8 +223,7 @@ def gaussian_kl(p: GaussianPosterior, q: GaussianPosterior,
     kl = 0.5 * (trace_term + quad - k + logdet_q - logdet_p)
     if kl < -1e-10:
         raise NumericalError(f"KL evaluated to {kl}; covariances are unusable")
-    kl = max(kl, 0.0)
-    return kl / k if per_datapoint else kl
+    return max(kl, 0.0)
 
 
 def kernel_blocks(train_x, pred_x, params: GaussianKernelParams):

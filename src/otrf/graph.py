@@ -89,21 +89,6 @@ class GraphData:
             raise ValueError(f"{path}: no edges")
         return cls.from_edges(max_node + 1, edges)
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            for u in range(self.n_nodes):
-                for v in range(u, self.n_nodes):
-                    if self.weights[u, v] > 0:
-                        if self.weights[u, v] == 1.0:
-                            fh.write(f"{u} {v}\n")
-                        else:
-                            fh.write(f"{u} {v} {float(self.weights[u, v])!r}\n")
-
-
-def laplacian(g: GraphData) -> np.ndarray:
-    """Unnormalised Laplacian D - W; rows sum to zero."""
-    return np.diag(g.degrees) - g.weights
-
 
 def normalized_laplacian(g: GraphData) -> np.ndarray:
     """D^-1/2 (D - W) D^-1/2 = I - normalised adjacency; spectrum in [0, 2]."""
@@ -218,6 +203,7 @@ class SigmaCoupling:
         self.perm = np.asarray(self.perm, dtype=np.int64)
         if sorted(self.perm.tolist()) != list(range(self.perm.size)):
             raise ValueError("perm must be a permutation of 0..n-1")
+        GeometricParams(self.p_halt)
 
     @property
     def order(self) -> int:
@@ -248,9 +234,11 @@ def coupling_tag(coupling, walkers: int) -> str:
     """Name of a walk-length coupling, checked against its walker count.
 
     ``coupling`` is "iid", "antithetic_termination", or a
-    :class:`SigmaCoupling` (tag "sigma").  The paired couplings join
-    consecutive walkers, so they need an even count.
+    :class:`SigmaCoupling` (tag "sigma").  There must be a walker, and the
+    paired couplings join consecutive walkers, so they need an even count.
     """
+    if walkers < 1:
+        raise ValueError(f"m (walkers) must be >= 1, got {walkers}")
     if isinstance(coupling, SigmaCoupling):
         tag = "sigma"
     elif coupling in WALK_COUPLING_TAGS and coupling != "sigma":
@@ -390,7 +378,7 @@ def _quantile_walks(n_nodes: int, order: int, p_halt: float, per_node: int, rng)
     [q/order, (q+1)/order) from one ``rng.random`` call when tile q is reached.
     Both sigma trainers draw through here, so here ``per_node`` is checked."""
     if per_node < 1:
-        raise ValueError(f"walks_per_quantile / samples_per_quantile must be >= 1, got {per_node}")
+        raise ValueError(f"walks_per_quantile must be >= 1, got {per_node}")
     gp = GeometricParams(p_halt)
     starts = np.repeat(np.arange(n_nodes), per_node)
     for q in range(order):

@@ -27,11 +27,6 @@ def truncation_count() -> int:
     return _truncations
 
 
-def reset_truncation_count():
-    global _truncations
-    _truncations = 0
-
-
 @dataclass
 class ModulationFn:
     """Coefficient sequence whose self-convolution gives kernel coefficients."""

@@ -10,6 +10,7 @@ it themselves, so the graph modules, which import this one, load no scipy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,47 +158,27 @@ def chi_inv_cdf(u, d: ChiParams):
 # Halton
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def primes(count: int) -> list[int]:
-    """First ``count`` prime numbers (Halton bases)."""
+    """First ``count`` primes (Halton bases), by trial division by the smaller ones."""
     out, n = [], 2
     while len(out) < count:
-        if _is_prime(n):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, out)):
             out.append(n)
         n += 1
     return out
 
 
-def halton(index: int, base: int) -> float:
-    """Radical inverse of ``index`` in prime base ``base``; index >= 1."""
-    if index < 1:
-        raise ValueError("halton index must be >= 1")
-    if not _is_prime(base):
-        raise ValueError(f"halton base must be prime, got {base}")
-    value, f, i = 0.0, 1.0 / base, index
-    while i > 0:
-        i, digit = divmod(i, base)
-        value += digit * f
-        f /= base
-    return value
-
-
 def halton_points(count: int, dim: int) -> np.ndarray:
-    """Halton points 1..``count`` (``count`` x ``dim``) in the first ``dim`` prime bases."""
-    bases = primes(dim)
-    return np.array([[halton(1 + i, b) for b in bases] for i in range(count)])
+    """Halton points 1..``count`` (``count`` x ``dim``) in the first ``dim`` prime bases;
+    a column's radical inverses take one digit of every index per pass."""
+    out = np.zeros((count, dim))
+    for col, base in zip(out.T, primes(dim)):
+        index, scale = np.arange(1, count + 1), 1.0 / base
+        while index.any():
+            index, digit = np.divmod(index, base)
+            col += digit * scale
+            scale /= base
+    return out
 
 
 # ---------------------------------------------------------------------------

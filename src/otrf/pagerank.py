@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .graph import (
     GraphData,
     SigmaCoupling,
@@ -61,23 +60,17 @@ def transition_matrix(g: GraphData) -> np.ndarray:
 
 
 def exact_pagerank(g: GraphData, p_halt: float) -> PageRankVector:
-    """Stationary distribution of (1-p) P + (p/N) E by power iteration.
+    """Stationary distribution of (1-p) P + (p/N) E by one linear solve.
 
-    Stops once successive iterates differ by less than 1e-12 in L1; raises
-    ConvergenceError after 100,000 iterations.
+    rho solves (I - (1-p) P^T) rho = (p/N) 1, a nonsingular system for any
+    p in (0, 1), renormalised to sum to one.
     """
     if not 0 < p_halt < 1:
         raise ValueError("p_halt must lie in (0, 1)")
     n = g.n_nodes
-    P = transition_matrix(g)
-    rho = np.full(n, 1.0 / n)
-    for _ in range(100_000):
-        nxt = (1.0 - p_halt) * (P.T @ rho) + p_halt / n
-        nxt /= nxt.sum()
-        if np.abs(nxt - rho).sum() < 1e-12:
-            return PageRankVector(nxt)
-        rho = nxt
-    raise ConvergenceError("power iteration did not reach 1e-12 in 100000 steps")
+    rho = np.linalg.solve(np.eye(n) - (1.0 - p_halt) * transition_matrix(g).T,
+                          np.full(n, p_halt / n))
+    return PageRankVector(rho / rho.sum())
 
 
 def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
@@ -104,7 +97,7 @@ def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
 
 
 def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,
-                         samples_per_quantile: int, rng) -> SigmaCoupling:
+                         walks_per_quantile: int, rng) -> SigmaCoupling:
     """Learn a length coupling that minimises PageRank estimator variance.
 
     Estimates, per start node and length quantile, the distribution of walk
@@ -116,10 +109,10 @@ def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,
     rng = ensure_rng(rng)
     n = g.n_nodes
     profile = np.zeros((n, order, n))  # (start, quantile, end)
-    for q, starts, lengths in _quantile_walks(n, order, p_halt, samples_per_quantile, rng):
+    for q, starts, lengths in _quantile_walks(n, order, p_halt, walks_per_quantile, rng):
         ends = batch_walk_endpoints(g, starts, lengths, rng)
         np.add.at(profile.reshape(-1), (starts * order + q) * n + ends, 1.0)
-    profile /= samples_per_quantile
+    profile /= walks_per_quantile
     cost = np.einsum("jqi,jri->qr", profile, profile) / n
     perm, _ = hungarian(cost)
     return SigmaCoupling(perm, p_halt)

@@ -193,7 +193,7 @@ class TestGraphExperiments:
 
         g = erdos_renyi(12, 0.4, np.random.default_rng(40))
         path = tmp_path / "g.edges"
-        g.to_file(path)
+        path.write_text("".join(f"{u} {v}\n" for u, v in zip(*np.nonzero(np.triu(g.weights)))))
         cfg = ExperimentConfig(
             kind="grf-bench",
             seed=41,
@@ -463,6 +463,25 @@ class TestBadInputExits:
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    def test_sigma_file_p_halt_outside_open_interval(self, tmp_path, kind, capsys):
+        # a coupling for a p_halt the grid does not run was once ignored unchecked
+        from otrf.graph import SigmaCoupling
+
+        good = json.loads(SigmaCoupling(np.array([1, 0]), 0.3).to_json())
+        sigma_file = tmp_path / "sigma.json"
+        sigma_file.write_text(json.dumps([good, {**good, "p_halt": 2.0}]))
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings="iid, sigma", graph=f"sigma_path = {sigma_file}",
+            p_halt_values="0.3",
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"sigma_path: malformed couplings in {sigma_file}" in err
+        assert "p_halt must lie in (0, 1), got 2.0" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
@@ -897,13 +916,69 @@ print(json.dumps(seen))
 """
 
 
-def _fresh_python(args, code: str) -> str:
-    """The last line ``code`` prints in a new interpreter that imports this otrf."""
+def _fresh_python(args, code: str, env_vars=None) -> str:
+    """The last line ``code`` prints in a new interpreter that imports this otrf.
+
+    ``env_vars`` sets (a string) or unsets (None) environment variables.
+    """
     src = str(Path(otrf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for key, value in (env_vars or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout.splitlines()[-1]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# large enough that, on two cores, unpinned BLAS threads change the last bits
+GP_EVAL_SMALL = """
+[experiment]
+kind = gp-eval
+seed = 21
+trials = 4
+
+[data]
+source = synthetic
+n_points = 160
+dim = 8
+splits = 2
+max_points = 64
+
+[kernel]
+fit_steps = 10
+
+[couplings]
+couplings = orthogonal
+
+[grid]
+m_values = 8
+"""
+
+
+class TestBlasThreads:
+    """The CLI pins one BLAS thread unless its caller sets a count."""
+
+    def test_caller_setting_wins(self):
+        code = "import os, otrf.cli; print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)
+        unset = dict.fromkeys(BLAS_VARS)
+        assert _fresh_python([], code, unset) == "1 1 1"
+        assert _fresh_python([], code, {**unset, "OPENBLAS_NUM_THREADS": "2"}) == "2 1 1"
+
+    def test_unset_environment_writes_pinned_bytes(self, tmp_path):
+        cfg_path = write_cfg(tmp_path / "gp.cfg", GP_EVAL_SMALL)
+        code = "import sys\nfrom otrf import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        outputs = []
+        for value in (None, "1"):
+            out = tmp_path / "out"  # one out path, as a rerun would use
+            args = ["gp-eval", "--config", cfg_path, "--out-dir", str(out)]
+            _fresh_python(args, code, dict.fromkeys(BLAS_VARS, value))
+            outputs.append([(out / name).read_bytes() for name in ("summary.json", "trials.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestModuleStacks:

@@ -20,7 +20,6 @@ from otrf.couplings import (
     copula_loss,
     optimize_copula,
     reference_coupling_loss,
-    sample_copula_norms,
     sample_norms,
     sample_orthogonal_directions,
 )
@@ -143,14 +142,15 @@ class TestCopulaNorms:
         theta = CorrelationParams(2, np.array([-1e8]))
         chi = ChiParams(4)
         for _ in range(100):
-            w = sample_copula_norms(theta, chi, rng)
+            w = sample_norms(2, 4, CouplingSpec("copula", theta), rng)
             assert abs(chi_cdf(w[0], chi) + chi_cdf(w[1], chi) - 1.0) < 1e-3
 
     def test_marginals_ks_any_theta(self):
         rng = np.random.default_rng(9)
         theta = CorrelationParams(3, np.array([2.0, -1.5, 0.7]))
         chi = ChiParams(4)
-        samples = np.array([sample_copula_norms(theta, chi, rng) for _ in range(30_000)])
+        spec = CouplingSpec("copula", theta)
+        samples = np.array([sample_norms(3, 4, spec, rng) for _ in range(30_000)])
         for col in range(3):
             assert stats.kstest(samples[:, col], lambda x: chi_cdf(x, chi)).pvalue > 0.01
 

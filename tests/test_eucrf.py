@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.special import gamma, hyp0f1
+from scipy.special import gamma, i0, j0
 
 from otrf.couplings import build_ensemble
-from otrf.errors import ConvergenceError, FeatureOverflowError
+from otrf.errors import FeatureOverflowError, NumericalError
 from otrf.eucrf import (
     AttentionStats,
     GaussianKernelParams,
@@ -93,8 +93,8 @@ class TestRffFeatures:
         ens = build_ensemble(2, 3, "iid", rng)
         p = GaussianKernelParams(1.4, 1.1)
         mat = rff_feature_matrix(X, ens, p)
-        # one column of a matrix product and one matrix-vector product may
-        # round differently in the last bit, so equality is to 1e-14
+        # a one-column and a six-column matrix product may round differently
+        # in the last bit, so equality is to 1e-14
         for j in range(6):
             assert np.allclose(mat[:, j], rff_features(X[j], ens, p), rtol=0, atol=1e-14)
 
@@ -157,6 +157,18 @@ class TestGramMetrics:
         with pytest.raises(ValueError):
             relative_rmse(np.eye(2), np.eye(3))
 
+
+SQRT_PI = np.sqrt(np.pi)
+# x -> (cost_rff, cost_rlf) at argument x = t sqrt(w1^2 + w2^2), per dimension d
+COST_FORMS = {
+    1: (lambda x: np.cos(x) / SQRT_PI, lambda x: np.cosh(x) / SQRT_PI),
+    2: (j0, i0),
+    3: (lambda x: 2 * np.sin(x) / (x * SQRT_PI), lambda x: 2 * np.sinh(x) / (x * SQRT_PI)),
+    5: (lambda x: 4 * (np.sin(x) - x * np.cos(x)) / (SQRT_PI * x**3),
+        lambda x: 4 * (x * np.cosh(x) - np.sinh(x)) / (SQRT_PI * x**3)),
+}
+
+
 class TestCostSeries:
     def test_zero_frequencies_d2(self):
         assert cost_rlf(0.0, 0.0, 1.0, 2) == pytest.approx(1.0, abs=1e-12)
@@ -173,25 +185,25 @@ class TestCostSeries:
         vals = [cost_rlf(w, 1.0, 0.8, 4) for w in np.linspace(0, 4, 9)]
         assert np.all(np.diff(vals) > 0)
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_against_hypergeometric_oracle(self, d):
-        # the series is 0F1(d/2; +-t^2 s / 4) / Gamma(d/2)
+        # the series is 0F1(d/2; -+x^2 / 4) / Gamma(d/2) with x = t sqrt(s),
+        # which has these elementary and Bessel forms (DLMF 10.16.9, 10.49)
+        rff, rlf = COST_FORMS[d]
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            w1, w2 = rng.random(2) * 3
-            s = w1**2 + w2**2
-            v = rng.random() * 1.5
-            z = rng.random() * 0.8
-            assert cost_rlf(w1, w2, v, d) == pytest.approx(
-                hyp0f1(d / 2, v * v * s / 4) / gamma(d / 2), rel=1e-10
-            )
-            assert cost_rff(w1, w2, z, d) == pytest.approx(
-                hyp0f1(d / 2, -z * z * s / 4) / gamma(d / 2), rel=1e-9
-            )
+        # (40, 40) at separation 6 puts x near 339, far past where a
+        # 200-term truncation of the series converges
+        for w1, w2, t in [(40.0, 40.0, 6.0)] + [tuple(rng.random(3) * 4) for _ in range(40)]:
+            x = t * np.sqrt(w1**2 + w2**2)
+            assert cost_rff(w1, w2, t, d) == pytest.approx(rff(x), rel=1e-10, abs=1e-12)
+            assert cost_rlf(w1, w2, t, d) == pytest.approx(rlf(x), rel=1e-10)
 
-    def test_nonconvergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            cost_rff(40.0, 40.0, 6.0, 2)
+    @pytest.mark.parametrize("d, w, value", [(178, 0.02, "inf"), (400, 0.2, "nan")])
+    def test_failed_0f1_raises(self, d, w, value):
+        # scipy's 0F1 fails at some small negative arguments past d = 176,
+        # where the true cost is about 1/Gamma(d/2)
+        with pytest.raises(NumericalError, match=f"evaluated to {value}"):
+            cost_rff(w, 0.0, 1.0, d)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Graph structure, kernels, Taylor expansions and walk couplings."""
 
+import json
 import math
 
 import numpy as np
@@ -15,13 +16,26 @@ from otrf.graph import (
     batch_walk_lengths,
     erdos_renyi,
     exact_graph_kernel,
-    laplacian,
     normalized_laplacian,
     taylor_coefficients,
 )
 from otrf.mathcore import GeometricParams, geometric_cdf
 
 TWO_PATH = GraphData(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def laplacian(g: GraphData) -> np.ndarray:
+    """Unnormalised Laplacian D - W; rows sum to zero."""
+    return np.diag(g.degrees) - g.weights
+
+
+def write_edge_list(g: GraphData, path):
+    """``g``'s upper-triangle edges as the ``u v [weight]`` lines
+    GraphData.from_file reads; a weight of 1 is left out."""
+    u, v = np.nonzero(np.triu(g.weights))
+    weights = g.weights[u, v]
+    path.write_text("".join(f"{a} {b}\n" if w == 1.0 else f"{a} {b} {float(w)!r}\n"
+                            for a, b, w in zip(u, v, weights)))
 
 
 def geometric_chisquare_pvalue(lengths, p_halt, cut=12):
@@ -122,7 +136,7 @@ class TestGraphData:
     def test_file_round_trip(self, tmp_path):
         g = GraphData.from_edges(4, [(0, 1), (1, 2, 0.5), (2, 3), (0, 3, 2.0)])
         path = tmp_path / "graph.edges"
-        g.to_file(path)
+        write_edge_list(g, path)
         back = GraphData.from_file(path)
         assert np.array_equal(back.weights, g.weights)
 
@@ -406,6 +420,14 @@ class TestCoupledLengths:
     def test_perm_validation(self):
         with pytest.raises(ValueError):
             SigmaCoupling(np.array([0, 0]), 0.3)
+
+    @pytest.mark.parametrize("p_halt", [2.0, 1.0, 0.0, -0.5, float("nan")])
+    def test_p_halt_validation(self, p_halt):
+        with pytest.raises(ValueError, match="p_halt must lie in"):
+            SigmaCoupling(np.array([1, 0]), p_halt)
+        text = json.dumps({"sigma": [2, 1], "n": 2, "p_halt": p_halt, "seed": None})
+        with pytest.raises(ValueError, match="p_halt must lie in"):
+            SigmaCoupling.from_json(text)
 
     def test_json_round_trip(self):
         coupling = SigmaCoupling(np.array([2, 0, 1]), 0.2, seed=9)

@@ -20,7 +20,6 @@ from otrf.grf import (
     grf_feature_matrix,
     grf_features,
     modulation_from_coefficients,
-    reset_truncation_count,
     truncation_count,
 )
 
@@ -175,6 +174,15 @@ class TestGrfFeatures:
         with pytest.raises(ValueError):
             grf_features(TWO_PATH, 2, 4, "iid", f, 0.4, np.random.default_rng(6))
 
+    @pytest.mark.parametrize("coupling", ["iid", "antithetic_termination"])
+    def test_zero_walkers_rejected(self, coupling):
+        # m = 0 used to average no walks into an all-nan feature
+        f = modulation_for(REG2)
+        with pytest.raises(ValueError, match=r"^m \(walkers\) must be >= 1, got 0$"):
+            grf_features(TWO_PATH, 0, 0, coupling, f, 0.3, np.random.default_rng(6))
+        with pytest.raises(ValueError, match=r"^m \(walkers\) must be >= 1, got 0$"):
+            grf_feature_matrix(TWO_PATH, 0, coupling, f, 0.3, np.random.default_rng(6))
+
     def test_paired_couplings_require_even_m(self):
         f = modulation_for(REG2)
         with pytest.raises(ValueError):
@@ -260,10 +268,10 @@ class TestGrfFeatures:
         assert np.array_equal(single, feats[-1])
 
     def test_truncation_counter(self):
-        reset_truncation_count()
+        before = truncation_count()
         f = modulation_from_coefficients([1.0, 1.0, 1.0], 2)
         projected_walk(TWO_PATH, 0, 5, f, 0.5, seed=10)
-        assert truncation_count() == 1
+        assert truncation_count() - before == 1
 
 
 class TestQuantileProjections:

@@ -15,7 +15,6 @@ from otrf.mathcore import (
     gauss_inv_cdf,
     geometric_cdf,
     geometric_inv_cdf,
-    halton,
     halton_points,
     primes,
 )
@@ -160,20 +159,38 @@ class TestChi:
             ChiParams(0)
 
 
+def halton(index: int, base: int) -> float:
+    """Radical inverse of ``index`` in ``base``, one digit at a time."""
+    value, f, i = 0.0, 1.0 / base, index
+    while i > 0:
+        i, digit = divmod(i, base)
+        value += digit * f
+        f /= base
+    return value
+
+
+def primes_oracle(count: int) -> list[int]:
+    """First ``count`` primes, by trial division by every smaller integer."""
+    return [n for n in range(2, 10 * count + 10) if all(n % f for f in range(2, n))][:count]
+
+
 class TestHalton:
     def test_base2_prefix(self):
         expected = [1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8, 3 / 8, 7 / 8]
-        got = [halton(i, 2) for i in range(1, 8)]
-        assert got == expected
+        assert halton_points(7, 1)[:, 0].tolist() == expected
 
     def test_base3(self):
-        assert halton(2, 3) == 2 / 3
+        assert halton_points(2, 2)[1, 1] == 2 / 3
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            halton(0, 2)
-        with pytest.raises(ValueError):
-            halton(1, 4)
+    @pytest.mark.parametrize("count, dim", [(1, 1), (7, 3), (100, 8), (257, 17), (1000, 64)])
+    def test_points_match_scalar_oracle(self, count, dim):
+        bases = primes_oracle(dim)
+        expected = [[halton(i, b) for b in bases] for i in range(1, count + 1)]
+        assert np.array_equal(halton_points(count, dim), np.array(expected))
+
+    def test_primes_match_oracle(self):
+        assert primes(200) == primes_oracle(200)
+        assert primes(0) == [] and primes(1) == [2]
 
     def test_points_shape_and_bases(self):
         pts = halton_points(5, 3)

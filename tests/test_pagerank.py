@@ -19,11 +19,30 @@ SELF_LOOP = GraphData(np.array([[1.0]]))
 
 
 def dense_solve_oracle(g, p_halt):
-    """PageRank by solving (I - (1-p) P^T) x = (p/N) 1 directly."""
+    """PageRank as the Google matrix's dense eigenvector of eigenvalue 1."""
+    n = g.n_nodes
+    google = (1 - p_halt) * transition_matrix(g) + p_halt / n
+    evals, evecs = np.linalg.eig(google.T)
+    x = np.real(evecs[:, np.argmin(np.abs(evals - 1.0))])
+    return x / x.sum()
+
+
+def power_iteration_oracle(g, p_halt):
+    """PageRank by power iteration, until successive iterates differ by
+    less than 1e-12 in L1 (the library's method before its linear solve)."""
     n = g.n_nodes
     P = transition_matrix(g)
-    x = np.linalg.solve(np.eye(n) - (1 - p_halt) * P.T, np.full(n, p_halt / n))
-    return x / x.sum()
+    rho = np.full(n, 1.0 / n)
+    for _ in range(100_000):
+        nxt = (1.0 - p_halt) * (P.T @ rho) + p_halt / n
+        nxt /= nxt.sum()
+        if np.abs(nxt - rho).sum() < 1e-12:
+            return nxt
+        rho = nxt
+    raise AssertionError("power iteration did not reach 1e-12 in 100000 steps")
+
+
+STAR = GraphData.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
 def profile_oracle(g, p_halt, order, samples, rng):
@@ -72,6 +91,26 @@ class TestExactPagerank:
         rho = exact_pagerank(g, p_halt).rho
         assert np.max(np.abs(rho - dense_solve_oracle(g, p_halt))) < 1e-10
 
+    @pytest.mark.parametrize("p_halt", [0.05, 0.3, 0.9])
+    def test_matches_power_iteration(self, p_halt):
+        rng = np.random.default_rng(2)
+        scale = rng.uniform(0.1, 3.0, (25, 25))
+        weighted = GraphData(erdos_renyi(25, 0.2, rng).weights * scale * scale.T)
+        for g in (erdos_renyi(25, 0.2, rng), weighted):
+            rho = exact_pagerank(g, p_halt).rho
+            assert np.allclose(rho, power_iteration_oracle(g, p_halt), rtol=0, atol=1e-11)
+
+    def test_bipartite_star_at_small_halt(self):
+        # on a bipartite graph power iteration contracts only by 1 - p per
+        # step, too slowly to converge in 100,000 steps at p = 1e-4; the
+        # centre's share solves rho_c = (1 - p)(1 - rho_c) + p/5
+        p = 1e-4
+        rho = exact_pagerank(STAR, p).rho
+        centre = (5 - 4 * p) / (5 * (2 - p))
+        assert rho.sum() == pytest.approx(1.0, abs=1e-12)
+        assert rho[0] == pytest.approx(centre, rel=1e-12)
+        assert np.allclose(rho[1:], (1 - centre) / 4, rtol=1e-12, atol=0)
+
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             exact_pagerank(SELF_LOOP, 0.0)
@@ -109,6 +148,13 @@ class TestMcPagerank:
         est = mc_pagerank(g, 0.3, 4, coupling, np.random.default_rng(8))
         assert est.coupling == "sigma"
         assert int(est.counts.sum()) == est.total
+
+    @pytest.mark.parametrize("coupling", ["iid", "antithetic_termination"])
+    def test_zero_walkers_rejected(self, coupling):
+        # m = 0 used to return an estimate over a total of zero walks
+        g = erdos_renyi(8, 0.4, np.random.default_rng(9))
+        with pytest.raises(ValueError, match=r"^m \(walkers\) must be >= 1, got 0$"):
+            mc_pagerank(g, 0.3, 0, coupling, np.random.default_rng(0))
 
     def test_paired_coupling_needs_even_m(self):
         g = erdos_renyi(8, 0.4, np.random.default_rng(9))
@@ -187,10 +233,10 @@ class TestSolvePagerankSigma:
         with pytest.raises(ValueError):
             solve_pagerank_sigma(SELF_LOOP, 0.3, 1, 10, np.random.default_rng(0))
 
-    def test_zero_samples_per_quantile_rejected(self):
+    def test_zero_walks_per_quantile_rejected(self):
         # checked where both sigma trainers draw their tiles, before any walk
         g = erdos_renyi(6, 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="samples_per_quantile"):
+        with pytest.raises(ValueError, match="^walks_per_quantile must be >= 1, got 0$"):
             solve_pagerank_sigma(g, 0.3, 4, 0, np.random.default_rng(1))
 
 
