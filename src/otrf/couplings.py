@@ -232,8 +232,11 @@ def check_ensemble_size(m: int, d: int, tag: str) -> None:
 
     Orthogonal schemes fill independent blocks of d directions (2d for the
     mirrored antithetic one); copula ensembles take blocks of at most d, so
-    m <= d or a multiple of d.  Other schemes take any m.
+    m <= d or a multiple of d.  Other schemes take any m >= 1, in any d >= 1.
     """
+    for name, value in (("m", m), ("d", d)):
+        if value < 1:
+            raise ValueError(f"{name} must lie in [1, inf), got {value}")
     block = {
         "orthogonal": d,
         "orthogonal_pnc": d,

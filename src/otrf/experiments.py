@@ -389,25 +389,20 @@ def _graph_kernel_spec(cfg: ExperimentConfig) -> graphmod.GraphKernelSpec:
     )
 
 
-def _train_sigmas(cfg: ExperimentConfig, graph, label: str, solve) -> list:
-    """``solve(graph, p_halt, rng)`` per grid p_halt, seeded by ``label/p_halt``."""
-    return [solve(graph, p, _rng(cfg.seed, f"{label}/{p}")) for p in cfg.p_halt_values]
-
-
 def _grf_sigma_solver(cfg: ExperimentConfig, f):
-    """The grf sigma trainer of grf-bench and sigma-train."""
-    return lambda graph, p_halt, rng: matching.solve_sigma_coupling(
-        graph, p_halt, cfg.n_quantiles, f, cfg.walks_per_quantile, rng
+    """The grf sigma trainer of grf-bench and sigma-train, seeded by ``sigma-train/p_halt``."""
+    return lambda graph, p_halt: matching.solve_sigma_coupling(
+        graph, p_halt, cfg.n_quantiles, f, cfg.walks_per_quantile,
+        _rng(cfg.seed, f"sigma-train/{p_halt}"),
     )
 
 
 def _sigma_couplings(cfg: ExperimentConfig, label: str, solve) -> dict:
     """One sigma coupling per grid p_halt, keyed by rounded p_halt.
 
-    Read from ``cfg.sigma_path`` when set, else trained by
-    :func:`_train_sigmas` on one G(train_nodes, train_edge_prob) graph;
-    ``label`` names the training graph's and each solve's seed.  Empty when
-    the sigma coupling is not benchmarked.
+    Read from ``cfg.sigma_path`` when set, else trained by ``solve(graph,
+    p_halt)`` on one G(train_nodes, train_edge_prob) graph seeded by
+    ``label``.  Empty when the sigma coupling is not benchmarked.
     """
     if "sigma" not in cfg.couplings:
         return {}
@@ -415,8 +410,7 @@ def _sigma_couplings(cfg: ExperimentConfig, label: str, solve) -> dict:
         train_graph = graphmod.erdos_renyi(
             cfg.train_nodes, cfg.train_edge_prob, _rng(cfg.seed, f"{label}-graph")
         )
-        trained = _train_sigmas(cfg, train_graph, label, solve)
-        return {round(p, 10): c for p, c in zip(cfg.p_halt_values, trained)}
+        return {round(p, 10): solve(train_graph, p) for p in cfg.p_halt_values}
     try:
         items = json.loads(Path(cfg.sigma_path).read_text())
         loaded = (graphmod.SigmaCoupling.from_json(json.dumps(item)) for item in items)
@@ -461,8 +455,9 @@ def run_sigma_train(cfg: ExperimentConfig):
     f = grf.modulation_from_coefficients(graphmod.taylor_coefficients(spec, grf.K_MAX_DEFAULT))
     rows = []
     payload = []
-    trained = _train_sigmas(cfg, g, "sigma-train", _grf_sigma_solver(cfg, f))
-    for p_halt, coupling in zip(cfg.p_halt_values, trained):
+    solve = _grf_sigma_solver(cfg, f)
+    for p_halt in cfg.p_halt_values:
+        coupling = solve(g, p_halt)
         coupling.seed = cfg.seed
         payload.append(json.loads(coupling.to_json()))
         for q, image in enumerate(coupling.perm):
@@ -484,9 +479,7 @@ def run_pagerank_bench(cfg: ExperimentConfig):
     sigmas = _sigma_couplings(
         cfg,
         "pr-train",
-        lambda graph, p_halt, rng: pagerank.solve_pagerank_sigma(
-            graph, p_halt, cfg.n_quantiles, cfg.walks_per_quantile, rng
-        ),
+        lambda graph, p_halt: pagerank.solve_pagerank_sigma(graph, p_halt, cfg.n_quantiles),
     )
 
     def cells():

@@ -149,6 +149,8 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
     Binomials are exact integers rounded once to a float; one beyond the
     float range raises OverflowError.
     """
+    if max_order < 0:
+        raise ValueError(f"max_order must lie in [0, inf), got {max_order}")
     k = np.arange(max_order + 1)
     sigma_sq = np.float64(spec.sigma) ** 2
     if spec.family == "d_regularized_laplacian":
@@ -163,23 +165,12 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
         for i in range(1, max_order + 1):
             out[i] = out[i - 1] * gamma_sq / i
         return out
-    if spec.family == "p_step_random_walk":
-        out = np.zeros(max_order + 1)
-        top = min(spec.p, max_order)
-        kk = np.arange(top + 1)
-        binom = [float(math.comb(spec.p, i)) for i in range(top + 1)]
-        out[: top + 1] = np.array(binom) * (spec.alpha - 1.0) ** (spec.p - kk)
-        return out
+    if spec.family == "p_step_random_walk":  # comb(p, i) = 0 for i > p
+        binom = [float(math.comb(spec.p, i)) for i in range(max_order + 1)]
+        return np.array(binom) * (spec.alpha - 1.0) ** (spec.p - k)
     # inverse cosine: cos((I - A) pi/4) = cos(pi/4) cos(A pi/4) + sin(pi/4) sin(A pi/4)
     c = np.pi / 4.0
-    out = np.zeros(max_order + 1)
-    fact = 1.0
-    for i in range(max_order + 1):
-        if i > 0:
-            fact *= i
-        sign = (-1.0) ** (i // 2)
-        out[i] = (np.sqrt(2.0) / 2.0) * sign * c**i / fact
-    return out
+    return (np.sqrt(2.0) / 2.0) * (-1.0) ** (k // 2) * np.cumprod(np.r_[1.0, c / k[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,7 @@ def _quantile_walks(n_nodes: int, order: int, p_halt: float, per_node: int, rng)
     """Yield ``(q, starts, lengths)`` for tiles q = 0, ..., order - 1: ``per_node``
     walks from each node, whose lengths are geometric quantiles of uniforms in
     [q/order, (q+1)/order) from one ``rng.random`` call when tile q is reached.
-    Both sigma trainers draw through here, so here ``per_node`` is checked."""
+    The GRF sigma trainer draws its tiles here, so here ``per_node`` is checked."""
     if per_node < 1:
         raise ValueError(f"walks_per_quantile must be >= 1, got {per_node}")
     gp = GeometricParams(p_halt)

@@ -48,11 +48,18 @@ def modulation_from_coefficients(alpha, k_max: int = K_MAX_DEFAULT) -> Modulatio
     """Discrete square root of a coefficient sequence under convolution.
 
     f(0) = sqrt(a_0) and f(k) = (a_k - sum_{j=1}^{k-1} f(j) f(k-j)) / (2 f(0)),
-    so (f * f)(k) = a_k for k <= k_max.  Requires a_0 > 0.
+    so (f * f)(k) = a_k for k <= k_max.  Requires finite a_k and a_0 > 0.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha[0] <= 0:
-        raise ValueError("leading coefficient must be positive")
+    if k_max < 0:
+        raise ValueError(f"k_max must lie in [0, inf), got {k_max}")
+    if alpha.ndim != 1 or alpha.size < 1:
+        raise ValueError(f"alpha must be a nonempty sequence, got shape {alpha.shape}")
+    if not 0 < alpha[0] < np.inf:
+        raise ValueError(f"alpha[0] must lie in (0, inf), got {alpha[0]}")
+    bad = np.flatnonzero(~np.isfinite(alpha))
+    if bad.size:
+        raise ValueError(f"alpha[{bad[0]}] must lie in (-inf, inf), got {alpha[bad[0]]}")
     padded = np.zeros(k_max + 1)
     padded[: min(alpha.size, k_max + 1)] = alpha[: k_max + 1]
     f = np.zeros(k_max + 1)

@@ -12,16 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    GraphData,
-    SigmaCoupling,
-    _quantile_walks,
-    batch_walk_endpoints,
-    batch_walk_lengths,
-    coupling_tag,
-)
+from .graph import GraphData, SigmaCoupling, batch_walk_endpoints, batch_walk_lengths, coupling_tag
 from .matching import hungarian
-from .mathcore import _trial_rngs, ensure_rng
+from .mathcore import GeometricParams, _trial_rngs, geometric_cdf, geometric_inv_cdf
 
 
 @dataclass
@@ -65,8 +58,7 @@ def exact_pagerank(g: GraphData, p_halt: float) -> PageRankVector:
     rho solves (I - (1-p) P^T) rho = (p/N) 1, a nonsingular system for any
     p in (0, 1), renormalised to sum to one.
     """
-    if not 0 < p_halt < 1:
-        raise ValueError("p_halt must lie in (0, 1)")
+    GeometricParams(p_halt)  # p_halt in (0, 1)
     n = g.n_nodes
     rho = np.linalg.solve(np.eye(n) - (1.0 - p_halt) * transition_matrix(g).T,
                           np.full(n, p_halt / n))
@@ -96,23 +88,36 @@ def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
     return estimates if isinstance(rng, list) else estimates[0]
 
 
-def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int,
-                         walks_per_quantile: int, rng) -> SigmaCoupling:
-    """Learn a length coupling that minimises PageRank estimator variance.
-
-    Estimates, per start node and length quantile, the distribution of walk
-    endpoints; the matching cost couples quantiles whose endpoint profiles
-    overlap least, averaged over target nodes, and is solved exactly.
-    """
+def _endpoint_profile(g: GraphData, p_halt: float, order: int) -> np.ndarray:
+    """Exact (start j, tile q, end) law of a walk's endpoint, its length drawn
+    from the qth of ``order`` equal-probability tiles of the geometric law:
+    sum_l P(L = l | q) T^l[j], P(L = l | q) = order |tile q & (F(l-1), F(l)]|.
+    Every length from L0, the first with (1-p)^L0 <= 1/order, lies in the
+    last tile, where they sum to order p (1-p)^L0 T^L0 (I - (1-p) T)^-1."""
+    gp = GeometricParams(p_halt)
     if order < 2:
-        raise ValueError("permutation order must be >= 2")
-    rng = ensure_rng(rng)
-    n = g.n_nodes
-    profile = np.zeros((n, order, n))  # (start, quantile, end)
-    for q, starts, lengths in _quantile_walks(n, order, p_halt, walks_per_quantile, rng):
-        ends = batch_walk_endpoints(g, starts, lengths, rng)
-        np.add.at(profile.reshape(-1), (starts * order + q) * n + ends, 1.0)
-    profile /= walks_per_quantile
-    cost = np.einsum("jqi,jri->qr", profile, profile) / n
-    perm, _ = hungarian(cost)
+        raise ValueError(f"order must be >= 2, got {order}")
+    l0 = geometric_inv_cdf(1.0 - 1.0 / order, gp) + 1
+    cdf = np.concatenate([[0.0], geometric_cdf(np.arange(l0), gp)])  # F(-1) = 0
+    edges = np.arange(order + 1) / order
+    weights = order * np.clip(np.minimum(edges[1:], cdf[1:, None])
+                              - np.maximum(edges[:-1], cdf[:-1, None]), 0.0, None)
+    T = transition_matrix(g)
+    profile, power = np.zeros((g.n_nodes, order, g.n_nodes)), np.eye(g.n_nodes)
+    for tile_weights in weights:  # one power T^l at a time
+        for q in np.flatnonzero(tile_weights):
+            profile[:, q] += tile_weights[q] * power
+        power = power @ T
+    # T^L0 commutes with I - (1-p) T, so one solve gives the tail
+    tail = np.linalg.solve(np.eye(g.n_nodes) - (1.0 - p_halt) * T, power)
+    profile[:, -1] += order * p_halt * (1.0 - p_halt) ** l0 * tail
+    return profile
+
+
+def solve_pagerank_sigma(g: GraphData, p_halt: float, order: int) -> SigmaCoupling:
+    """Learn a length coupling that minimises PageRank estimator variance:
+    the matching couples length tiles whose exact endpoint profiles overlap
+    least, averaged over start nodes, and is solved exactly."""
+    profile = _endpoint_profile(g, p_halt, order)
+    perm, _ = hungarian(np.einsum("jqi,jri->qr", profile, profile) / g.n_nodes)
     return SigmaCoupling(perm, p_halt)

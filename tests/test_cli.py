@@ -439,7 +439,7 @@ PROBE_KEYS = {
     "grf-bench": ("trials", "graph_nodes", "edge_prob", "kernel_sigma", "kernel_degree",
                   "kernel_alpha", "kernel_p", "p_halt_values", "n_quantiles", "walkers",
                   "walks_per_quantile", "train_nodes", "train_edge_prob"),
-    "pagerank-bench": ("trials", "graph_nodes", "walkers", "walks_per_quantile", "n_quantiles"),
+    "pagerank-bench": ("trials", "graph_nodes", "walkers", "n_quantiles"),
 }
 
 

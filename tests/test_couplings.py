@@ -209,6 +209,17 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError):
             build_ensemble(4, 4, "bogus", np.random.default_rng(0))
 
+    # m = 0 or d = 0 used to return an empty ensemble
+    @pytest.mark.parametrize("tag", ["iid", "halton", "orthogonal"])
+    def test_zero_frequencies_rejected(self, tag):
+        with pytest.raises(ValueError, match=r"^m must lie in \[1, inf\), got 0$"):
+            build_ensemble(0, 4, tag, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tag", ["iid", "halton", "orthogonal"])
+    def test_zero_dimensions_rejected(self, tag):
+        with pytest.raises(ValueError, match=r"^d must lie in \[1, inf\), got 0$"):
+            build_ensemble(4, 0, tag, np.random.default_rng(0))
+
 
 _BATCHED_TAGS = (
     "iid", "halton", "orthogonal", "orthogonal_pnc", "orthogonal_pnc_antithetic",

@@ -304,6 +304,21 @@ class TestTaylorCoefficients:
         with pytest.raises(OverflowError):
             taylor_coefficients(spec, 64)
 
+    def test_inverse_cosine_matches_factorial_loop(self):
+        # the factorial loop as oracle; its products round in another order
+        c, fact, oracle = np.pi / 4.0, 1.0, []
+        for i in range(65):
+            fact *= max(i, 1)
+            oracle.append((np.sqrt(2.0) / 2.0) * (-1.0) ** (i // 2) * c**i / fact)
+        alpha = taylor_coefficients(GraphKernelSpec("inverse_cosine"), 64)
+        np.testing.assert_allclose(alpha, oracle, rtol=1e-14, atol=0)
+
+    def test_negative_order_rejected(self):
+        # used to return an empty array
+        spec = GraphKernelSpec("diffusion")
+        with pytest.raises(ValueError, match=r"^max_order must lie in \[0, inf\), got -1$"):
+            taylor_coefficients(spec, -1)
+
 
 class TestWalks:
     def test_fixed_length_zero(self):

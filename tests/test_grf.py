@@ -99,6 +99,18 @@ class TestModulation:
         with pytest.raises(ValueError):
             modulation_from_coefficients([0.0, 1.0], 3)
 
+    def test_nan_coefficient_rejected(self):
+        # used to return all-NaN coefficients
+        with pytest.raises(ValueError, match=r"^alpha\[0\] must lie in \(0, inf\), got nan$"):
+            modulation_from_coefficients([np.nan, 0.5])
+        with pytest.raises(ValueError, match=r"^alpha\[1\] must lie in \(-inf, inf\), got nan$"):
+            modulation_from_coefficients([1.0, np.nan])
+
+    def test_negative_k_max_rejected(self):
+        # used to end in IndexError
+        with pytest.raises(ValueError, match=r"^k_max must lie in \[0, inf\), got -1$"):
+            modulation_from_coefficients([1.0, 0.5], k_max=-1)
+
     def test_truncation_beyond_kmax(self):
         f = modulation_from_coefficients([1.0, 1.0], 3)
         assert f(3) == f.coeffs[3]

@@ -1,14 +1,16 @@
 """Exact and walk-sampled PageRank, including coupled estimators."""
 
+import time
+
 import numpy as np
 import pytest
 
-from otrf import pagerank
 from otrf.graph import GraphData, SigmaCoupling, batch_walk_endpoints, erdos_renyi
 from otrf.matching import hungarian
-from otrf.mathcore import GeometricParams, geometric_inv_cdf
+from otrf.mathcore import GeometricParams, geometric_cdf, geometric_inv_cdf
 from otrf.pagerank import (
     PageRankVector,
+    _endpoint_profile,
     exact_pagerank,
     mc_pagerank,
     solve_pagerank_sigma,
@@ -184,60 +186,80 @@ class TestSolvePagerankSigma:
         import itertools
 
         g = erdos_renyi(12, 0.35, np.random.default_rng(10))
-        order, samples, p_halt = 4, 400, 0.3
+        order, p_halt = 4, 0.3
         # reproduce the solver's cost construction, then compare optima
-        cost = profile_cost(profile_oracle(g, p_halt, order, samples, np.random.default_rng(11)))
-        _, total = hungarian(cost)
+        cost = profile_cost(_endpoint_profile(g, p_halt, order))
+        perm, total = hungarian(cost)
         best = min(
-            sum(cost[q, perm[q]] for q in range(order))
-            for perm in itertools.permutations(range(order))
+            sum(cost[q, other[q]] for q in range(order))
+            for other in itertools.permutations(range(order))
         )
         assert total == pytest.approx(best, abs=1e-12)
-        coupling = solve_pagerank_sigma(g, p_halt, order, samples, np.random.default_rng(11))
-        assert sorted(coupling.perm.tolist()) == list(range(order))
+        assert np.array_equal(solve_pagerank_sigma(g, p_halt, order).perm, perm)
 
-    def test_profile_matches_tile_loop(self, monkeypatch):
-        # the walks the solver runs rebuild the oracle's profile exactly, and
-        # the matching sees the oracle's cost
+    def test_profile_matches_tile_loop(self):
+        # the tile loop's Monte Carlo profile converges to the exact one at
+        # the sqrt(walks) rate: 16 times the walks, a quarter of the gap
         g = erdos_renyi(9, 0.4, np.random.default_rng(14))
-        order, samples, p_halt = 5, 60, 0.2
-        walks, costs = [], []
+        order = 5
+        for p_halt in (0.1, 0.5, 0.9):
+            exact = _endpoint_profile(g, p_halt, order)
+            gaps = [
+                np.mean([
+                    np.linalg.norm(profile_oracle(g, p_halt, order, walks,
+                                                  np.random.default_rng((15, walks, rep))) - exact)
+                    for rep in range(8)
+                ])
+                for walks in (50, 800)
+            ]
+            assert 3.0 < gaps[0] / gaps[1] < 5.3, p_halt
 
-        def endpoints_spy(g, starts, lengths, rng):
-            ends = batch_walk_endpoints(g, starts, lengths, rng)
-            walks.append((starts, ends))
-            return ends
+    @pytest.mark.parametrize("p_halt", [0.01, 0.3, 0.99])
+    def test_profile_rows_are_laws(self, p_halt):
+        profile = _endpoint_profile(erdos_renyi(10, 0.4, np.random.default_rng(12)), p_halt, 6)
+        assert profile.min() >= 0.0
+        assert np.max(np.abs(profile.sum(axis=2) - 1.0)) < 1e-12
 
-        def hungarian_spy(cost):
-            costs.append(cost)
-            return hungarian(cost)
-
-        monkeypatch.setattr(pagerank, "batch_walk_endpoints", endpoints_spy)
-        monkeypatch.setattr(pagerank, "hungarian", hungarian_spy)
-        coupling = solve_pagerank_sigma(g, p_halt, order, samples, np.random.default_rng(15))
-        expected = profile_oracle(g, p_halt, order, samples, np.random.default_rng(15))
-        profile = np.zeros_like(expected)
-        for q, (starts, ends) in enumerate(walks):
-            np.add.at(profile, (starts, q, ends), 1.0)
-        assert len(walks) == order
-        assert np.array_equal(profile / samples, expected)
-        assert np.array_equal(costs[0], profile_cost(expected))
-        assert np.array_equal(coupling.perm, hungarian(profile_cost(expected))[0])
+    @pytest.mark.parametrize("p_halt, order", [(0.99, 4), (0.3, 5), (0.05, 3)])
+    def test_tail_matches_truncated_series(self, p_halt, order):
+        # the closed-form tail against the length sum run until (1-p)^l
+        # drops below 1e-17, every length's tile share taken from F directly
+        g = erdos_renyi(8, 0.4, np.random.default_rng(13))
+        gp = GeometricParams(p_halt)
+        T = transition_matrix(g)
+        series = np.zeros((8, order, 8))
+        power = np.eye(8)
+        for length in range(int(np.log(1e-17) / np.log1p(-p_halt)) + 1):
+            lo = geometric_cdf(length - 1, gp) if length else 0.0
+            hi = geometric_cdf(length, gp)
+            for q in range(order):
+                share = min((q + 1) / order, hi) - max(q / order, lo)
+                series[:, q, :] += order * max(share, 0.0) * power
+            power = power @ T
+        assert np.allclose(_endpoint_profile(g, p_halt, order), series, rtol=0, atol=1e-13)
 
     def test_degenerate_high_halt_returns_valid_permutation(self):
+        # L0 = 1: only the last tile holds lengths beyond 0
         g = erdos_renyi(10, 0.4, np.random.default_rng(12))
-        coupling = solve_pagerank_sigma(g, 0.99, 4, 50, np.random.default_rng(13))
-        assert sorted(coupling.perm.tolist()) == list(range(4))
+        coupling = solve_pagerank_sigma(g, 0.99, 10)
+        assert sorted(coupling.perm.tolist()) == list(range(10))
+
+    def test_low_halt_returns_valid_permutation_quickly(self):
+        # L0 = 230 matrix powers
+        g = erdos_renyi(10, 0.4, np.random.default_rng(12))
+        start = time.perf_counter()
+        coupling = solve_pagerank_sigma(g, 0.01, 10)
+        assert time.perf_counter() - start < 5.0
+        assert sorted(coupling.perm.tolist()) == list(range(10))
 
     def test_order_bound(self):
-        with pytest.raises(ValueError):
-            solve_pagerank_sigma(SELF_LOOP, 0.3, 1, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^order must be >= 2, got 1$"):
+            solve_pagerank_sigma(SELF_LOOP, 0.3, 1)
 
-    def test_zero_walks_per_quantile_rejected(self):
-        # checked where both sigma trainers draw their tiles, before any walk
-        g = erdos_renyi(6, 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="^walks_per_quantile must be >= 1, got 0$"):
-            solve_pagerank_sigma(g, 0.3, 4, 0, np.random.default_rng(1))
+    @pytest.mark.parametrize("p_halt", [0.0, 1.0, float("nan")])
+    def test_bad_p_halt_rejected(self, p_halt):
+        with pytest.raises(ValueError, match=r"^p_halt must lie in \(0, 1\), got "):
+            solve_pagerank_sigma(SELF_LOOP, p_halt, 4)
 
 
 class TestPageRankVector:
