@@ -36,20 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=None, help="report directory")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="accepted for compatibility and ignored: trials run in one thread, "
-        "grf-bench and pagerank-bench in chunks of trials per walk-engine call",
+        help="ignored, and kept only so that existing command lines such as "
+        "perfbench/run.py's still parse: trials run in one thread",
     )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "kind": args.kind,
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "threads": args.threads,
-    }
+    overrides = {"kind": args.kind, "seed": args.seed, "out_dir": args.out_dir}
     try:
         cfg = parse_config_file(args.config, overrides)
         summary = run(cfg)

@@ -376,7 +376,9 @@ def _rmse_loss_and_grad(
     mc_samples: int,
     seed: int,
 ) -> tuple[float, np.ndarray]:
-    """Kernel-approximation RMSE loss at ``theta`` and its exact gradient.
+    """The copula loss at ``theta`` and its exact gradient: the mean over
+    ``mc_samples`` draws of the feature Gram estimate's RMSE against the
+    exact Gaussian kernel.
 
     The seed fixes the noise (directions, then the Gaussian vector z, per
     draw), giving common-random-number evaluations: the loss is a
@@ -442,28 +444,6 @@ def _rmse_loss_and_grad(
     return loss / mc_samples, _factor_grad(L, grad_L) / mc_samples
 
 
-def copula_loss(
-    theta: CorrelationParams,
-    dataset: np.ndarray,
-    kernel: "eucrf.GaussianKernelParams",
-    featurizer: str,
-    mc_samples: int,
-    rng,
-) -> float:
-    """Monte Carlo estimate of the expected kernel-approximation RMSE.
-
-    Each draw resamples orthogonal directions and copula norms, builds the
-    feature Gram estimate over the dataset and takes the RMSE against the
-    exact Gaussian kernel; draws are averaged.  Passing an integer seed
-    gives a common-random-number evaluation, deterministic in (theta, seed);
-    :func:`optimize_copula` records this loss at each step seed and follows
-    its exact pathwise gradient in theta.
-    """
-    seed = rng if isinstance(rng, (int, np.integer)) else int(ensure_rng(rng).integers(2**63))
-    loss, _ = _rmse_loss_and_grad(theta.theta, dataset, kernel, featurizer, mc_samples, seed)
-    return float(loss)
-
-
 def reference_coupling_loss(
     scheme: CouplingSpec | str,
     m: int,
@@ -473,7 +453,7 @@ def reference_coupling_loss(
     mc_samples: int,
     rng,
 ) -> float:
-    """Same RMSE-loss protocol as :func:`copula_loss` for a fixed scheme.
+    """The copula loss's RMSE protocol (:func:`_rmse_loss_and_grad`) for a fixed scheme.
 
     Gives a like-for-like baseline (e.g. orthogonal with independent or
     negative-monotone-paired norms) to compare learned copulas against.
@@ -535,7 +515,7 @@ def optimize_copula(
 
     Each step evaluates the common-random-number loss at a fresh step seed,
     with its exact pathwise gradient from one reverse pass (see
-    :func:`copula_loss`), and records the loss in ``loss_trace``.  Aborts
+    :func:`_rmse_loss_and_grad`), and records the loss in ``loss_trace``.  Aborts
     with :class:`NumericalError` on a non-finite loss or gradient.
     """
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))

@@ -85,13 +85,12 @@ def standardize(train: np.ndarray, *others):
     return out[0] if not others else tuple(out)
 
 
-def split_dataset(X: np.ndarray, y: np.ndarray, rng, max_points: int = 256,
-                  test_fraction: float = 0.5):
-    """Disjoint random train/test subsets, each capped at ``max_points``."""
+def split_dataset(X: np.ndarray, y: np.ndarray, rng, max_points: int = 256):
+    """Disjoint random train/test halves, each capped at ``max_points``."""
     rng = ensure_rng(rng)
     n = X.shape[0]
     perm = rng.permutation(n)
-    n_test = min(max_points, int(round(n * test_fraction)))
+    n_test = min(max_points, round(n / 2))
     n_train = min(max_points, n - n_test)
     test_idx = perm[:n_test]
     train_idx = perm[n_test : n_test + n_train]

@@ -24,7 +24,7 @@ import importlib
 import json
 import typing
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +35,6 @@ from .errors import NumericalError
 
 class ConfigError(ValueError):
     """Invalid or unusable experiment configuration."""
-
-
-# each numeric key's interval, checked in table order (a tuple entry by entry).
-# A graph needs two nodes to have no isolated node, a sigma coupling two
-# quantiles; counts stop at 1e6, ~300x the largest a shipped config sets; an
-# exact GP fits at most 256 points; Adam moves theta by about lr per step, so
-# lr <= 1 bounds |theta|.  The kernel_* keys are checked with the kernel.
-_RANGES = {
-    "seed": "[0, inf)", "trials": "[1, 1e6]", "n_points": "[1, 1e6]", "dim": "[1, 1e6]",
-    "splits": "[1, 1e6]", "max_points": "[1, 256]", "lengthscale": "(0, inf)",
-    "output_scale": "(0, inf)", "noise_scale": "[0, inf)", "m_values": "[1, 1e6]",
-    "fit_steps": "[1, 5000]", "graph_nodes": "[2, 1e6]", "edge_prob": "(0, 1]",
-    "p_halt_values": "(0, 1)", "n_quantiles": "[2, 1e6]", "walkers": "[1, 1e6]",
-    "walks_per_quantile": "[1, 1e6]", "train_nodes": "[2, 1e6]", "train_edge_prob": "(0, 1]",
-    "steps": "[1, 1e6]", "mc_samples": "[1, 1e6]", "lr": "(0, 1]",
-}
 
 
 def _check_range(key: str, value, interval: str) -> None:
@@ -69,48 +53,60 @@ _KERNEL_KEYS = {"d_regularized_laplacian": ("sigma", "degree"), "diffusion": ("s
                 "p_step_random_walk": ("alpha", "p")}
 
 
+def _key(section: str, default=MISSING, interval: str | None = None):
+    """A config key: the [section] it is read from, its default and, for a
+    numeric key, the interval each value (each entry of a tuple) lies in."""
+    return field(default=default, metadata={"section": section, "interval": interval})
+
+
 @dataclass
 class ExperimentConfig:
-    kind: str
-    seed: int
-    out_dir: str = "."
-    threads: int = 1  # accepted for compatibility; ignored
-    trials: int = 200
-    # data
-    source: str = "synthetic"  # synthetic | csv | graph-file | synthetic-graph
-    path: str | None = None
-    target: str | None = None
-    n_points: int = 64
-    dim: int = 8
-    splits: int = 20
-    max_points: int = 256
-    # euclidean kernel / features
-    lengthscale: str = "auto"  # 'gp' | 'rlf' | 'auto' | numeric literal
-    output_scale: float = 1.0
-    noise_scale: float = 0.1
-    featurizers: tuple[str, ...] = ("rff",)
-    couplings: tuple[str, ...] = ("iid",)
-    m_values: tuple[int, ...] = ()
-    fit_steps: int = 300
+    """Every config key, each declared once; the intervals are checked in
+    field order.  A graph needs two nodes to have no isolated node, a sigma
+    coupling two quantiles; counts stop at 1e6, ~300x the largest a shipped
+    config sets; an exact GP fits at most 256 points; Adam moves theta by
+    about lr per step, so lr <= 1 bounds |theta|; a walk runs 1/p_halt steps
+    on average, so p_halt stops at 0.001, 100x below the smallest shipped.
+    The kernel_* keys are checked with the kernel."""
+
+    kind: str = _key("experiment")
+    seed: int = _key("experiment", interval="[0, inf)")
+    out_dir: str = _key("experiment", ".")
+    trials: int = _key("experiment", 200, "[1, 1e6]")
+    source: str = _key("data", "synthetic")  # synthetic | csv | graph-file | synthetic-graph
+    path: str | None = _key("data", None)
+    target: str | None = _key("data", None)
+    n_points: int = _key("data", 64, "[1, 1e6]")
+    dim: int = _key("data", 8, "[1, 1e6]")
+    splits: int = _key("data", 20, "[1, 1e6]")
+    max_points: int = _key("data", 256, "[1, 256]")
+    # euclidean kernel / features; lengthscale is 'gp' | 'rlf' | 'auto' | a number
+    lengthscale: str = _key("kernel", "auto", "(0, inf)")
+    output_scale: float = _key("kernel", 1.0, "(0, inf)")
+    noise_scale: float = _key("kernel", 0.1, "[0, inf)")
+    featurizers: tuple[str, ...] = _key("kernel", ("rff",))
+    couplings: tuple[str, ...] = _key("couplings", ("iid",))
+    m_values: tuple[int, ...] = _key("grid", (), "[1, 1e6]")
+    fit_steps: int = _key("kernel", 300, "[1, 5000]")
     # graph side
-    graph_nodes: int = 100
-    edge_prob: float = 0.1
-    kernel_family: str = "d_regularized_laplacian"
-    kernel_sigma: float = 1.0
-    kernel_degree: int = 2
-    kernel_alpha: float = 2.0
-    kernel_p: int = 1
-    p_halt_values: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    n_quantiles: int = 10
-    walkers: int = 2
-    walks_per_quantile: int = 100
-    sigma_path: str | None = None
-    train_nodes: int = 100
-    train_edge_prob: float = 0.1
+    graph_nodes: int = _key("graph", 100, "[2, 1e6]")
+    edge_prob: float = _key("graph", 0.1, "(0, 1]")
+    kernel_family: str = _key("graph", "d_regularized_laplacian")
+    kernel_sigma: float = _key("graph", 1.0)
+    kernel_degree: int = _key("graph", 2)
+    kernel_alpha: float = _key("graph", 2.0)
+    kernel_p: int = _key("graph", 1)
+    p_halt_values: tuple[float, ...] = _key("grid", (0.1, 0.2, 0.3, 0.4, 0.5), "[0.001, 1)")
+    n_quantiles: int = _key("graph", 10, "[2, 1e6]")
+    walkers: int = _key("graph", 2, "[1, 1e6]")
+    walks_per_quantile: int = _key("graph", 100, "[1, 1e6]")
+    sigma_path: str | None = _key("graph", None)
+    train_nodes: int = _key("graph", 100, "[2, 1e6]")
+    train_edge_prob: float = _key("graph", 0.1, "(0, 1]")
     # copula training
-    steps: int = 500
-    mc_samples: int = 2
-    lr: float = 1e-2
+    steps: int = _key("copula", 500, "[1, 1e6]")
+    mc_samples: int = _key("copula", 2, "[1, 1e6]")
+    lr: float = _key("copula", 1e-2, "(0, 1]")
 
     def __post_init__(self):
         kind = _KINDS.get(self.kind)
@@ -125,8 +121,10 @@ class ExperimentConfig:
             raise ConfigError("p_halt grid must be nonempty")
         # attention-bench has no targets to fit a GP to
         policies = ("rlf", "auto") if self.kind == "attention-bench" else ("gp", "rlf", "auto")
-        for key, interval in _RANGES.items():
-            value = getattr(self, key)
+        for f in fields(self):
+            key, value, interval = f.name, getattr(self, f.name), f.metadata["interval"]
+            if interval is None:
+                continue
             if key == "lengthscale":  # a policy name or a number
                 try:
                     value = () if value in policies else float(value)
@@ -219,20 +217,6 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-_SECTION_FIELDS = {
-    "experiment": ("kind", "seed", "trials", "threads", "out_dir"),
-    "data": ("source", "path", "target", "n_points", "dim", "splits", "max_points"),
-    "kernel": ("lengthscale", "output_scale", "noise_scale", "featurizers", "fit_steps"),
-    "couplings": ("couplings",),
-    "grid": ("m_values", "p_halt_values"),
-    "graph": (
-        "graph_nodes", "edge_prob", "kernel_family", "kernel_sigma", "kernel_degree",
-        "kernel_alpha", "kernel_p", "n_quantiles", "walkers", "walks_per_quantile",
-        "sigma_path", "train_nodes", "train_edge_prob",
-    ),
-    "copula": ("steps", "mc_samples", "lr"),
-}
-
 def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a key=value sections config file into an ExperimentConfig."""
     import configparser
@@ -244,12 +228,13 @@ def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    sections = {f.name: f.metadata["section"] for f in fields(ExperimentConfig)}
     values: dict = {}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in sections.values():
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTION_FIELDS[section]:
+            if sections.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = raw
     if overrides:

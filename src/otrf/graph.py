@@ -332,15 +332,10 @@ def _walk(g: GraphData, cur: np.ndarray, steps: np.ndarray, rngs: list):
         start = np.cumsum(totals) - totals  # each trial's next unread uniform
         for counts in block:
             t += 1
-            if n_trials == 1:
-                # a slice: the large one-trial batches of sigma training
-                # build no per-walk index arrays
-                u = stream[start[0] : start[0] + idx.size]
-            else:
-                # idx runs trial by trial; a walk's uniform is its trial's
-                # next unread one plus its rank among the trial's active walks
-                first = np.cumsum(counts) - counts
-                u = stream[np.repeat(start - first, counts) + ranks[: idx.size]]
+            # idx runs trial by trial; a walk's uniform is its trial's next
+            # unread one plus its rank among the trial's active walks
+            first = np.cumsum(counts) - counts
+            u = stream[np.repeat(start - first, counts) + ranks[: idx.size]]
             nodes = cur[idx]
             pick = g.indptr[nodes] + (u * g.neighbor_counts[nodes]).astype(np.int64)
             cur[idx] = g.indices[pick]
@@ -361,20 +356,6 @@ def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
     for _ in _walk(g, cur, np.asarray(lengths, dtype=np.int64), _trial_rngs(rng)):
         pass
     return cur
-
-
-def _quantile_walks(n_nodes: int, order: int, p_halt: float, per_node: int, rng):
-    """Yield ``(q, starts, lengths)`` for tiles q = 0, ..., order - 1: ``per_node``
-    walks from each node, whose lengths are geometric quantiles of uniforms in
-    [q/order, (q+1)/order) from one ``rng.random`` call when tile q is reached.
-    The GRF sigma trainer draws its tiles here, so here ``per_node`` is checked."""
-    if per_node < 1:
-        raise ValueError(f"walks_per_quantile must be >= 1, got {per_node}")
-    gp = GeometricParams(p_halt)
-    starts = np.repeat(np.arange(n_nodes), per_node)
-    for q in range(order):
-        u = (q + rng.random(starts.size)) / order
-        yield q, starts, np.asarray(geometric_inv_cdf(u, gp))
 
 
 # ---------------------------------------------------------------------------

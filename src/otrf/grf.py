@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphData, _quantile_walks, _walk, batch_walk_lengths, coupling_tag
-from .mathcore import _trial_rngs, ensure_rng
+from .graph import GraphData, _walk, batch_walk_lengths, coupling_tag
+from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
 
 K_MAX_DEFAULT = 64
 
@@ -160,13 +160,19 @@ def estimate_quantile_projections(g: GraphData, order: int, p_halt: float,
     Entry ``[i, q]`` of the (n_nodes, order, n_nodes) result estimates the
     projection of a walk from node i whose length is drawn from the qth of
     ``order`` equal-probability tiles of the geometric length distribution:
-    the mean over ``walks_per_quantile`` walks with lengths drawn by
-    :func:`otrf.graph._quantile_walks`.
+    the mean over ``walks_per_quantile`` walks from node i, whose lengths are
+    geometric quantiles of uniforms in [q/order, (q+1)/order) from one
+    ``rng.random`` call when tile q is reached.
     """
+    if walks_per_quantile < 1:
+        raise ValueError(f"walks_per_quantile must be >= 1, got {walks_per_quantile}")
     rng = ensure_rng(rng)
     n = g.n_nodes
+    gp = GeometricParams(p_halt)
+    starts = np.repeat(np.arange(n), walks_per_quantile)
     psi_hat = np.zeros((n, order, n))
-    for q, starts, lengths in _quantile_walks(n, order, p_halt, walks_per_quantile, rng):
+    for q in range(order):
+        lengths = np.asarray(geometric_inv_cdf((q + rng.random(starts.size)) / order, gp))
         out = np.zeros((n, n))  # contiguous, unlike psi_hat[:, q, :]
         _projected_batch(g, starts, lengths, f, p_halt, rng, starts, out)
         psi_hat[:, q, :] = out / walks_per_quantile

@@ -1,6 +1,7 @@
 """Config handling, ingestion, report emission and determinism."""
 
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -77,6 +78,28 @@ class TestConfigParsing:
     def test_empty_couplings_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="rf-bench", seed=1, couplings=())
+
+    def test_every_key_declares_its_section_and_interval(self):
+        # each key is declared once, with its [section] and, if numeric, the
+        # interval the config check enforces; GraphKernelSpec checks kernel_*
+        sections = {"experiment", "data", "kernel", "couplings", "grid", "graph", "copula"}
+        types = typing.get_type_hints(ExperimentConfig)
+        keys = dataclasses.fields(ExperimentConfig)
+        assert {key.metadata["section"] for key in keys} == sections
+        for key in keys:
+            ftype = types[key.name]
+            numeric = ftype in (int, float) or {int, float} & set(typing.get_args(ftype))
+            if numeric and not key.name.startswith("kernel_"):
+                assert key.metadata["interval"], key.name
+
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        # the --threads flag is still accepted and ignored; see
+        # test_determinism_across_threads
+        text = BASE_RF.replace("trials = 20", "trials = 20\nthreads = 1")
+        cfg_path = write_cfg(tmp_path / "t.cfg", text)
+        assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliProcess:
@@ -431,7 +454,7 @@ PROBE_BASES = {
     "pagerank-bench": TINY_GRAPH,
 }
 PROBE_KEYS = {
-    "rf-bench": ("seed", "threads", "trials", "n_points", "dim", "max_points", "lengthscale",
+    "rf-bench": ("seed", "trials", "n_points", "dim", "max_points", "lengthscale",
                  "output_scale", "noise_scale", "m_values", "fit_steps"),
     "copula-train": ("steps", "mc_samples", "lr"),
     "gp-eval": ("trials", "splits", "n_points", "max_points", "fit_steps"),
@@ -497,15 +520,25 @@ class TestBadInputExits:
         assert f"sigma_path: malformed couplings in {sigma_file}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("p_halt", ["0.0", "1.0"])
-    def test_antithetic_p_halt_outside_open_interval(self, tmp_path, p_halt, capsys):
+    @pytest.mark.parametrize(
+        "kind, coupling, p_halt",
+        [
+            pytest.param("grf-bench", "antithetic_termination", "0.0", id="0.0"),
+            pytest.param("grf-bench", "antithetic_termination", "1.0", id="1.0"),
+            # walks of mean length 1e6 once ran for minutes, and at 1e-12
+            # asked for 58.8 TiB
+            pytest.param("pagerank-bench", "iid", "1e-6", id="pagerank-bench-1e-6"),
+        ],
+    )
+    def test_antithetic_p_halt_outside_open_interval(self, tmp_path, kind, coupling, p_halt,
+                                                     capsys):
         text = GRAPH_BENCH.format(
-            kind="grf-bench", couplings="antithetic_termination", graph="",
-            p_halt_values=p_halt,
+            kind=kind, couplings=coupling, graph="", p_halt_values=p_halt,
         )
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
-        assert main(["grf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
-        assert "p_halt" in capsys.readouterr().err
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "p_halt_values must lie in [0.001, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_trials(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF.replace("trials = 20", "trials = 0"))
@@ -886,9 +919,13 @@ class TestBadInputExits:
 
 def _cfg_text(fields) -> str:
     """A config file's text setting ``fields``, each in its own section."""
+    sections: dict = {}
+    for key in dataclasses.fields(ExperimentConfig):
+        if key.name in fields:
+            sections.setdefault(key.metadata["section"], []).append(key.name)
     return "".join(
-        f"[{section}]\n" + "".join(f"{k} = {fields[k]}\n" for k in keys if k in fields)
-        for section, keys in experiments._SECTION_FIELDS.items()
+        f"[{section}]\n" + "".join(f"{k} = {fields[k]}\n" for k in keys)
+        for section, keys in sections.items()
     )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from otrf import graph
+from otrf import graph, grf
 from otrf.graph import (
     GraphData,
     GraphKernelSpec,
@@ -399,13 +399,19 @@ class TestWalks:
 
 class TestQuantileWalks:
     @pytest.mark.parametrize("p_halt", [0.05, 0.3, 0.9])
-    def test_lengths_lie_in_their_tile(self, p_halt):
-        # F(l) >= q/order and F(l - 1) < (q + 1)/order, with F(-1) = 0
+    def test_lengths_lie_in_their_tile(self, p_halt, monkeypatch):
+        # F(l) >= q/order and F(l - 1) < (q + 1)/order, with F(-1) = 0, for
+        # the walks the GRF sigma trainer projects, tile by tile
         gp = GeometricParams(p_halt)
         order = 7
-        tiles = list(graph._quantile_walks(5, order, p_halt, 40, np.random.default_rng(23)))
-        assert [q for q, _, _ in tiles] == list(range(order))
-        for q, starts, lengths in tiles:
+        tiles = []
+        monkeypatch.setattr(grf, "_projected_batch",
+                            lambda g, starts, lengths, *_: tiles.append((starts, lengths)))
+        complete = GraphData(np.ones((5, 5)) - np.eye(5))
+        grf.estimate_quantile_projections(complete, order, p_halt, None, 40,
+                                          np.random.default_rng(23))
+        assert len(tiles) == order
+        for q, (starts, lengths) in enumerate(tiles):
             assert np.array_equal(starts, np.repeat(np.arange(5), 40))
             below = np.where(lengths > 0, geometric_cdf(np.maximum(lengths - 1, 0), gp), 0.0)
             assert np.all(geometric_cdf(lengths, gp) >= q / order)
