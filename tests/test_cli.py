@@ -126,6 +126,19 @@ class TestCliProcess:
         cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
         assert main(["rf-bench", "--config", cfg_path]) == 3
 
+    def test_chi_quantile_certificate_exit(self, tmp_path, monkeypatch, capsys):
+        # a chi quantile that misses its chi_cdf round trip fails the run
+        from scipy import special
+
+        exact = special.gammaincinv
+        monkeypatch.setattr(special, "gammaincinv", lambda a, u: exact(a, u) + 1e-6)
+        cfg_path = write_cfg(tmp_path / "run.cfg", BASE_RF)
+        out = tmp_path / "out"
+        assert main(["rf-bench", "--config", cfg_path, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "run failed: NumericalError" in err and "dof = 4" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "error", [MemoryError("cannot allocate"), OverflowError("too large"), ValueError("not PSD")]
     )

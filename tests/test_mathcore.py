@@ -1,11 +1,13 @@
 """Special function and sequence tests against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
+from otrf.errors import NumericalError
 from otrf.mathcore import (
     ChiParams,
     GeometricParams,
@@ -45,6 +47,52 @@ def chi_quantile_oracle(u: float, dof: int) -> float:
         return integrate.quad(pdf, 0.0, x)[0]
 
     return optimize.brentq(lambda x: cdf(x) - u, 1e-12, 50.0, xtol=1e-10)
+
+
+def chi_quantile_bisection(u, d: ChiParams, upper: bool = False) -> np.ndarray:
+    """Chi quantile of the array ``u`` by bracketed bisection on chi_cdf.
+
+    Each element halves its own bracket until that bracket is below 1e-10
+    in x, at most 200 times.  Near u = 1 the CDF rounds to the nearest
+    double below 1, which moves the crossing by up to 0.05 in x; with
+    ``upper`` the bisection compares the survival function with 1 - u
+    instead, which keeps its relative precision there.
+    """
+    if upper:
+        def below(x, t):
+            return special.gammaincc(d.dof / 2.0, np.square(x) / 2.0) > 1.0 - t
+    else:
+        def below(x, t):
+            return chi_cdf(x, d) < t
+
+    hi = np.full_like(u, 2.0 + np.sqrt(d.dof))
+    for _ in range(200):
+        mask = below(hi, u)
+        if not np.any(mask):
+            break
+        hi[mask] *= 2.0
+    # bisect the unfinished elements; idx holds their flat positions
+    out = np.empty(u.size)
+    idx = np.arange(u.size)
+    target, hi = u.ravel(), hi.ravel()
+    lo = np.zeros_like(hi)
+    for _ in range(200):
+        if not idx.size:
+            break
+        mid = 0.5 * (lo + hi)
+        is_below = below(mid, target)
+        lo = np.where(is_below, mid, lo)
+        hi = np.where(is_below, hi, mid)
+        width = hi - lo
+        if width.min() < 1e-10:
+            done = width < 1e-10
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            left = ~done
+            idx, target, lo, hi = idx[left], target[left], lo[left], hi[left]
+    out[idx] = 0.5 * (lo + hi)
+    out = out.reshape(u.shape)
+    out[u == 0.0] = 0.0
+    return out
 
 
 class TestGaussCdf:
@@ -91,9 +139,9 @@ class TestGaussInvCdf:
     def test_round_trip(self):
         assert abs(gauss_cdf(gauss_inv_cdf(0.123)) - 0.123) < 1e-10
 
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1, np.nan, [0.5, np.nan]])
     def test_domain(self, u):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires 0 < u < 1"):
             gauss_inv_cdf(u)
 
 
@@ -120,8 +168,6 @@ class TestChi:
 
     @pytest.mark.parametrize("dof", [1, 3, 8])
     def test_quantile_is_elementwise(self, dof):
-        # 0.99999 lies above F(2 + sqrt(dof)), so its bracket doubles and
-        # takes one more halving; the other elements must not take it too
         chi = ChiParams(dof)
         assert chi_cdf(2.0 + math.sqrt(dof), chi) < 0.99999
         u = np.array([0.5, 0.99999, 0.1, 1e-6, 0.0, 0.7])
@@ -155,8 +201,36 @@ class TestChi:
         assert result.pvalue > 0.01
 
     def test_invalid_dof(self):
-        with pytest.raises(ValueError):
-            ChiParams(0)
+        for dof in (0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dof"):
+                ChiParams(dof)
+
+    @pytest.mark.parametrize("u", [np.nan, [0.5, np.nan], -0.1, 1.0])
+    def test_quantile_domain(self, u):
+        with pytest.raises(ValueError, match="requires 0 <= u < 1"):
+            chi_inv_cdf(u, ChiParams(3))
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 8, 64, 1000, 10**4, 10**6])
+    def test_closed_form_matches_bisection(self, dof):
+        # the lower-tail bisection resolves x to 1e-10 up to u = 1/2, and the
+        # survival-function bisection above it
+        chi = ChiParams(dof)
+        rng = np.random.default_rng(dof)
+        lower = np.array([0.0, 1e-300, rng.random() / 2, 0.5])
+        upper = np.array([0.5, 0.5 + rng.random() / 2, 1 - 1e-12, 1 - 2.0**-53])
+        for u, flag in ((lower, False), (upper, True)):
+            x = chi_inv_cdf(u, chi)
+            assert np.max(np.abs(x - chi_quantile_bisection(u, chi, flag))) < 1e-10
+
+    @pytest.mark.parametrize("dof", [1, 8, 1000])
+    @pytest.mark.parametrize(
+        "broken", [lambda x: x + 1e-6, lambda x: np.nan * x], ids=["offset", "nan"]
+    )
+    def test_round_trip_certificate_fires(self, dof, broken, monkeypatch):
+        exact = special.gammaincinv
+        monkeypatch.setattr(special, "gammaincinv", lambda a, u: broken(exact(a, u)))
+        with pytest.raises(NumericalError, match=f"dof = {dof}"):
+            chi_inv_cdf(np.array([0.25, 0.5]), ChiParams(dof))
 
 
 def halton(index: int, base: int) -> float:
@@ -208,6 +282,13 @@ class TestGeometric:
 
     def test_infimum_convention(self):
         assert geometric_inv_cdf(0.0, GeometricParams(0.3)) == 0
+
+    @pytest.mark.parametrize("u", [np.nan, [0.5, np.nan], -0.1, 1.0])
+    def test_inverse_domain(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="geometric_inv_cdf requires 0 <= u < 1"):
+                geometric_inv_cdf(u, GeometricParams(0.3))
 
     def test_round_trip_is_smallest(self):
         gp = GeometricParams(0.37)
