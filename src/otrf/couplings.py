@@ -20,6 +20,7 @@ from .errors import NumericalError
 from .mathcore import (
     ChiParams,
     _adam,
+    _check_range,
     _trial_rngs,
     chi_inv_cdf,
     ensure_rng,
@@ -57,6 +58,7 @@ class CorrelationParams:
     theta: np.ndarray
 
     def __post_init__(self):
+        _check_range("m", self.m, "[1, inf)")
         self.theta = np.asarray(self.theta, dtype=float)
         expect = self.m * (self.m - 1) // 2
         if self.theta.shape != (expect,):
@@ -99,7 +101,6 @@ class FrequencyEnsemble:
 
     freqs: np.ndarray
     coupling: str
-    seed: int | None = None
 
     @property
     def m(self) -> int:
@@ -137,8 +138,7 @@ def sample_orthogonal_directions(d: int, count: int, rng) -> np.ndarray:
     matrix, one stacked QR factors them all, and the rows form T blocks of
     ``count`` in trial order, block i equal to ``rng[i]``'s own call.
     """
-    if count > d:
-        raise ValueError(f"cannot draw {count} orthogonal directions in R^{d}")
+    _check_range("count", count, f"[0, {d}]")  # at most d orthogonal directions in R^d
     gauss = np.array([r.standard_normal((d, d)) for r in _trial_rngs(rng)])
     return _orthonormal_rows(gauss, count).reshape(-1, d)
 
@@ -234,9 +234,8 @@ def check_ensemble_size(m: int, d: int, tag: str) -> None:
     mirrored antithetic one); copula ensembles take blocks of at most d, so
     m <= d or a multiple of d.  Other schemes take any m >= 1, in any d >= 1.
     """
-    for name, value in (("m", m), ("d", d)):
-        if value < 1:
-            raise ValueError(f"{name} must lie in [1, inf), got {value}")
+    _check_range("m", m, "[1, inf)")
+    _check_range("d", d, "[1, inf)")
     block = {
         "orthogonal": d,
         "orthogonal_pnc": d,
@@ -270,7 +269,6 @@ def build_ensemble(
     spec = CouplingSpec(scheme) if isinstance(scheme, str) else scheme
     tag = spec.tag
     check_ensemble_size(m, d, tag)
-    seed = rng if isinstance(rng, (int, np.integer)) else None
     rngs = _trial_rngs(rng)
 
     if tag == "halton":
@@ -294,7 +292,7 @@ def build_ensemble(
 
     if isinstance(rng, list):
         return [FrequencyEnsemble(f, tag) for f in freqs]
-    return FrequencyEnsemble(freqs[0], tag, seed)
+    return FrequencyEnsemble(freqs[0], tag)
 
 
 def _direction_blocks(m: int, d: int) -> tuple[int, int]:
@@ -353,15 +351,10 @@ def _factor_grad(L: np.ndarray, grad_L: np.ndarray) -> np.ndarray:
     return grad_r[np.tril_indices(L.shape[0], -1)]
 
 
-def _check_mc_samples(mc_samples: int) -> None:
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-
-
 def _loss_dataset(dataset, mc_samples: int) -> np.ndarray:
     """``dataset`` as a 2-D float array, after the checks both RMSE losses
-    share: at least one Monte Carlo draw and a nonempty dataset."""
-    _check_mc_samples(mc_samples)
+    share: one to 1e6 Monte Carlo draws and a nonempty dataset."""
+    _check_range("mc_samples", mc_samples, "[1, 1e6]")
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
     if dataset.size == 0:
         raise ValueError("copula loss requires a nonempty dataset")
@@ -486,16 +479,20 @@ class CopulaOptConfig:
     Each step draws ``mc_samples`` RMSE evaluations from a fresh step seed
     and follows their exact pathwise gradient.  Adam's moment decays and
     offset are fixed constants; only the step count and rate are set here.
+    Adam moves theta by about lr per step, so lr <= 1 keeps it finite.
     """
 
     steps: int = 2000
     lr: float = 1e-2
     mc_samples: int = 2
     m: int | None = None  # ensemble size; defaults to the data dimension
-    init: CorrelationParams | None = None
 
     def __post_init__(self):
-        _check_mc_samples(self.mc_samples)
+        _check_range("steps", self.steps, "[0, 1e6]")
+        _check_range("lr", self.lr, "(0, 1]")
+        _check_range("mc_samples", self.mc_samples, "[1, 1e6]")
+        if self.m is not None:
+            _check_range("m", self.m, "[1, inf)")
 
 
 @dataclass
@@ -511,7 +508,8 @@ def optimize_copula(
     config: CopulaOptConfig,
     rng,
 ) -> CopulaFitResult:
-    """Learn copula parameters by Adam on the RMSE loss.
+    """Learn copula parameters by Adam on the RMSE loss, from near
+    independence (:meth:`CorrelationParams.near_independence`).
 
     Each step evaluates the common-random-number loss at a fresh step seed,
     with its exact pathwise gradient from one reverse pass (see
@@ -521,11 +519,7 @@ def optimize_copula(
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
     rng = ensure_rng(rng)
     m = config.m if config.m is not None else dataset.shape[1]
-    theta = (
-        config.init.theta.copy()
-        if config.init is not None
-        else CorrelationParams.near_independence(m).theta.copy()
-    )
+    theta = CorrelationParams.near_independence(m).theta
     step_seeds = rng.integers(2**63, size=config.steps)
     trace = np.empty(config.steps)
 

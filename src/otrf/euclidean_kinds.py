@@ -68,11 +68,8 @@ def _resolve_kernel(cfg: ExperimentConfig, featurizer: str, X, y) -> eucrf.Gauss
     if y is None:
         raise ConfigError(f"lengthscale policy {policy!r} needs targets to fit a GP")
     init = eucrf.GaussianKernelParams(np.sqrt(X.shape[1]), 1.0, 0.1)
-    data = gp.RegressionData(X, y, X[:1])
     fix = eucrf.rlf_lengthscale_heuristic(X) if policy == "rlf" else None
-    return gp.fit_hyperparams(
-        data, init, gp.GPFitConfig(steps=cfg.fit_steps, fix_lengthscale=fix)
-    )
+    return gp.fit_hyperparams(X, y, init, cfg.fit_steps, fix)
 
 
 def run_rf_bench(cfg: ExperimentConfig):
@@ -161,9 +158,7 @@ def run_gp_eval(cfg: ExperimentConfig):
             if standardized:
                 X_tr, X_te = datasets.standardize(X_tr, X_te)
             params = gp.fit_hyperparams(
-                gp.RegressionData(X_tr, y_tr, X_te),
-                eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1),
-                gp.GPFitConfig(steps=cfg.fit_steps),
+                X_tr, y_tr, eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1), cfg.fit_steps
             )
             k_dd, k_pd, k_pp = gp.kernel_blocks(X_tr, X_te, params)
             exact = gp.exact_posterior(k_dd, k_pd, k_pp, y_tr, params.noise_scale)

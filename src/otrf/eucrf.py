@@ -13,6 +13,7 @@ import numpy as np
 from scipy import special
 
 from .errors import FeatureOverflowError, NumericalError
+from .mathcore import _check_range
 
 
 @dataclass(frozen=True)
@@ -24,18 +25,21 @@ class GaussianKernelParams:
     noise_scale: float = 0.0
 
     def __post_init__(self):
-        if self.lengthscale <= 0 or self.output_scale <= 0 or self.noise_scale < 0:
-            raise ValueError("kernel parameters must be positive (noise >= 0)")
+        _check_range("lengthscale", self.lengthscale, "(0, inf)")
+        _check_range("output_scale", self.output_scale, "(0, inf)")
+        _check_range("noise_scale", self.noise_scale, "[0, inf)")
 
 
 def _gaussian_of_sq(sq, params: GaussianKernelParams):
     """s_v^2 exp(-sq / (2 l^2)) of squared distances ``sq``.
 
-    The scales are squared as numpy floats, so a huge scale gives inf (later
-    caught as a non-finite result) instead of raising OverflowError.
+    The scales are squared as numpy floats, silently, so a huge scale squares
+    to inf instead of raising OverflowError: a huge lengthscale gives the
+    constant kernel, a huge output scale inf (caught as a non-finite result).
     """
-    scale = np.float64(params.output_scale) ** 2
-    return scale * np.exp(-sq / (2 * np.float64(params.lengthscale) ** 2))
+    with np.errstate(over="ignore"):
+        scale = np.float64(params.output_scale) ** 2
+        return scale * np.exp(-sq / (2 * np.float64(params.lengthscale) ** 2))
 
 
 def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
@@ -179,15 +183,15 @@ def _pair_cost_series(t: float, omega_sq_sum: float, d: int, alternating: bool) 
 
 def cost_rff(omega1: float, omega2: float, z: float, d: int) -> float:
     """Single ordered-pair trigonometric cost; alternating series in z."""
-    if omega1 < 0 or omega2 < 0 or z < 0:
-        raise ValueError("cost_rff requires nonnegative inputs")
+    for name, value in (("omega1", omega1), ("omega2", omega2), ("z", z)):
+        _check_range(name, value, "[0, inf)")
     return _pair_cost_series(z, omega1**2 + omega2**2, d, alternating=True)
 
 
 def cost_rlf(omega1: float, omega2: float, v: float, d: int) -> float:
     """Single ordered-pair exponential cost; positive-term series in v."""
-    if omega1 < 0 or omega2 < 0 or v < 0:
-        raise ValueError("cost_rlf requires nonnegative inputs")
+    for name, value in (("omega1", omega1), ("omega2", omega2), ("v", v)):
+        _check_range(name, value, "[0, inf)")
     return _pair_cost_series(v, omega1**2 + omega2**2, d, alternating=False)
 
 

@@ -32,17 +32,11 @@ import numpy as np
 from . import graph as graphmod
 from . import grf, matching, pagerank
 from .errors import NumericalError
+from .mathcore import _check_range
+
 
 class ConfigError(ValueError):
     """Invalid or unusable experiment configuration."""
-
-
-def _check_range(key: str, value, interval: str) -> None:
-    """Reject a value outside an interval written like "[1, 1e6]" or "(0, inf)"."""
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    above = low <= value if interval[0] == "[" else low < value
-    if not (above and (value <= high if interval[-1] == "]" else value < high)):
-        raise ConfigError(f"{key} must lie in {interval}, got {value}")
 
 
 # attention-bench splits its trials into at most this many reps
@@ -131,14 +125,13 @@ class ExperimentConfig:
                 except ValueError:
                     raise ConfigError(f"lengthscale: {self.kind} takes {list(policies)} or a "
                                       f"number, not {value!r}") from None
-            for entry in value if isinstance(value, tuple) else (value,):
-                _check_range(key, entry, interval)
-        se_key = kind.se_count
-        if se_key and getattr(self, se_key) < 2:
-            raise ConfigError(
-                f"{se_key} must be >= 2 for {self.kind}, whose standard errors "
-                f"run over {se_key}; got {getattr(self, se_key)}"
-            )
+            try:
+                for entry in value if isinstance(value, tuple) else (value,):
+                    _check_range(key, entry, interval)
+                if key == kind.se_count:  # a standard error needs two values
+                    _check_range(f"{key} for {self.kind}", value, "[2, 1e6]")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         # attention-bench's reps and gp-eval's splits each run trials / count
         count = {"attention-bench": min(_MAX_REPS, self.trials), "gp-eval": self.splits}
         if self.trials % count.get(self.kind, 1):
@@ -218,7 +211,11 @@ class ExperimentConfig:
 
 
 def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a key=value sections config file into an ExperimentConfig."""
+    """Read a key=value sections config file into an ExperimentConfig.
+
+    A non-None override replaces the file's value, except that ``kind``
+    must match the file's when both name one.
+    """
     import configparser
 
     parser = configparser.ConfigParser()
@@ -237,8 +234,11 @@ def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
             if sections.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = raw
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    if "kind" in values and given.get("kind", values["kind"]) != values["kind"]:
+        raise ConfigError(f"kind: the command line runs {given['kind']!r}, "
+                          f"the config file is for {values['kind']!r}")
+    values.update(given)
     return _coerce_config(values)
 
 

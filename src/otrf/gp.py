@@ -14,7 +14,7 @@ from scipy.linalg import blas, cho_solve, lapack
 
 from .errors import NumericalError
 from .eucrf import GaussianKernelParams, gaussian_gram
-from .mathcore import _adam
+from .mathcore import _adam, _check_range
 
 
 @dataclass
@@ -29,22 +29,6 @@ class GaussianPosterior:
         self.cov = np.asarray(self.cov, dtype=float)
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise ValueError("covariance shape does not match mean length")
-
-
-@dataclass
-class RegressionData:
-    """Training inputs/targets and prediction inputs."""
-
-    train_x: np.ndarray
-    train_y: np.ndarray
-    pred_x: np.ndarray
-
-    def __post_init__(self):
-        self.train_x = np.atleast_2d(np.asarray(self.train_x, dtype=float))
-        self.train_y = np.asarray(self.train_y, dtype=float).ravel()
-        self.pred_x = np.atleast_2d(np.asarray(self.pred_x, dtype=float))
-        if self.pred_x.shape[0] == 0:
-            raise ValueError("prediction set must be nonempty")
 
 
 def _jittered_cho(mat: np.ndarray):
@@ -81,8 +65,7 @@ def exact_posterior(k_dd, k_pd, k_pp, y, noise_scale: float) -> GaussianPosterio
     + s_n^2 I, solved through a symmetric factorisation.  With an empty
     training set this is the prior N(0, K_pp + s_n^2 I).
     """
-    if noise_scale <= 0:
-        raise ValueError("noise_scale must be positive")
+    _check_range("noise_scale", noise_scale, "(0, inf)")
     k_dd = np.atleast_2d(np.asarray(k_dd, dtype=float))
     k_pd = np.atleast_2d(np.asarray(k_pd, dtype=float))
     k_pp = np.atleast_2d(np.asarray(k_pp, dtype=float))
@@ -106,8 +89,7 @@ def approx_posterior(phi_d, phi_p, y, noise_scale: float) -> GaussianPosterior:
     :func:`exact_posterior` applied to the Gram blocks Phi^T Phi.
     Feature matrices are laid out (feature_dim x N).
     """
-    if noise_scale <= 0:
-        raise ValueError("noise_scale must be positive")
+    _check_range("noise_scale", noise_scale, "(0, inf)")
     phi_d = np.atleast_2d(np.asarray(phi_d, dtype=float))
     phi_p = np.atleast_2d(np.asarray(phi_p, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -132,18 +114,6 @@ def _evidence(k: np.ndarray, y: np.ndarray, noise_scale: float):
     logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
     value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
     return cho, alpha, value
-
-
-@dataclass
-class GPFitConfig:
-    """Adam steps for :func:`fit_hyperparams`, whose learning rate is fixed at 1e-2."""
-
-    steps: int = 1000
-    fix_lengthscale: float | None = None  # pins the lengthscale; only the scales fit
-
-    def __post_init__(self):
-        if not 1 <= self.steps <= 5000:
-            raise ValueError("steps must lie in [1, 5000]")
 
 
 def _evidence_and_grad(sq, y, log_params, fixed_ls):
@@ -172,30 +142,31 @@ def _evidence_and_grad(sq, y, log_params, fixed_ls):
     return value, np.array([grad_l, float(np.sum(wk)), grad_n])
 
 
-def fit_hyperparams(
-    data: RegressionData,
-    init: GaussianKernelParams,
-    config: GPFitConfig = GPFitConfig(),
-) -> GaussianKernelParams:
-    """Maximise the exact log evidence with Adam in log-parameter space.
+def fit_hyperparams(X, y, init: GaussianKernelParams, steps: int,
+                    fix_lengthscale: float | None = None) -> GaussianKernelParams:
+    """Maximise the exact log evidence of targets ``y`` at inputs ``X`` by
+    ``steps`` Adam steps of rate 1e-2 in log-parameter space, from ``init``.
 
     Positivity is enforced by the log parameterisation; gradients are
-    analytic.  Training sets are capped at 256 points.
+    analytic.  ``fix_lengthscale`` pins the lengthscale, so only the scales
+    fit.  Training sets are capped at 256 points.
     """
-    X, y = data.train_x, data.train_y
+    _check_range("steps", steps, "[1, 5000]")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
     if y.size > 256:
         raise ValueError("training set capped at 256 points for exact fitting")
     log_params = np.log([init.lengthscale, init.output_scale, max(init.noise_scale, 1e-3)])
     sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)  # fixed across steps
 
     def neg_grad(t, x):  # Adam minimises
-        value, grad = _evidence_and_grad(sq, y, x, config.fix_lengthscale)
+        value, grad = _evidence_and_grad(sq, y, x, fix_lengthscale)
         if not np.isfinite(value):
             raise NumericalError(f"evidence became non-finite at step {t}")
         return -grad
 
-    log_params = _adam(neg_grad, log_params, config.steps, 1e-2)
-    ls = config.fix_lengthscale if config.fix_lengthscale is not None else np.exp(log_params[0])
+    log_params = _adam(neg_grad, log_params, steps, 1e-2)
+    ls = fix_lengthscale if fix_lengthscale is not None else np.exp(log_params[0])
     return GaussianKernelParams(
         lengthscale=float(ls),
         output_scale=float(np.exp(log_params[1])),

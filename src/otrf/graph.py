@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
+from .mathcore import GeometricParams, _check_range, _trial_rngs, ensure_rng, geometric_inv_cdf
 
 KERNEL_FAMILIES = (
     "d_regularized_laplacian",
@@ -80,8 +80,7 @@ class GraphData:
                 if len(parts) not in (2, 3):
                     raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
                 u, v = int(parts[0]), int(parts[1])
-                if u < 0 or v < 0:
-                    raise ValueError(f"{path}:{lineno}: node ids must be >= 0, got {u} {v}")
+                _check_range(f"{path}:{lineno}: node id", min(u, v), "[0, inf)")
                 w = float(parts[2]) if len(parts) == 3 else 1.0
                 edges.append((u, v, w))
                 max_node = max(max_node, u, v)
@@ -112,17 +111,15 @@ class GraphKernelSpec:
     p: int = 1
 
     def __post_init__(self):
-        # each message starts with the field it names
+        # each message starts with the field it names; a family checks the fields it reads
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"family must be one of {list(KERNEL_FAMILIES)}, got {self.family!r}")
-        if not np.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
-        if self.family == "p_step_random_walk" and self.p < 0:
-            raise ValueError(f"p must be >= 0 for p_step_random_walk, got {self.p}")
-        if self.family == "p_step_random_walk" and not 2 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must lie in [2, inf) for p_step_random_walk, got {self.alpha}")
-        if self.family == "d_regularized_laplacian" and self.degree < 1:
-            raise ValueError(f"degree must be >= 1 for d_regularized_laplacian, got {self.degree}")
+        _check_range("sigma", self.sigma, "[-1e150, 1e150]")  # its square must be finite
+        if self.family == "p_step_random_walk":
+            _check_range("alpha", self.alpha, "[2, inf)")
+            _check_range("p", self.p, "[0, inf)")
+        if self.family == "d_regularized_laplacian":
+            _check_range("degree", self.degree, "[1, inf)")
 
 
 def exact_graph_kernel(g: GraphData, spec: GraphKernelSpec) -> np.ndarray:
@@ -149,8 +146,7 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
     Binomials are exact integers rounded once to a float; one beyond the
     float range raises OverflowError.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must lie in [0, inf), got {max_order}")
+    _check_range("max_order", max_order, "[0, inf)")
     k = np.arange(max_order + 1)
     sigma_sq = np.float64(spec.sigma) ** 2
     if spec.family == "d_regularized_laplacian":
@@ -195,6 +191,8 @@ class SigmaCoupling:
         if sorted(self.perm.tolist()) != list(range(self.perm.size)):
             raise ValueError("perm must be a permutation of 0..n-1")
         GeometricParams(self.p_halt)
+        if self.seed is not None:
+            _check_range("seed", self.seed, "[0, inf)")
 
     @property
     def order(self) -> int:
@@ -228,8 +226,7 @@ def coupling_tag(coupling, walkers: int) -> str:
     :class:`SigmaCoupling` (tag "sigma").  There must be a walker, and the
     paired couplings join consecutive walkers, so they need an even count.
     """
-    if walkers < 1:
-        raise ValueError(f"m (walkers) must be >= 1, got {walkers}")
+    _check_range("m (walkers)", walkers, "[1, inf)")
     if isinstance(coupling, SigmaCoupling):
         tag = "sigma"
     elif coupling in WALK_COUPLING_TAGS and coupling != "sigma":

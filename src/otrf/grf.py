@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphData, _walk, batch_walk_lengths, coupling_tag
-from .mathcore import GeometricParams, _trial_rngs, ensure_rng, geometric_inv_cdf
+from .mathcore import GeometricParams, _check_range, _trial_rngs, ensure_rng, geometric_inv_cdf
 
 K_MAX_DEFAULT = 64
 
@@ -51,15 +51,11 @@ def modulation_from_coefficients(alpha, k_max: int = K_MAX_DEFAULT) -> Modulatio
     so (f * f)(k) = a_k for k <= k_max.  Requires finite a_k and a_0 > 0.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if k_max < 0:
-        raise ValueError(f"k_max must lie in [0, inf), got {k_max}")
+    _check_range("k_max", k_max, "[0, inf)")
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValueError(f"alpha must be a nonempty sequence, got shape {alpha.shape}")
-    if not 0 < alpha[0] < np.inf:
-        raise ValueError(f"alpha[0] must lie in (0, inf), got {alpha[0]}")
-    bad = np.flatnonzero(~np.isfinite(alpha))
-    if bad.size:
-        raise ValueError(f"alpha[{bad[0]}] must lie in (-inf, inf), got {alpha[bad[0]]}")
+    for k, a_k in enumerate(alpha):
+        _check_range(f"alpha[{k}]", a_k, "(-inf, inf)" if k else "(0, inf)")
     padded = np.zeros(k_max + 1)
     padded[: min(alpha.size, k_max + 1)] = alpha[: k_max + 1]
     f = np.zeros(k_max + 1)
@@ -88,8 +84,7 @@ def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
     variants impose lengths on walk pairs while leaving every walk's
     marginal unchanged.  This is one row of :func:`grf_feature_matrix`.
     """
-    if not 0 <= node < g.n_nodes:
-        raise ValueError(f"start node {node} out of range")
+    _check_range("node", node, f"[0, {g.n_nodes})")
     tag = coupling_tag(coupling, m)
     return GrfFeature(_node_features(g, [node], m, coupling, f, p_halt, rng)[0, 0], m, tag)
 
@@ -164,8 +159,7 @@ def estimate_quantile_projections(g: GraphData, order: int, p_halt: float,
     geometric quantiles of uniforms in [q/order, (q+1)/order) from one
     ``rng.random`` call when tile q is reached.
     """
-    if walks_per_quantile < 1:
-        raise ValueError(f"walks_per_quantile must be >= 1, got {walks_per_quantile}")
+    _check_range("walks_per_quantile", walks_per_quantile, "[1, inf)")
     rng = ensure_rng(rng)
     n = g.n_nodes
     gp = GeometricParams(p_halt)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph import GraphData, SigmaCoupling
 from .grf import ModulationFn, estimate_quantile_projections
-from .mathcore import ensure_rng
+from .mathcore import _check_range, ensure_rng
 
 
 def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
@@ -128,8 +128,7 @@ def solve_sigma_coupling(g: GraphData, p_halt: float, order: int,
     diagonal-restricted cost over node pairs (every pair up to 2000, a
     seeded sample of 2000 above that), and solves the matching exactly.
     """
-    if order < 2:
-        raise ValueError("permutation order must be >= 2")
+    _check_range("order", order, "[2, inf)")
     rng = ensure_rng(rng)
     psi = estimate_quantile_projections(g, order, p_halt, f, walks_per_quantile, rng)
     cost = averaged_sigma_cost_matrix(psi, rng=rng)
@@ -154,8 +153,7 @@ def jlt_reduce(vectors: np.ndarray, r: int, rng) -> np.ndarray:
     norms of sums and differences are preserved within eps with high
     probability.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _check_range("r", r, "[1, inf)")
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     rng = ensure_rng(rng)
     G = rng.standard_normal((r, vectors.shape[1]))
@@ -164,6 +162,8 @@ def jlt_reduce(vectors: np.ndarray, r: int, rng) -> np.ndarray:
 
 def jlt_dimension(n: int, eps: float, c: float = 8.0) -> int:
     """Projection count r = ceil(c log(n) / eps^2)."""
+    _check_range("n", n, "[1, inf)")
+    _check_range("eps", eps, "(0, inf)")
     return int(np.ceil(c * np.log(n) / eps**2))
 
 
@@ -190,8 +190,7 @@ def quadratic_matching_random_projection(vectors: np.ndarray, k_iters: int,
     matching and records the candidate; the candidate with the smallest
     true objective wins.
     """
-    if k_iters < 1:
-        raise ValueError("k_iters must be >= 1")
+    _check_range("k_iters", k_iters, "[1, inf)")
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     rng = ensure_rng(rng)
     n, dim = vectors.shape

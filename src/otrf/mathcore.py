@@ -4,7 +4,8 @@ Every public function here is a pure function of its inputs.  CDFs accept
 scalars or numpy arrays and broadcast.  Inverse CDFs refuse NaN; the chi
 quantile is a closed form whose every call checks its round trip to 1e-12,
 and the geometric one round-trips exactly.  The private ``_adam`` is
-the one Adam update, shared by GP hyperparameter fitting and copula training.
+the one Adam update, shared by GP hyperparameter fitting and copula training,
+and ``_check_range`` the one interval check of a scalar argument or config key.
 Only the Gaussian and chi functions need ``scipy.special``, and they import
 it themselves, so the graph modules, which import this one, load no scipy.
 """
@@ -19,6 +20,15 @@ import numpy as np
 from .errors import NumericalError
 
 
+def _check_range(name: str, value, interval: str) -> None:
+    """Reject a value outside an interval written like "[1, 1e6]" or "(0, inf)";
+    NaN lies in none."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    if not (above and (value <= high if interval[-1] == "]" else value < high)):
+        raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
 @dataclass(frozen=True)
 class ChiParams:
     """Degrees of freedom of a chi distribution."""
@@ -26,8 +36,7 @@ class ChiParams:
     dof: int
 
     def __post_init__(self):
-        if not 1 <= self.dof < float("inf"):
-            raise ValueError(f"dof must be finite and >= 1, got {self.dof}")
+        _check_range("dof", self.dof, "[1, inf)")
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,7 @@ class GeometricParams:
     p_halt: float
 
     def __post_init__(self):
-        if not 0.0 < self.p_halt < 1.0:
-            raise ValueError(f"p_halt must lie in (0, 1), got {self.p_halt}")
+        _check_range("p_halt", self.p_halt, "(0, 1)")
 
 
 def ensure_rng(rng) -> np.random.Generator:

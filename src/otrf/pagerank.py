@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import GraphData, SigmaCoupling, batch_walk_endpoints, batch_walk_lengths, coupling_tag
 from .matching import hungarian
-from .mathcore import GeometricParams, _trial_rngs, geometric_cdf, geometric_inv_cdf
+from .mathcore import GeometricParams, _check_range, _trial_rngs, geometric_cdf, geometric_inv_cdf
 
 
 @dataclass
@@ -95,8 +95,7 @@ def _endpoint_profile(g: GraphData, p_halt: float, order: int) -> np.ndarray:
     Every length from L0, the first with (1-p)^L0 <= 1/order, lies in the
     last tile, where they sum to order p (1-p)^L0 T^L0 (I - (1-p) T)^-1."""
     gp = GeometricParams(p_halt)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _check_range("order", order, "[2, inf)")
     l0 = geometric_inv_cdf(1.0 - 1.0 / order, gp) + 1
     cdf = np.concatenate([[0.0], geometric_cdf(np.arange(l0), gp)])  # F(-1) = 0
     edges = np.arange(order + 1) / order

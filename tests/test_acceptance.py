@@ -45,12 +45,9 @@ def euclid():
     true = eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1)
     X, y = datasets.gp_synthetic_data(n, d, true, np.random.default_rng(seed))
     init = eucrf.GaussianKernelParams(np.sqrt(d), 1.0, 0.1)
-    data = gp.RegressionData(X, y, X[:1])
-    params_rff = gp.fit_hyperparams(data, init, gp.GPFitConfig(steps=300))
+    params_rff = gp.fit_hyperparams(X, y, init, 300)
     heur = eucrf.rlf_lengthscale_heuristic(X)
-    params_rlf = gp.fit_hyperparams(
-        data, init, gp.GPFitConfig(steps=300, fix_lengthscale=heur)
-    )
+    params_rlf = gp.fit_hyperparams(X, y, init, 300, fix_lengthscale=heur)
     return {"X": X, "y": y, "d": d, "rff": params_rff, "rlf": params_rlf, "seed": seed}
 
 
@@ -365,9 +362,7 @@ def test_c09_pair_coupling_posterior_equivalence():
     for sp in range(splits):
         rng = np.random.default_rng((seed, 3, sp))
         X_tr, y_tr, X_te, _ = datasets.split_dataset(X_all, y_all, rng, 64)
-        params = gp.fit_hyperparams(
-            gp.RegressionData(X_tr, y_tr, X_te), true, gp.GPFitConfig(steps=150)
-        )
+        params = gp.fit_hyperparams(X_tr, y_tr, true, 150)
         k_dd, k_pd, k_pp = gp.kernel_blocks(X_tr, X_te, params)
         exact = gp.exact_posterior(k_dd, k_pd, k_pp, y_tr, params.noise_scale)
         X_joint = np.vstack([X_tr, X_te])

@@ -1,0 +1,147 @@
+"""Bad numbers in every numeric argument of the exported API.
+
+Each case feeds nan, inf, -1 or 0 (and 1e300 to a float argument, or 10^12
+to a count refused before any allocation or loop) into one scalar argument
+of one callable in ``otrf.__all__``, or into one numeric field of an exported
+parameter class, which is then handed to an exported callable that reads it.
+The call must return finite output, or raise ValueError or TypeError whose
+message names the argument in the one refusal form, "{name} must lie in
+{interval}, got {value}".  Warnings are errors.
+"""
+
+import dataclasses
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+import otrf
+from otrf.couplings import CopulaOptConfig
+from otrf.graph import GraphData, GraphKernelSpec, SigmaCoupling, taylor_coefficients
+from otrf.grf import modulation_from_coefficients
+
+# a 5-cycle with one chord: connected, no isolated node
+G = GraphData.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+# its Laplacian's eigenvalue 0 is exact, so an infinite sigma^2 made NaN kernels
+TWO_PATH = GraphData(np.array([[0.0, 1.0], [1.0, 0.0]]))
+F = modulation_from_coefficients(taylor_coefficients(GraphKernelSpec("diffusion"), 6), 6)
+X = np.array([[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2], [0.6, 0.1]])
+
+
+def rng():
+    return np.random.default_rng(5)
+
+
+def kernel_outputs(params):
+    ens = otrf.build_ensemble(3, 2, "iid", rng())
+    return (otrf.gaussian_kernel(X[0], X[1], params), otrf.rff_features(X[0], ens, params),
+            otrf.rlf_features(X[0], ens, params))
+
+
+def copula_fit(**fields):
+    config = CopulaOptConfig(**{**dict(steps=2, lr=1e-2, mc_samples=1, m=2), **fields})
+    return otrf.optimize_copula(X, otrf.GaussianKernelParams(1.0), "rff", config, rng())
+
+
+# (callable, argument, "float" or "count", huge count refused up front?, call)
+CASES = [
+    ("CorrelationParams", "m", "count", False,
+     lambda v: otrf.CorrelationParams(v, np.array([0.1]))),
+    ("GaussianKernelParams", "lengthscale", "float", False,
+     lambda v: kernel_outputs(otrf.GaussianKernelParams(v))),
+    ("GaussianKernelParams", "output_scale", "float", False,
+     lambda v: kernel_outputs(otrf.GaussianKernelParams(1.0, v))),
+    ("GaussianKernelParams", "noise_scale", "float", False,
+     lambda v: kernel_outputs(otrf.GaussianKernelParams(1.0, 1.0, v))),
+    ("GraphKernelSpec", "sigma", "float", False,
+     lambda v: otrf.exact_graph_kernel(TWO_PATH, GraphKernelSpec("diffusion", sigma=v))),
+    ("GraphKernelSpec", "degree", "count", False,
+     lambda v: otrf.exact_graph_kernel(G, GraphKernelSpec("d_regularized_laplacian", degree=v))),
+    ("GraphKernelSpec", "alpha", "float", False,
+     lambda v: otrf.exact_graph_kernel(G, GraphKernelSpec("p_step_random_walk", alpha=v))),
+    ("GraphKernelSpec", "p", "count", False,
+     lambda v: otrf.exact_graph_kernel(G, GraphKernelSpec("p_step_random_walk", p=v))),
+    ("SigmaCoupling", "p_halt", "float", False, lambda v: SigmaCoupling([1, 0], v)),
+    ("SigmaCoupling", "seed", "float", False, lambda v: SigmaCoupling([1, 0], 0.3, v)),
+    ("build_ensemble", "m", "count", False, lambda v: otrf.build_ensemble(v, 2, "iid", rng())),
+    ("build_ensemble", "d", "count", False, lambda v: otrf.build_ensemble(3, v, "iid", rng())),
+    ("exact_pagerank", "p_halt", "float", False, lambda v: otrf.exact_pagerank(G, v)),
+    ("grf_features", "node", "count", True,
+     lambda v: otrf.grf_features(G, v, 2, "iid", F, 0.3, rng())),
+    ("grf_features", "m", "count", False,
+     lambda v: otrf.grf_features(G, 1, v, "iid", F, 0.3, rng())),
+    ("grf_features", "p_halt", "float", False,
+     lambda v: otrf.grf_features(G, 1, 2, "iid", F, v, rng())),
+    ("mc_pagerank", "p_halt", "float", False,
+     lambda v: otrf.mc_pagerank(G, v, 2, "iid", rng()).rho),
+    ("mc_pagerank", "m", "count", False,
+     lambda v: otrf.mc_pagerank(G, 0.3, v, "iid", rng()).rho),
+    ("modulation_from_coefficients", "k_max", "count", False,
+     lambda v: otrf.modulation_from_coefficients([1.0, 0.5], v)),
+    ("CopulaOptConfig", "steps", "count", True, lambda v: copula_fit(steps=v)),
+    ("CopulaOptConfig", "lr", "float", False, lambda v: copula_fit(lr=v)),
+    ("CopulaOptConfig", "mc_samples", "count", True, lambda v: copula_fit(mc_samples=v)),
+    ("CopulaOptConfig", "m", "count", False, lambda v: copula_fit(m=v)),
+    ("solve_sigma_coupling", "p_halt", "float", False,
+     lambda v: otrf.solve_sigma_coupling(G, v, 3, F, 4, rng())),
+    ("solve_sigma_coupling", "order", "count", False,
+     lambda v: otrf.solve_sigma_coupling(G, 0.3, v, F, 4, rng())),
+    ("solve_sigma_coupling", "walks_per_quantile", "count", False,
+     lambda v: otrf.solve_sigma_coupling(G, 0.3, 3, F, v, rng())),
+]
+
+# gaussian_kernel squares the output scale: 1e300 overflows to the inf that
+# the CLI reports as a non-finite result (exit 3, test_kernel_scale_overflow)
+LEFT_OUT = {("GaussianKernelParams", "output_scale", 1e300)}
+
+
+def probe_values(kind, huge):
+    values = [math.nan, math.inf, -1, 0]
+    if kind == "float":
+        values.append(1e300)
+    elif huge:
+        values.append(10**12)
+    return values
+
+
+def finite(out) -> bool:
+    """Every number in ``out``, through containers and dataclass fields."""
+    if out is None or isinstance(out, str):
+        return True
+    if isinstance(out, (tuple, list)):
+        return all(finite(item) for item in out)
+    if dataclasses.is_dataclass(out):
+        return all(finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    return bool(np.all(np.isfinite(np.asarray(out, dtype=float))))
+
+
+def test_every_export_is_probed():
+    probed = {owner for owner, *_ in CASES}
+    # no scalar numeric argument: arrays, tags, graphs, ensembles and generators
+    scalar_free = {"CouplingSpec", "FrequencyEnsemble", "GraphData", "ModulationFn",
+                   "exact_graph_kernel", "gaussian_kernel", "hungarian", "rff_features",
+                   "rlf_features", "optimize_copula"}
+    assert probed | scalar_free == set(otrf.__all__) | {"CopulaOptConfig"}
+
+
+@pytest.mark.parametrize(
+    "owner, arg, value, call",
+    [
+        pytest.param(owner, arg, value, call, id=f"{owner}-{arg}-{value}")
+        for owner, arg, kind, huge, call in CASES
+        for value in probe_values(kind, huge)
+        if (owner, arg, value) not in LEFT_OUT
+    ],
+)
+def test_bad_number_refused_or_finite(owner, arg, value, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(value)
+        except (ValueError, TypeError) as exc:
+            form = rf"^{re.escape(arg)}\b[^,]* must lie in [\[(][^,]+, [^,]+[\])], got "
+            assert re.match(form, str(exc)), f"{owner}({arg}={value}): {exc}"
+            return
+    assert finite(out), f"{owner}({arg}={value}) returned {out!r}"

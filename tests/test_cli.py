@@ -101,6 +101,17 @@ class TestConfigParsing:
         assert "unknown key 'threads'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_kind_must_match_the_config(self, tmp_path, capsys):
+        # the command line's kind used to replace the config's, so a
+        # pagerank-bench config ran grf-bench and exited 0
+        text = GRAPH_BENCH.format(kind="pagerank-bench", couplings="iid", graph="",
+                                  p_halt_values="0.3")
+        cfg_path = write_cfg(tmp_path / "k.cfg", text)
+        assert main(["grf-bench", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert ("config error: kind: the command line runs 'grf-bench', the config file is "
+                "for 'pagerank-bench'") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliProcess:
     def test_exit_codes(self, tmp_path):
@@ -572,7 +583,7 @@ class TestBadInputExits:
             text = BASE_RF.replace("rf-bench", kind).replace("trials = 20", "trials = 1")
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
-        assert "trials must be >= 2" in capsys.readouterr().err
+        assert f"trials for {kind} must lie in [2, 1e6], got 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -595,7 +606,7 @@ class TestBadInputExits:
         text = BASE_RF.replace("rf-bench", "gp-eval").replace("dim = 4", "dim = 4\nsplits = 1")
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
-        assert "splits must be >= 2" in capsys.readouterr().err
+        assert "splits for gp-eval must lie in [2, 1e6], got 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
@@ -793,25 +804,24 @@ class TestBadInputExits:
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_family = bogus",
              "kernel_family must be one of ['d_regularized_laplacian', "),
             ("sigma-train", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_degree = 0",
-             "kernel_degree must be >= 1 for d_regularized_laplacian, got 0"),
+             "kernel_degree must lie in [1, inf), got 0"),
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_alpha = 1.5",
-             "kernel_alpha must lie in [2, inf) for p_step_random_walk, got 1.5"),
+             "kernel_alpha must lie in [2, inf), got 1.5"),
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_sigma = nan",
-             "kernel_sigma must be finite, got nan"),
+             "kernel_sigma must lie in [-1e150, 1e150], got nan"),
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = diffusion\nkernel_sigma = inf",
-             "kernel_sigma must be finite, got inf"),
+             "kernel_sigma must lie in [-1e150, 1e150], got inf"),
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_p = -1",
-             "kernel_p must be >= 0 for p_step_random_walk, got -1"),
+             "kernel_p must lie in [0, inf), got -1"),
             ("grf-bench", "edge_prob = 0.4",
              "edge_prob = 0.4\nkernel_family = p_step_random_walk\nkernel_alpha = 1e300",
              "kernel_alpha = 1e+300, kernel_p = 1: the p_step_random_walk kernel's walk "
              "expansion overflows or vanishes"),
             ("grf-bench", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_sigma = 1e300",
-             "kernel_sigma = 1e+300, kernel_degree = 2: the d_regularized_laplacian kernel's "
-             "walk expansion overflows or vanishes"),
+             "kernel_sigma must lie in [-1e150, 1e150], got 1e+300"),
             ("sigma-train", "edge_prob = 0.4", "edge_prob = 0.4\nkernel_degree = 1000000000000",
              "kernel_sigma = 1.0, kernel_degree = 1000000000000: the d_regularized_laplacian "
              "kernel's walk expansion overflows or vanishes"),
@@ -846,7 +856,8 @@ class TestBadInputExits:
 
     @pytest.mark.parametrize(
         "edges, message",
-        [("", "g.edges: no edges"), ("0 1\n-1 2\n", "g.edges:2: node ids must be >= 0, got -1 2")],
+        [("", "g.edges: no edges"),
+         ("0 1\n-1 2\n", "g.edges:2: node id must lie in [0, inf), got -1")],
         ids=["empty", "negative-id"],
     )
     def test_bad_graph_file(self, tmp_path, edges, message, capsys):

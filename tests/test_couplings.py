@@ -464,10 +464,9 @@ class TestOptimizeCopula:
     def test_zero_steps_returns_init(self):
         rng = np.random.default_rng(19)
         data = rng.standard_normal((5, 2))
-        init = CorrelationParams(2, np.array([0.4]))
-        cfg = CopulaOptConfig(steps=0, m=2, init=init)
+        cfg = CopulaOptConfig(steps=0, m=2)
         result = optimize_copula(data, GaussianKernelParams(1.0), "rff", cfg, rng)
-        assert np.array_equal(result.params.theta, init.theta)
+        assert np.array_equal(result.params.theta, CorrelationParams.near_independence(2).theta)
 
     @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
     @pytest.mark.parametrize("m", [3, 8])

@@ -9,8 +9,6 @@ from otrf.errors import NumericalError
 from otrf.eucrf import GaussianKernelParams, gaussian_gram
 from otrf.gp import (
     GaussianPosterior,
-    GPFitConfig,
-    RegressionData,
     _evidence,
     _evidence_and_grad,
     _jittered_cho,
@@ -283,9 +281,8 @@ class TestFitHyperparams:
         true = GaussianKernelParams(1.0, 1.0, 0.1)
         k = gaussian_gram(X, X, true) + 0.01 * np.eye(40)
         y = np.linalg.cholesky(k + 1e-10 * np.eye(40)) @ rng.standard_normal(40)
-        data = RegressionData(X, y, X[:1])
         init = GaussianKernelParams(3.0, 0.5, 0.5)
-        fitted = fit_hyperparams(data, init, GPFitConfig(steps=300))
+        fitted = fit_hyperparams(X, y, init, 300)
         before = log_marginal_likelihood(gaussian_gram(X, X, init), y, init.noise_scale)
         after = log_marginal_likelihood(
             gaussian_gram(X, X, fitted), y, fitted.noise_scale
@@ -297,26 +294,22 @@ class TestFitHyperparams:
         X = rng.standard_normal((257, 2))
         y = rng.standard_normal(257)
         with pytest.raises(ValueError):
-            fit_hyperparams(
-                RegressionData(X, y, X[:1]), GaussianKernelParams(1.0), GPFitConfig(steps=1)
-            )
+            fit_hyperparams(X, y, GaussianKernelParams(1.0), 1)
 
     def test_fixed_lengthscale_respected(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 2))
         y = rng.standard_normal(20)
-        fitted = fit_hyperparams(
-            RegressionData(X, y, X[:1]),
-            GaussianKernelParams(1.0, 1.0, 0.2),
-            GPFitConfig(steps=50, fix_lengthscale=2.5),
-        )
+        fitted = fit_hyperparams(X, y, GaussianKernelParams(1.0, 1.0, 0.2), 50,
+                                 fix_lengthscale=2.5)
         assert fitted.lengthscale == 2.5
 
     def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            GPFitConfig(steps=0)
-        with pytest.raises(ValueError):
-            GPFitConfig(steps=5001)
+        X, y = np.zeros((2, 1)), np.zeros(2)
+        with pytest.raises(ValueError, match=r"^steps must lie in \[1, 5000\], got 0$"):
+            fit_hyperparams(X, y, GaussianKernelParams(1.0), 0)
+        with pytest.raises(ValueError, match=r"^steps must lie in \[1, 5000\], got 5001$"):
+            fit_hyperparams(X, y, GaussianKernelParams(1.0), 5001)
 
 
 class TestGaussianKl:

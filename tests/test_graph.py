@@ -148,7 +148,8 @@ class TestGraphData:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("0 1\n-1 2\n", "bad.edges:2: node ids must be >= 0"), ("\n", "bad.edges: no edges")],
+        [("0 1\n-1 2\n", "bad.edges:2: node id must lie in [0, inf), got -1"),
+         ("\n", "bad.edges: no edges")],
         ids=["negative-id", "empty"],
     )
     def test_rejects_negative_id_and_empty_edge_list(self, tmp_path, text, message):

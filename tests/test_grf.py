@@ -190,9 +190,9 @@ class TestGrfFeatures:
     def test_zero_walkers_rejected(self, coupling):
         # m = 0 used to average no walks into an all-nan feature
         f = modulation_for(REG2)
-        with pytest.raises(ValueError, match=r"^m \(walkers\) must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^m \(walkers\) must lie in \[1, inf\), got 0$"):
             grf_features(TWO_PATH, 0, 0, coupling, f, 0.3, np.random.default_rng(6))
-        with pytest.raises(ValueError, match=r"^m \(walkers\) must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^m \(walkers\) must lie in \[1, inf\), got 0$"):
             grf_feature_matrix(TWO_PATH, 0, coupling, f, 0.3, np.random.default_rng(6))
 
     def test_paired_couplings_require_even_m(self):

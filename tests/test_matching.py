@@ -258,6 +258,12 @@ class TestJlt:
     def test_dimension_formula(self):
         assert jlt_dimension(8, 0.2) == int(np.ceil(8 * np.log(8) / 0.04))
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+    def test_dimension_refuses_bad_eps(self, eps):
+        # eps = 0 ended in OverflowError, and nan in int()'s own ValueError
+        with pytest.raises(ValueError, match=rf"^eps must lie in \(0, inf\), got {eps}$"):
+            jlt_dimension(8, eps)
+
     def test_unbiased_dot_products(self):
         rng = np.random.default_rng(10)
         u = rng.standard_normal(60)

@@ -11,6 +11,7 @@ from otrf.errors import NumericalError
 from otrf.mathcore import (
     ChiParams,
     GeometricParams,
+    _check_range,
     chi_cdf,
     chi_inv_cdf,
     gauss_cdf,
@@ -93,6 +94,25 @@ def chi_quantile_bisection(u, d: ChiParams, upper: bool = False) -> np.ndarray:
     out = out.reshape(u.shape)
     out[u == 0.0] = 0.0
     return out
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize(
+        "value, interval",
+        [(0, "(0, 1]"), (1, "[0, 1)"), (-1, "[0, inf)"), (math.inf, "[0, inf)"),
+         (math.nan, "(-inf, inf)"), (1e300, "[-1e150, 1e150]")],
+    )
+    def test_outside_refused_in_one_form(self, value, interval):
+        with pytest.raises(ValueError) as err:
+            _check_range("x", value, interval)
+        assert str(err.value) == f"x must lie in {interval}, got {value}"
+
+    @pytest.mark.parametrize(
+        "value, interval",
+        [(0, "[0, 1)"), (1, "(0, 1]"), (10**12, "[1, inf)"), (-1e150, "[-1e150, 1e150]")],
+    )
+    def test_inside_accepted(self, value, interval):
+        _check_range("x", value, interval)
 
 
 class TestGaussCdf:
