@@ -558,9 +558,10 @@ def _write_rows(path, rows):
         if not rows:
             fh.write("\n")
             return
-        writer = csvmod.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (repr(float(v)) if isinstance(v, float) else v) for k, v in row.items()}
-            )
+        keys = list(rows[0])
+        writer = csvmod.writer(fh)
+        writer.writerow(keys)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in map(row.__getitem__, keys)]
+            for row in rows
+        )

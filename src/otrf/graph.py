@@ -250,17 +250,24 @@ def batch_walk_lengths(n_walks: int, p_halt: float, rng,
     """Geometric walk lengths for a batch under a length coupling.
 
     Every length is marginally geometric; the paired couplings join walks
-    2i and 2i+1.  Antithetic termination offsets the pair's per-step
-    halting uniforms by one half, so for p_halt < 1/2 the two never halt at
-    the same step.  A :class:`SigmaCoupling` draws a tile q uniformly from
-    its order n, puts the first uniform in tile q and the partner's in tile
-    perm[q], and maps both through the geometric quantile function.
+    2i and 2i+1.  Antithetic termination draws one halting uniform t per
+    pair per step, until the trial's last walk halts; walk 2i halts at the
+    first t < p_halt and walk 2i+1 at the first (t + 0.5) % 1.0 < p_halt,
+    so for p_halt < 1/2 the two never halt at the same step.  The steps
+    are read in rounds, one generator call per trial per round, and each
+    generator ends where one call per step would leave it.  A
+    :class:`SigmaCoupling` made for this p_halt draws a tile q uniformly
+    from its order n, puts the first uniform in tile q and the partner's
+    in tile perm[q], and maps both through the geometric quantile function.
 
     ``rng`` may be a list of T generators, one per trial: the walks then
     form T equal blocks in trial order, and block i equals the lengths that
     ``rng[i]`` alone gives for ``n_walks // T`` walks.
     """
     gp = GeometricParams(p_halt)
+    if isinstance(coupling, SigmaCoupling) and round(coupling.p_halt, 10) != round(p_halt, 10):
+        raise ValueError(f"a sigma coupling made for p_halt {coupling.p_halt} "
+                         f"cannot run at p_halt {p_halt}")
     rngs = _trial_rngs(rng)
     per_trial = _trial_block(n_walks, len(rngs))
     tag = coupling_tag(coupling, per_trial)
@@ -276,26 +283,46 @@ def batch_walk_lengths(n_walks: int, p_halt: float, rng,
             row[0::2] = (q + r.random(n_pairs)) / order
             row[1::2] = (coupling.perm[q] + r.random(n_pairs)) / order
         return np.asarray(geometric_inv_cdf(u.ravel(), gp))
-    # antithetic: every trial with a live walk draws one uniform per pair
+    # antithetic: each live trial reads a round of k steps in one call, k
+    # the least with (1 - p_halt)^k <= 1/(16 per_trial), so a round the
+    # stream budget does not cap ends all of a trial's walks w.p. >= 15/16
+    k = math.ceil(min(math.log(16 * per_trial) / -math.log1p(-p_halt),
+                      max(1, _STREAM_BUDGET // n_pairs)))
     lengths = np.zeros((len(rngs), per_trial), dtype=np.int64)
     alive = np.ones((len(rngs), per_trial), dtype=bool)
-    live = np.flatnonzero(alive.any(axis=1))
+    live = np.arange(len(rngs))
     while live.size:
-        t = np.empty((live.size, per_trial))
-        t[:, 0::2] = [rngs[i].random(n_pairs) for i in live]
-        t[:, 1::2] = (t[:, 0::2] + 0.5) % 1.0
-        still = alive[live] & (t >= p_halt)
+        gens = [rngs[i] for i in live]
+        states = [r.bit_generator.state for r in gens]
+        t = np.empty((live.size, k, n_pairs))
+        for r, block in zip(gens, t):
+            r.random(out=block)
+        halt = np.empty((live.size, k + 1, per_trial), dtype=bool)
+        halt[:, k] = True  # step k stands for "runs past the round"
+        np.less(t, p_halt, out=halt[:, :k, 0::2])
+        t += 0.5
+        t -= t >= 1.0  # the partners' uniforms, bit-equal to (t + 0.5) % 1.0
+        np.less(t, p_halt, out=halt[:, :k, 1::2])
+        first = halt.argmax(axis=1) * alive[live]  # steps each live walk survives
+        lengths[live] += first
+        still = first == k
         alive[live] = still
-        lengths[live] += still
-        live = live[still.any(axis=1)]
+        done = ~still.any(axis=1)
+        # a trial that ends inside the round rewinds and rereads only the
+        # steps it used, so its generator ends where the per-step loop's does
+        used = first.max(axis=1) + 1
+        for j in np.flatnonzero(done & (used < k)).tolist():
+            gens[j].bit_generator.state = states[j]
+            gens[j].random(used[j] * n_pairs)
+        live = live[~done]
     return lengths.ravel()
 
 
 # ---------------------------------------------------------------------------
 # Batched walking (all walkers stepped in parallel)
 
-# uniforms a walk holds at once; it draws the step streams in rounds of as
-# many steps as fit
+# uniforms a trial holds at once; the walks and the antithetic lengths draw
+# their step streams in rounds of as many steps as fit
 _STREAM_BUDGET = 1 << 15
 
 

@@ -41,14 +41,15 @@ class ModulationFn:
         return self.coeffs.size - 1
 
     def __call__(self, k: int) -> float:
-        return float(self.coeffs[k]) if k <= self.k_max else 0.0
+        return float(self.coeffs[k]) if 0 <= k <= self.k_max else 0.0
 
 
 def modulation_from_coefficients(alpha, k_max: int = K_MAX_DEFAULT) -> ModulationFn:
     """Discrete square root of a coefficient sequence under convolution.
 
     f(0) = sqrt(a_0) and f(k) = (a_k - sum_{j=1}^{k-1} f(j) f(k-j)) / (2 f(0)),
-    so (f * f)(k) = a_k for k <= k_max.  Requires finite a_k and a_0 > 0.
+    so (f * f)(k) = a_k for k <= k_max.  Requires finite a_k and a_0 > 0,
+    and refuses alpha whose recursion overflows.
     """
     alpha = np.asarray(alpha, dtype=float)
     _check_range("k_max", k_max, "[0, inf)")
@@ -60,9 +61,13 @@ def modulation_from_coefficients(alpha, k_max: int = K_MAX_DEFAULT) -> Modulatio
     padded[: min(alpha.size, k_max + 1)] = alpha[: k_max + 1]
     f = np.zeros(k_max + 1)
     f[0] = np.sqrt(padded[0])
-    for k in range(1, k_max + 1):
-        inner = np.dot(f[1:k], f[k - 1 : 0 : -1]) if k >= 2 else 0.0
-        f[k] = (padded[k] - inner) / (2.0 * f[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            inner = np.dot(f[1:k], f[k - 1 : 0 : -1]) if k >= 2 else 0.0
+            f[k] = (padded[k] - inner) / (2.0 * f[0])
+    if not np.all(np.isfinite(f)):
+        k = int(np.argmin(np.isfinite(f)))
+        raise ValueError(f"alpha has no finite modulation square root: f({k}) overflows")
     return ModulationFn(f)
 
 

@@ -1180,6 +1180,24 @@ class TestSummaryFromRows:
                 _assert_mean_se(entry, values, f"{metric}_mean", f"{metric}_se")
 
 
+class TestTrialsCsv:
+    def test_bytes_match_dict_writer(self, tmp_path):
+        # csv.DictWriter, fed one dict per row, is the reference
+        rows = [
+            {"coupling": 'a,"b"', "m": 4, "err": np.float64(0.1) + 0.2, "x": 1.5},
+            {"x": float("inf"), "err": 3.0, "m": 8, "coupling": "iid"},
+        ]
+        expected = io.StringIO(newline="")
+        writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
+                             for k, v in row.items()})
+        experiments._write_rows(tmp_path / "trials.csv", rows)
+        assert (tmp_path / "trials.csv").read_bytes() == expected.getvalue().encode()
+        assert "0.30000000000000004" in expected.getvalue()
+
+
 class TestIngestion:
     def test_csv_with_target(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -79,6 +79,25 @@ def endpoint_oracle(g, starts, lengths, rng):
     return cur
 
 
+def antithetic_oracle(n_walks, p_halt, rngs):
+    """Per-step antithetic lengths for a list of trial generators: every
+    trial with a live walk draws one uniform per pair per step; a pair's
+    partner halts on the uniform plus one half, mod 1."""
+    per_trial = n_walks // len(rngs)
+    lengths = np.zeros((len(rngs), per_trial), dtype=np.int64)
+    alive = np.ones((len(rngs), per_trial), dtype=bool)
+    live = np.arange(len(rngs))
+    while live.size:
+        t = np.empty((live.size, per_trial))
+        t[:, 0::2] = [rngs[i].random(per_trial // 2) for i in live]
+        t[:, 1::2] = (t[:, 0::2] + 0.5) % 1.0
+        still = alive[live] & (t >= p_halt)
+        alive[live] = still
+        lengths[live] += still
+        live = live[still.any(axis=1)]
+    return lengths.ravel()
+
+
 def csr_oracle(g):
     """The per-node loop that once built the CSR arrays: (indptr, indices,
     step weights a_uv deg(u))."""
@@ -479,6 +498,29 @@ class TestAntitheticTermination:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             batch_walk_lengths(2, 1.0, np.random.default_rng(0), "antithetic_termination")
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("per_trial", [2, 8, 120])
+    @pytest.mark.parametrize("n_trials", [1, 3, 7])
+    @pytest.mark.parametrize("p_halt", [0.05, 0.3, 0.49, 0.5, 0.51, 0.9, 0.99])
+    def test_rounds_match_per_step_oracle(self, p_halt, n_trials, per_trial, budget,
+                                          monkeypatch):
+        # a budget of 40 uniforms makes long walks span many rounds
+        if budget is not None:
+            monkeypatch.setattr(graph, "_STREAM_BUDGET", budget)
+        seeds = np.random.SeedSequence([25, n_trials, per_trial]).spawn(n_trials)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        oracle_rngs = [np.random.default_rng(s) for s in seeds]
+        n_walks = n_trials * per_trial
+        lengths = batch_walk_lengths(n_walks, p_halt, rngs, "antithetic_termination")
+        assert np.array_equal(lengths, antithetic_oracle(n_walks, p_halt, oracle_rngs))
+        # each generator is left where the per-step loop leaves it
+        after = [r.random() for r in rngs]
+        assert after == [r.random() for r in oracle_rngs]
+        one = np.random.default_rng(seeds[-1])
+        last = batch_walk_lengths(per_trial, p_halt, one, "antithetic_termination")
+        assert np.array_equal(last, lengths[-per_trial:])
+        assert one.random() == after[-1]
 
 
 class TestSyntheticGraphs:

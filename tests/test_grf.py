@@ -1,5 +1,7 @@
 """Modulation sequences, batched walk projections and node-feature estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,19 @@ class TestModulation:
         assert f(3) == f.coeffs[3]
         assert f(4) == 0.0
 
+    def test_negative_k_is_zero(self):
+        # used to index from the far end: f(-1) returned f(k_max)
+        f = modulation_from_coefficients([1.0, 0.5], 4)
+        assert f.coeffs[-1] != 0.0
+        assert f(-1) == 0.0 and f(-5) == 0.0
+
+    def test_overflowing_recursion_rejected(self):
+        # finite alpha used to give inf and nan coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^alpha has no finite modulation square root"):
+                modulation_from_coefficients([1.0, 1e300], 64)
+
 
 class TestProjectWalk:
     def test_length_zero(self):
@@ -201,6 +216,14 @@ class TestGrfFeatures:
             grf_features(TWO_PATH, 0, 3, "antithetic_termination", f, 0.4, np.random.default_rng(6))
         with pytest.raises(ValueError):
             grf_feature_matrix(TWO_PATH, 3, SigmaCoupling(np.array([1, 0]), 0.4), f, 0.4, np.random.default_rng(6))
+
+    def test_sigma_coupling_for_another_p_halt_rejected(self):
+        f = modulation_for(REG2)
+        coupling = SigmaCoupling(np.array([1, 0]), 0.5)
+        with pytest.raises(ValueError, match=r"made for p_halt 0\.5 cannot run at p_halt 0\.3$"):
+            grf_feature_matrix(TWO_PATH, 2, coupling, f, 0.3, np.random.default_rng(6))
+        # equal after rounding to 10 digits, as experiments keys its couplings
+        grf_feature_matrix(TWO_PATH, 2, coupling, f, 0.5 + 1e-12, np.random.default_rng(6))
 
     def test_identity_sigma_order_one_lengths_independent(self):
         coupling = SigmaCoupling(np.array([0]), 0.4)

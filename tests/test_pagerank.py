@@ -151,6 +151,12 @@ class TestMcPagerank:
         assert est.coupling == "sigma"
         assert int(est.counts.sum()) == est.total
 
+    def test_sigma_coupling_for_another_p_halt_rejected(self):
+        g = erdos_renyi(12, 0.4, np.random.default_rng(7))
+        coupling = SigmaCoupling(np.arange(6)[::-1], 0.5)
+        with pytest.raises(ValueError, match=r"made for p_halt 0\.5 cannot run at p_halt 0\.3$"):
+            mc_pagerank(g, 0.3, 4, coupling, np.random.default_rng(8))
+
     @pytest.mark.parametrize("coupling", ["iid", "antithetic_termination"])
     def test_zero_walkers_rejected(self, coupling):
         # m = 0 used to return an estimate over a total of zero walks
