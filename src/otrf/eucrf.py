@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 
 from .errors import FeatureOverflowError, NumericalError
-from .mathcore import _check_range
+from .mathcore import _check_finite, _check_range
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    _check_finite("x", x)
+    _check_finite("y", y)
     sq = float(np.sum((x - y) ** 2))
     return _gaussian_of_sq(sq, params)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import importlib
 import json
 import typing
-import zlib
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -275,14 +274,11 @@ def _coerce_config(values: dict) -> ExperimentConfig:
 # Determinism helpers
 
 
-def _seeds(master: int, label: str, count: int) -> list:
-    """Per-task seed sequences tied to the master seed and a task label."""
-    tag = zlib.crc32(label.encode())
-    return np.random.SeedSequence([int(master), tag]).spawn(count)
-
-
 def _rng(master: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(_seeds(master, label, 1)[0])
+    """The generator of trial 0 of a one-trial cell labelled ``label``."""
+    from .seeding import trial_generators
+
+    return next(trial_generators(master, label, 1, 1))[0]
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -295,7 +291,8 @@ def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
 
     This is the one place where trial seeds become generators.  ``cells``
     yields ``(name, label, coords, batch, trial)``, and ``label.format(tag)``
-    seeds the cell's trials.  The trials run in order, ``batch`` per call
+    seeds the cell's trials through :func:`otrf.seeding.trial_generators`.
+    The trials run in order, ``batch`` per call
     (:func:`otrf.couplings._ensemble_batch` in rf-bench and gp-eval,
     :func:`_walk_batch` in grf- and pagerank-bench, one in attention-bench,
     where a rep's generator spawns one child per ensemble): ``trial(tag,
@@ -308,17 +305,15 @@ def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
     "seed" and the metrics; a key already in ``coords`` keeps its place.
     Returns the rows and ``{name: {tag: {metric: [values]}}}``.
     """
+    from .seeding import trial_generators
+
     rows = []
     grid = {}
     for name, label, coords, batch, trial in cells:
         cell = grid[name] = {}
         for tag in cfg.couplings:
-            seeds = _seeds(cfg.seed, label.format(tag), count)
-            metrics = [
-                values
-                for i in range(0, count, batch)
-                for values in trial(tag, [np.random.default_rng(s) for s in seeds[i : i + batch]])
-            ]
+            chunks = trial_generators(cfg.seed, label.format(tag), count, batch)
+            metrics = [values for rngs in chunks for values in trial(tag, rngs)]
             for i, values in enumerate(metrics):
                 rows.append({**coords, "coupling": tag, index: i, "seed": cfg.seed, **values})
             cell[tag] = {key: [values[key] for values in metrics] for key in metrics[0]}

@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph import GraphData, SigmaCoupling
 from .grf import ModulationFn, estimate_quantile_projections
-from .mathcore import _check_range, ensure_rng
+from .mathcore import _check_finite, _check_range, ensure_rng
 
 
 def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
@@ -88,6 +88,8 @@ def build_sigma_cost_matrix(psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
     psi_j = np.asarray(psi_j, dtype=float)
     if psi_i.shape != psi_j.shape:
         raise ValueError(f"shape mismatch: {psi_i.shape} vs {psi_j.shape}")
+    _check_finite("psi_i", psi_i)
+    _check_finite("psi_j", psi_j)
     return _pair_sum_dots(psi_i @ psi_j.T) ** 2
 
 
@@ -105,6 +107,8 @@ def averaged_sigma_cost_matrix(psi: np.ndarray, max_pairs: int = 2000,
     uniform sample of ``max_pairs`` pairs.  Either way the pairs run through
     one batched contraction, a chunk of pairs at a time.
     """
+    psi = np.asarray(psi, dtype=float)
+    _check_finite("psi", psi)
     n_nodes = psi.shape[0]
     if n_nodes**2 <= max_pairs:
         rows, cols = np.divmod(np.arange(n_nodes**2), n_nodes)

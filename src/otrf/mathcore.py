@@ -5,7 +5,8 @@ scalars or numpy arrays and broadcast.  Inverse CDFs refuse NaN; the chi
 quantile is a closed form whose every call checks its round trip to 1e-12,
 and the geometric one round-trips exactly.  The private ``_adam`` is
 the one Adam update, shared by GP hyperparameter fitting and copula training,
-and ``_check_range`` the one interval check of a scalar argument or config key.
+and ``_check_range`` the one interval check of a scalar argument or config key
+(``_check_finite`` applies it to an array's entries).
 Only the Gaussian and chi functions need ``scipy.special``, and they import
 it themselves, so the graph modules, which import this one, load no scipy.
 """
@@ -27,6 +28,12 @@ def _check_range(name: str, value, interval: str) -> None:
     above = low <= value if interval[0] == "[" else low < value
     if not (above and (value <= high if interval[-1] == "]" else value < high)):
         raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject an array argument holding a NaN or an infinity, naming its first."""
+    if not np.all(np.isfinite(values)):
+        _check_range(name, values[~np.isfinite(values)][0], "(-inf, inf)")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ of one callable in ``otrf.__all__``, or into one numeric field of an exported
 parameter class, which is then handed to an exported callable that reads it.
 The call must return finite output, or raise ValueError or TypeError whose
 message names the argument in the one refusal form, "{name} must lie in
-{interval}, got {value}".  Warnings are errors.
+{interval}, got {value}".  Warnings are errors.  A NaN or infinite entry of
+an array argument is refused in the same form, with the interval (-inf, inf).
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ import otrf
 from otrf.couplings import CopulaOptConfig
 from otrf.graph import GraphData, GraphKernelSpec, SigmaCoupling, taylor_coefficients
 from otrf.grf import modulation_from_coefficients
+from otrf.matching import averaged_sigma_cost_matrix, build_sigma_cost_matrix
 
 # a 5-cycle with one chord: connected, no isolated node
 G = GraphData.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
@@ -145,3 +147,32 @@ def test_bad_number_refused_or_finite(owner, arg, value, call):
             assert re.match(form, str(exc)), f"{owner}({arg}={value}): {exc}"
             return
     assert finite(out), f"{owner}({arg}={value}) returned {out!r}"
+
+
+PSI = np.random.default_rng(1).standard_normal((3, 2, 4))
+
+# (callable, array argument, call given a function that spoils one entry)
+ARRAY_CASES = [
+    ("gaussian_kernel", "x",
+     lambda bad: otrf.gaussian_kernel(bad(X[0]), X[1], otrf.GaussianKernelParams(1.0))),
+    ("gaussian_kernel", "y",
+     lambda bad: otrf.gaussian_kernel(X[0], bad(X[1]), otrf.GaussianKernelParams(1.0))),
+    ("build_sigma_cost_matrix", "psi_i", lambda bad: build_sigma_cost_matrix(bad(PSI[0]), PSI[1])),
+    ("build_sigma_cost_matrix", "psi_j", lambda bad: build_sigma_cost_matrix(PSI[0], bad(PSI[1]))),
+    ("averaged_sigma_cost_matrix", "psi", lambda bad: averaged_sigma_cost_matrix(bad(PSI))),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("owner, arg, call", ARRAY_CASES,
+                         ids=[f"{owner}-{arg}" for owner, arg, _ in ARRAY_CASES])
+def test_non_finite_array_entry_refused(owner, arg, call, value):
+    def bad(a):
+        a = np.array(a, dtype=float)
+        a.flat[-1] = value
+        return a
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{arg} must lie in (-inf, inf), got {value}")):
+            call(bad)

@@ -1051,6 +1051,19 @@ class TestModuleStacks:
                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out == "[]"
 
+    def test_config_check_loads_no_numpy_random(self, tmp_path):
+        # importing numpy.random took about 12 ms on a 2-core x86 machine; a
+        # run loads it when it first seeds, so no kind's setup pays for it
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(dict(TINY_GRAPH, kind="grf-bench")))
+        out = _fresh_python([cfg_path], "import sys, numpy\n"
+                            "bare = 'numpy.random' in sys.modules\n"
+                            "from otrf import cli\n"
+                            "cli.parse_config_file(sys.argv[1], {'kind': 'grf-bench'})\n"
+                            "print(bare, 'numpy.random' in sys.modules)")
+        if out.startswith("True"):
+            pytest.skip("this numpy loads numpy.random on import")
+        assert out == "False False"
+
     def test_every_exported_name_resolves(self):
         for name in otrf.__all__:
             module = importlib.import_module(f"otrf.{otrf._EXPORTS[name]}")
