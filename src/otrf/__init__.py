@@ -16,7 +16,6 @@ import importlib
 _EXPORTS = {
     "CorrelationParams": "couplings",
     "CouplingSpec": "couplings",
-    "FrequencyEnsemble": "couplings",
     "GaussianKernelParams": "eucrf",
     "GraphData": "graph",
     "GraphKernelSpec": "graph",

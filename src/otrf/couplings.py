@@ -20,6 +20,7 @@ from .errors import NumericalError
 from .mathcore import (
     ChiParams,
     _adam,
+    _check_finite,
     _check_range,
     _trial_rngs,
     chi_inv_cdf,
@@ -66,6 +67,7 @@ class CorrelationParams:
                 f"theta must have shape ({expect},) for m={self.m}, "
                 f"got {self.theta.shape}"
             )
+        _check_finite("theta", self.theta)
 
     @classmethod
     def near_independence(cls, m: int, scale: float = 1e-3) -> "CorrelationParams":
@@ -93,22 +95,6 @@ class CouplingSpec:
             raise ValueError(f"unknown coupling tag {self.tag!r}")
         if self.tag == "copula" and self.params is None:
             raise ValueError("copula coupling requires CorrelationParams")
-
-
-@dataclass
-class FrequencyEnsemble:
-    """m frequency vectors in R^d plus the coupling they were drawn under."""
-
-    freqs: np.ndarray
-    coupling: str
-
-    @property
-    def m(self) -> int:
-        return self.freqs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.freqs.shape[1]
 
 
 def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
@@ -248,10 +234,8 @@ def check_ensemble_size(m: int, d: int, tag: str) -> None:
         raise ValueError(f"copula needs m <= d or m a multiple of d, got m={m}, d={d}")
 
 
-def build_ensemble(
-    m: int, d: int, scheme: CouplingSpec | str, rng
-) -> FrequencyEnsemble | list[FrequencyEnsemble]:
-    """Draw an m x d frequency ensemble under ``scheme``.
+def build_ensemble(m: int, d: int, scheme: CouplingSpec | str, rng) -> np.ndarray:
+    """Draw an (m, d) frequency array under ``scheme``.
 
     Orthogonal schemes require m to be a multiple of d (independent blocks
     of d); the antithetic variant requires a multiple of 2d and mirrors each
@@ -261,8 +245,8 @@ def build_ensemble(
     ``rng=None`` for the raw, unshifted sequence.
 
     ``rng`` may be a list of T generators, one per trial; the call then
-    returns a list of T ensembles, the i-th equal bit for bit to
-    ``rng[i]``'s own call.  Each generator is read in its own call's order,
+    returns a (T, m, d) array, block i equal bit for bit to ``rng[i]``'s
+    own call.  Each generator is read in its own call's order,
     block by block, while the Halton sequence, each block's QR and each
     block's chi_d quantile run once for all trials.
     """
@@ -279,7 +263,7 @@ def build_ensemble(
     elif tag == "iid":
         freqs = np.array([r.standard_normal((m, d)) for r in rngs])
     elif tag == "copula":
-        freqs = _blockwise_freqs(m, d, spec, rngs)
+        freqs = _freqs_blockwise(m, d, spec, rngs)
     else:
         # orthogonal blocks of d, each followed by its mirror for antithetic
         mirror = tag == "orthogonal_pnc_antithetic"
@@ -290,9 +274,7 @@ def build_ensemble(
             blocks += [base, -base] if mirror else [base]
         freqs = np.concatenate(blocks, axis=1)
 
-    if isinstance(rng, list):
-        return [FrequencyEnsemble(f, tag) for f in freqs]
-    return FrequencyEnsemble(freqs[0], tag)
+    return freqs if isinstance(rng, list) else freqs[0]
 
 
 def _direction_blocks(m: int, d: int) -> tuple[int, int]:
@@ -302,7 +284,7 @@ def _direction_blocks(m: int, d: int) -> tuple[int, int]:
     return -(-m // d), min(m, d)
 
 
-def _blockwise_freqs(m: int, d: int, spec: CouplingSpec, rng) -> np.ndarray:
+def _freqs_blockwise(m: int, d: int, spec: CouplingSpec, rng) -> np.ndarray:
     """(T, m, d) frequencies, one m x d sample per generator in ``rng``.
 
     Each generator draws the d x d Gaussian matrix of each direction block
@@ -325,7 +307,7 @@ def _blockwise_freqs(m: int, d: int, spec: CouplingSpec, rng) -> np.ndarray:
 
 # frequency entries per ensemble-layer call in rf-bench, gp-eval,
 # attention-bench and the reference loss; bounds the (trials, m, d) block
-# that one build_ensemble or _blockwise_freqs call holds
+# that one build_ensemble or _freqs_blockwise call holds
 _CHUNK_FREQS = 1 << 15
 
 
@@ -451,7 +433,7 @@ def reference_coupling_loss(
     Gives a like-for-like baseline (e.g. orthogonal with independent or
     negative-monotone-paired norms) to compare learned copulas against.
     The ``mc_samples`` ensembles are drawn from ``rng`` one after another,
-    each reading it in :func:`_blockwise_freqs` order: the Gaussian matrix
+    each reading it in :func:`_freqs_blockwise` order: the Gaussian matrix
     of each direction block, then the norm uniforms.  Mapping runs once per
     chunk of at most ``_CHUNK_FREQS`` frequency entries: one stacked QR and
     one chi_d quantile call.  Feature maps and RMSEs stay per ensemble.
@@ -465,9 +447,8 @@ def reference_coupling_loss(
     total = 0.0
     for start in range(0, mc_samples, batch):
         chunk = [rng] * min(batch, mc_samples - start)
-        for freqs in _blockwise_freqs(m, d, spec, chunk):
-            ens = FrequencyEnsemble(freqs, "reference")
-            phi = eucrf._feature_matrix(featurizer, dataset, ens, kernel)
+        for freqs in _freqs_blockwise(m, d, spec, chunk):
+            phi = eucrf._feature_matrix(featurizer, dataset, freqs, kernel)
             total += eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
     return total / mc_samples
 

@@ -84,8 +84,8 @@ def run_rf_bench(cfg: ExperimentConfig):
 
                 def trial(tag, rngs):
                     out = []
-                    for ens in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
-                        phi = eucrf._feature_matrix(featurizer, X, ens, params)
+                    for freqs in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
+                        phi = eucrf._feature_matrix(featurizer, X, freqs, params)
                         out.append({"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)})
                     return out
 
@@ -167,8 +167,8 @@ def run_gp_eval(cfg: ExperimentConfig):
 
             def trial(tag, rngs):
                 out = []
-                for ens in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
-                    phi = eucrf.rff_feature_matrix(X_joint, ens, params)
+                for freqs in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
+                    phi = eucrf.rff_feature_matrix(X_joint, freqs, params)
                     approx = gp.approx_posterior(
                         phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
                     )
@@ -207,8 +207,8 @@ def run_attention_bench(cfg: ExperimentConfig):
         # a rep runs alone; its generator spawns one child per ensemble
         children = rngs[0].spawn(rep_trials)
         chunks = (children[i : i + batch] for i in range(0, rep_trials, batch))
-        ensembles = (ens for chunk in chunks for ens in cpl.build_ensemble(m, d, tag, chunk))
-        stats = eucrf.attention_estimate(X, ensembles, params)
+        freqs = (f for chunk in chunks for f in cpl.build_ensemble(m, d, tag, chunk))
+        stats = eucrf.attention_estimate(X, freqs, params)
         return [
             {"attention_mse": stats.mse, "kernel_var": stats.kernel_var,
              "kernel_cov": stats.kernel_cov}

@@ -67,10 +67,6 @@ def gaussian_gram(X, Y, params: GaussianKernelParams) -> np.ndarray:
     return _gaussian_of_sq(sq, params)
 
 
-def _freqs(ens) -> np.ndarray:
-    return np.asarray(getattr(ens, "freqs", ens), dtype=float)
-
-
 def _trig_features(args: np.ndarray, scale: float) -> np.ndarray:
     """scale [sin(args); cos(args)], stacked along the first axis."""
     return scale * np.concatenate([np.sin(args), np.cos(args)])
@@ -85,56 +81,61 @@ def _exp_features(args: np.ndarray, sq_norms, scale: float) -> np.ndarray:
     return scale * np.exp(args - sq_norms)
 
 
-def _check_point(x, ens) -> np.ndarray:
-    """``x`` as one point of the ensemble's dimension, as a 1 x d row."""
+def _check_point(x, freqs) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a 1 x d row and ``freqs`` as an (m, d) array, m >= 1, both finite."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (_freqs(ens).shape[1],):
-        raise ValueError(f"dimension mismatch: x {x.shape}, freqs {_freqs(ens).shape}")
-    return x[None, :]
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 2 or not len(freqs):
+        raise ValueError(f"freqs must be an (m, d) array with m >= 1, got shape {freqs.shape}")
+    if x.shape != freqs.shape[1:]:
+        raise ValueError(f"x must have shape {freqs.shape[1:]} to match freqs, got {x.shape}")
+    _check_finite("x", x)
+    _check_finite("freqs", freqs)
+    return x[None, :], freqs
 
 
-def rff_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
+def rff_features(x, freqs, params: GaussianKernelParams) -> np.ndarray:
     """Trigonometric features of length 2m: sqrt(1/m) [sin, cos](w_i . x/l).
 
     The output is scaled by the kernel output scale, so the self dot
-    product is exactly output_scale^2 for any input and ensemble.  One
-    column of :func:`rff_feature_matrix`.
+    product is exactly output_scale^2 for any input and (m, d) frequency
+    array.  One column of :func:`rff_feature_matrix`.
     """
-    return rff_feature_matrix(_check_point(x, ens), ens, params)[:, 0]
+    return rff_feature_matrix(*_check_point(x, freqs), params)[:, 0]
 
 
-def rlf_features(x, ens, params: GaussianKernelParams) -> np.ndarray:
+def rlf_features(x, freqs, params: GaussianKernelParams) -> np.ndarray:
     """Exponential features of length m; all entries strictly positive.
 
     phi(x) = output_scale sqrt(1/m) exp(-||x/l||^2) exp(w_i . x/l).  Raises
     :class:`FeatureOverflowError` when the exponent would overflow; the fix
     is a larger lengthscale.  One column of :func:`rlf_feature_matrix`.
     """
-    return rlf_feature_matrix(_check_point(x, ens), ens, params)[:, 0]
+    return rlf_feature_matrix(*_check_point(x, freqs), params)[:, 0]
 
 
-def rff_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
+def rff_feature_matrix(X, freqs, params: GaussianKernelParams) -> np.ndarray:
     """Feature matrix (2m x N) whose columns are rff_features of X's rows."""
-    freqs = _freqs(ens)
+    freqs = np.asarray(freqs, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     args = freqs @ (X.T / params.lengthscale)
     return _trig_features(args, params.output_scale / np.sqrt(freqs.shape[0]))
 
 
-def rlf_feature_matrix(X, ens, params: GaussianKernelParams) -> np.ndarray:
+def rlf_feature_matrix(X, freqs, params: GaussianKernelParams) -> np.ndarray:
     """Feature matrix (m x N) whose columns are rlf_features of X's rows."""
-    freqs = _freqs(ens)
+    freqs = np.asarray(freqs, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xs = X / params.lengthscale
     scale = params.output_scale / np.sqrt(freqs.shape[0])
     return _exp_features(freqs @ Xs.T, np.sum(Xs**2, axis=1)[None, :], scale)
 
 
-def _feature_matrix(featurizer: str, X, ens, params: GaussianKernelParams) -> np.ndarray:
+def _feature_matrix(featurizer: str, X, freqs, params: GaussianKernelParams) -> np.ndarray:
     """rff_feature_matrix or rlf_feature_matrix, by featurizer name."""
     if featurizer == "rff":
-        return rff_feature_matrix(X, ens, params)
-    return rlf_feature_matrix(X, ens, params)
+        return rff_feature_matrix(X, freqs, params)
+    return rlf_feature_matrix(X, freqs, params)
 
 
 def gram_estimate(features: np.ndarray) -> np.ndarray:
@@ -229,10 +230,10 @@ class AttentionStats:
         return float(np.mean(self.mse_per_row))
 
 
-def attention_estimate(X, ensembles, params: GaussianKernelParams) -> AttentionStats:
+def attention_estimate(X, freqs, params: GaussianKernelParams) -> AttentionStats:
     """Estimate attention with exponential features over many ensembles.
 
-    ``ensembles`` is an iterable of frequency ensembles, one per trial, and
+    ``freqs`` is an iterable of (m, d) frequency arrays, one per trial, and
     may be lazy; exponential features keep every kernel estimate positive so
     row sums never vanish.
     """
@@ -245,8 +246,8 @@ def attention_estimate(X, ensembles, params: GaussianKernelParams) -> AttentionS
     k_sq_sum = np.zeros((n, n))
     k_cross = np.zeros(n)  # sum over trials of (sum_j khat_ij)^2 per row
     trials = 0
-    for trials, ens in enumerate(ensembles, 1):
-        phi = rlf_feature_matrix(X, ens, params)
+    for trials, trial_freqs in enumerate(freqs, 1):
+        phi = rlf_feature_matrix(X, trial_freqs, params)
         k_hat = gram_estimate(phi)
         a_hat = k_hat / np.sum(k_hat, axis=1, keepdims=True)
         att_sq_err += (a_hat - a_exact) ** 2

@@ -188,6 +188,7 @@ class SigmaCoupling:
 
     def __post_init__(self):
         self.perm = np.asarray(self.perm, dtype=np.int64)
+        _check_range("order", self.perm.size, "[1, inf)")
         if sorted(self.perm.tolist()) != list(range(self.perm.size)):
             raise ValueError("perm must be a permutation of 0..n-1")
         GeometricParams(self.p_halt)

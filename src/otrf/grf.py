@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphData, _walk, batch_walk_lengths, coupling_tag
-from .mathcore import GeometricParams, _check_range, _trial_rngs, ensure_rng, geometric_inv_cdf
+from .mathcore import (GeometricParams, _check_finite, _check_range, _trial_rngs, ensure_rng,
+                       geometric_inv_cdf)
 
 K_MAX_DEFAULT = 64
 
@@ -35,6 +36,9 @@ class ModulationFn:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.coeffs.ndim != 1 or not self.coeffs.size:
+            raise ValueError(f"coeffs must be a nonempty sequence, got shape {self.coeffs.shape}")
+        _check_finite("coeffs", self.coeffs)
 
     @property
     def k_max(self) -> int:
@@ -71,17 +75,8 @@ def modulation_from_coefficients(alpha, k_max: int = K_MAX_DEFAULT) -> Modulatio
     return ModulationFn(f)
 
 
-@dataclass
-class GrfFeature:
-    """Feature vector for one node plus how it was sampled."""
-
-    vector: np.ndarray
-    m: int
-    coupling: str
-
-
 def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
-                 p_halt: float, rng) -> GrfFeature:
+                 p_halt: float, rng) -> np.ndarray:
     """Average projection of m walks from one node under a length coupling.
 
     ``coupling`` is "iid", "antithetic_termination", or a
@@ -90,8 +85,7 @@ def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
     marginal unchanged.  This is one row of :func:`grf_feature_matrix`.
     """
     _check_range("node", node, f"[0, {g.n_nodes})")
-    tag = coupling_tag(coupling, m)
-    return GrfFeature(_node_features(g, [node], m, coupling, f, p_halt, rng)[0, 0], m, tag)
+    return _node_features(g, [node], m, coupling, f, p_halt, rng)[0, 0]
 
 
 def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,

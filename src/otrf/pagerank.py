@@ -40,7 +40,6 @@ class PageRankEstimate:
 
     counts: np.ndarray
     total: int
-    coupling: str
 
     @property
     def rho(self) -> np.ndarray:
@@ -75,7 +74,7 @@ def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
     and the result is a list of T estimates; estimate i equals the one that
     ``rng[i]`` alone gives.
     """
-    tag = coupling_tag(coupling, m)
+    coupling_tag(coupling, m)  # pairs must not span two start nodes
     rngs = _trial_rngs(rng)
     n = g.n_nodes
     n_walks = n * m
@@ -84,7 +83,7 @@ def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
     ends = batch_walk_endpoints(g, starts, lengths, rngs)
     trial = np.repeat(np.arange(len(rngs)), n_walks)
     counts = np.bincount(trial * n + ends, minlength=len(rngs) * n).reshape(-1, n)
-    estimates = [PageRankEstimate(c, n_walks, tag) for c in counts]
+    estimates = [PageRankEstimate(c, n_walks) for c in counts]
     return estimates if isinstance(rng, list) else estimates[0]
 
 

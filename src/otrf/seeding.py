@@ -81,19 +81,14 @@ class TrialSeed(ISpawnableSeedSequence):
             return self.words.copy()
         return SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(n_words, dtype)
 
-    def derive(self, count: int):
-        """Keys, pools and PCG64 words of the next ``count`` children."""
-        start = self.n_children_spawned
-        self.n_children_spawned += count
-        pools = _spawned_pools(self.pool, self.n_hash, np.arange(start, start + count, dtype=np.uint32))
-        return range(start, start + count), pools, _pcg64_words(pools)
-
-    def child(self, key: int, pool, words) -> TrialSeed:
-        return TrialSeed(self.entropy, self.spawn_key + (key,), pool, self.n_hash + 4, words)
-
     def spawn(self, n_children):
-        keys, pools, words = self.derive(n_children)
-        return [self.child(key, pools[j], words[j]) for j, key in enumerate(keys)]
+        """The next ``n_children`` children, their pools and seed words in one pass."""
+        start = self.n_children_spawned
+        self.n_children_spawned += n_children
+        pools = _spawned_pools(self.pool, self.n_hash,
+                               np.arange(start, start + n_children, dtype=np.uint32))
+        return [TrialSeed(self.entropy, self.spawn_key + (start + j,), pool, self.n_hash + 4, word)
+                for j, (pool, word) in enumerate(zip(pools, _pcg64_words(pools)))]
 
 
 def trial_generators(master: int, label: str, count: int, batch: int):
@@ -102,8 +97,6 @@ def trial_generators(master: int, label: str, count: int, batch: int):
     Every trial's seed words come from one pass; the generators are built
     one list at a time.
     """
-    root = TrialSeed.of_cell(master, label)
-    _, pools, words = root.derive(count)
+    seeds = TrialSeed.of_cell(master, label).spawn(count)
     for i in range(0, count, batch):
-        keys = range(i, min(i + batch, count))
-        yield [Generator(PCG64(root.child(k, pools[k], words[k]))) for k in keys]
+        yield [Generator(PCG64(seed)) for seed in seeds[i : i + batch]]

@@ -425,8 +425,7 @@ def test_c10_attention_variance_and_mse():
             paired[1::2] = mc.chi_inv_cdf(1.0 - u[0::2], chi)
             norms["orthogonal_pnc"] = paired
             for tag in tags:
-                ens = cpl.FrequencyEnsemble(norms[tag][:, None] * dirs, tag)
-                phi = eucrf.rlf_feature_matrix(X, ens, params)
+                phi = eucrf.rlf_feature_matrix(X, norms[tag][:, None] * dirs, params)
                 k_hat = phi.T @ phi
                 a_hat = k_hat / k_hat.sum(axis=1, keepdims=True)
                 acc[tag][0] += k_hat

@@ -122,7 +122,7 @@ def finite(out) -> bool:
 def test_every_export_is_probed():
     probed = {owner for owner, *_ in CASES}
     # no scalar numeric argument: arrays, tags, graphs, ensembles and generators
-    scalar_free = {"CouplingSpec", "FrequencyEnsemble", "GraphData", "ModulationFn",
+    scalar_free = {"CouplingSpec", "GraphData", "ModulationFn",
                    "exact_graph_kernel", "gaussian_kernel", "hungarian", "rff_features",
                    "rlf_features", "optimize_copula"}
     assert probed | scalar_free == set(otrf.__all__) | {"CopulaOptConfig"}
@@ -150,6 +150,7 @@ def test_bad_number_refused_or_finite(owner, arg, value, call):
 
 
 PSI = np.random.default_rng(1).standard_normal((3, 2, 4))
+FREQS = np.array([[0.5, -1.0], [1.2, 0.3], [-0.7, 0.8]])
 
 # (callable, array argument, call given a function that spoils one entry)
 ARRAY_CASES = [
@@ -160,6 +161,16 @@ ARRAY_CASES = [
     ("build_sigma_cost_matrix", "psi_i", lambda bad: build_sigma_cost_matrix(bad(PSI[0]), PSI[1])),
     ("build_sigma_cost_matrix", "psi_j", lambda bad: build_sigma_cost_matrix(PSI[0], bad(PSI[1]))),
     ("averaged_sigma_cost_matrix", "psi", lambda bad: averaged_sigma_cost_matrix(bad(PSI))),
+    ("rff_features", "x",
+     lambda bad: otrf.rff_features(bad(X[0]), FREQS, otrf.GaussianKernelParams(1.0))),
+    ("rff_features", "freqs",
+     lambda bad: otrf.rff_features(X[0], bad(FREQS), otrf.GaussianKernelParams(1.0))),
+    ("rlf_features", "x",
+     lambda bad: otrf.rlf_features(bad(X[0]), FREQS, otrf.GaussianKernelParams(1.0))),
+    ("rlf_features", "freqs",
+     lambda bad: otrf.rlf_features(X[0], bad(FREQS), otrf.GaussianKernelParams(1.0))),
+    ("CorrelationParams", "theta", lambda bad: otrf.CorrelationParams(3, bad([0.1, -0.2, 0.3]))),
+    ("ModulationFn", "coeffs", lambda bad: otrf.ModulationFn(bad(F.coeffs))),
 ]
 
 
@@ -176,3 +187,27 @@ def test_non_finite_array_entry_refused(owner, arg, call, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"{arg} must lie in (-inf, inf), got {value}")):
             call(bad)
+
+
+# (callable, array argument, required form, bad shapes, call given the array)
+SHAPE_CASES = [
+    ("rff_features", "freqs", "an (m, d) array with m >= 1", [(2,), (3, 2, 2), (0, 2)],
+     lambda a: otrf.rff_features(X[0], a, otrf.GaussianKernelParams(1.0))),
+    ("rlf_features", "freqs", "an (m, d) array with m >= 1", [(2,), (3, 2, 2), (0, 2)],
+     lambda a: otrf.rlf_features(X[0], a, otrf.GaussianKernelParams(1.0))),
+    ("ModulationFn", "coeffs", "a nonempty sequence", [(0,), (1, 2)], otrf.ModulationFn),
+]
+
+
+# a 1-D freqs once raised IndexError, a 3-D one returned a value and zero
+# rows divided by zero; empty coeffs failed inside the walk loop
+@pytest.mark.parametrize("owner, arg, form, shape, call", [
+    pytest.param(owner, arg, form, shape, call, id=f"{owner}-{arg}-{shape}")
+    for owner, arg, form, shapes, call in SHAPE_CASES
+    for shape in shapes
+])
+def test_array_of_wrong_shape_refused(owner, arg, form, shape, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{arg} must be {form}, got shape {shape}")):
+            call(np.ones(shape))

@@ -532,6 +532,25 @@ class TestBadInputExits:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    def test_sigma_file_empty_permutation(self, tmp_path, kind, capsys):
+        # an empty sigma once passed the check and failed the run with exit 3
+        from otrf.graph import SigmaCoupling
+
+        good = json.loads(SigmaCoupling(np.array([1, 0]), 0.3).to_json())
+        sigma_file = tmp_path / "sigma.json"
+        sigma_file.write_text(json.dumps([{**good, "sigma": [], "n": 0}]))
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings="iid, sigma", graph=f"sigma_path = {sigma_file}",
+            p_halt_values="0.3",
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"sigma_path: malformed couplings in {sigma_file}" in err
+        assert "order must lie in [1, inf), got 0" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
     def test_sigma_file_not_json(self, tmp_path, kind, capsys):
         sigma_file = tmp_path / "sigma.json"
         sigma_file.write_text('[{"sigma": [2, 1],')

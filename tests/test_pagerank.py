@@ -148,7 +148,6 @@ class TestMcPagerank:
         g = erdos_renyi(12, 0.4, np.random.default_rng(7))
         coupling = SigmaCoupling(np.arange(6)[::-1], 0.3)
         est = mc_pagerank(g, 0.3, 4, coupling, np.random.default_rng(8))
-        assert est.coupling == "sigma"
         assert int(est.counts.sum()) == est.total
 
     def test_sigma_coupling_for_another_p_halt_rejected(self):
