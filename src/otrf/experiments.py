@@ -349,8 +349,9 @@ def _graph_for(cfg: ExperimentConfig, label: str, nodes: int, edge_prob: float):
 
 
 # walks per library call in grf-bench and pagerank-bench; bounds the step
-# streams and the (trials, N, N) feature block that one call holds
-_CHUNK_WALKS = 4096
+# streams and the (trials, N, N) feature block that one call holds, which
+# grf divides by m in place, so no second block of that size is made
+_CHUNK_WALKS = 8192
 
 
 def _walk_batch(cfg: ExperimentConfig, g) -> int:

@@ -37,6 +37,7 @@ class GraphData:
         W = np.asarray(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("adjacency must be square")
+        _check_range("n_nodes", W.shape[0], "[1, inf)")
         if not np.allclose(W, W.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(W < 0) or not np.all(np.isfinite(W)):
@@ -187,7 +188,12 @@ class SigmaCoupling:
     seed: int | None = None
 
     def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=np.int64)
+        perm = np.asarray(self.perm, dtype=float)
+        with np.errstate(invalid="ignore"):  # an infinite entry has a NaN remainder
+            fractional = perm[np.mod(perm, 1.0) != 0]
+        if fractional.size:
+            raise ValueError(f"perm must hold whole numbers, got {fractional[0]}")
+        self.perm = perm.astype(np.int64)
         _check_range("order", self.perm.size, "[1, inf)")
         if sorted(self.perm.tolist()) != list(range(self.perm.size)):
             raise ValueError("perm must be a permutation of 0..n-1")
@@ -212,7 +218,7 @@ class SigmaCoupling:
     @classmethod
     def from_json(cls, text: str) -> "SigmaCoupling":
         obj = json.loads(text)
-        perm = np.asarray(obj["sigma"], dtype=np.int64) - 1
+        perm = np.asarray(obj["sigma"]) - 1  # the constructor refuses a fractional entry
         return cls(perm, obj["p_halt"], obj.get("seed"))
 
 
@@ -329,14 +335,23 @@ _STREAM_BUDGET = 1 << 15
 
 def _walk(g: GraphData, cur: np.ndarray, steps: np.ndarray, rngs: list):
     """Step walk w from node ``cur[w]`` to a uniform neighbour ``steps[w]``
-    times, in place; after step t yield ``(t, idx, pick)``: the walks that
-    took it and the CSR edges they took (``cur[idx] == g.indices[pick]``).
+    times and write its end node to ``cur[w]``.
+
+    Only the live walks are stepped, held compacted in walk order, and the
+    walks that finished drop out after each step.  Step t yields ``(t,
+    kept, node, pick)``: ``kept`` is the mask from the walks that took step
+    t - 1 (all walks, for t = 1) to those that take step t, or None when
+    all of them do; ``node`` holds the nodes those walks reach and ``pick``
+    the CSR edges they take (``node == g.indices[pick]``).
 
     The walks form ``len(rngs)`` equal blocks in trial order.  Trial i's
     uniforms come from ``rngs[i]`` in step order and, within a step, in walk
     order: the stream of one ``rngs[i].random`` call per step, drawn a round
     of steps at a time with one call per trial per round.
     """
+    if cur.size != steps.size:
+        raise ValueError(f"starts and lengths must have the same size, "
+                         f"got {cur.size} starts and {steps.size} lengths")
     n_trials = len(rngs)
     per_trial = _trial_block(steps.size, n_trials)
     horizon = int(steps.max(initial=0))
@@ -344,9 +359,12 @@ def _walk(g: GraphData, cur: np.ndarray, steps: np.ndarray, rngs: list):
     slot = steps.reshape(n_trials, per_trial) + (horizon + 1) * np.arange(n_trials)[:, None]
     hist = np.bincount(slot.ravel(), minlength=n_trials * (horizon + 1))
     active = np.cumsum(hist.reshape(n_trials, horizon + 1)[:, :0:-1], axis=1)[:, ::-1].T
-    drawn = np.concatenate([[0], np.cumsum(active.sum(axis=1))])  # uniforms through step t
-    idx = np.flatnonzero(steps > 0)
-    ranks = np.arange(idx.size)
+    n_live = active.sum(axis=1)
+    drawn = np.concatenate([[0], np.cumsum(n_live)])  # uniforms through step t
+    n_live = n_live.tolist() + [0]  # walks that take step t + 1; none past the horizon
+    walks = np.flatnonzero(steps > 0)
+    node, left = cur[walks], steps[walks]
+    kept = None if walks.size == steps.size else steps > 0
     t = 0
     while t < horizon:
         # one round: as many steps as the budget holds, at least one
@@ -354,19 +372,28 @@ def _walk(g: GraphData, cur: np.ndarray, steps: np.ndarray, rngs: list):
         block = active[t:end]
         totals = block.sum(axis=0)
         stream = np.concatenate([r.random(n) for r, n in zip(rngs, totals)])
-        start = np.cumsum(totals) - totals  # each trial's next unread uniform
-        for counts in block:
+        if n_trials > 1:
+            # trial-major to step-major, so that each step reads one slice:
+            # the uniforms of (step s, trial i) start at trial i's offset
+            # plus its earlier steps' counts
+            sizes = block.ravel()
+            src = np.cumsum(totals) - totals + np.cumsum(block, axis=0) - block
+            stream = stream[np.repeat(src.ravel() - (np.cumsum(sizes) - sizes), sizes)
+                            + np.arange(stream.size)]
+        read = 0
+        while t < end:
+            n = n_live[t]
             t += 1
-            # idx runs trial by trial; a walk's uniform is its trial's next
-            # unread one plus its rank among the trial's active walks
-            first = np.cumsum(counts) - counts
-            u = stream[np.repeat(start - first, counts) + ranks[: idx.size]]
-            nodes = cur[idx]
-            pick = g.indptr[nodes] + (u * g.neighbor_counts[nodes]).astype(np.int64)
-            cur[idx] = g.indices[pick]
-            yield t, idx, pick
-            start += counts
-            idx = idx[steps[idx] > t]
+            u = stream[read : read + n]
+            read += n
+            pick = g.indptr[node] + (u * g.neighbor_counts[node]).astype(np.int64)
+            node = g.indices[pick]
+            yield t, kept, node, pick
+            kept = None
+            if n_live[t] < n:  # some walks end at step t
+                cur[walks] = node
+                kept = left > t
+                walks, node, left = walks[kept], node[kept], left[kept]
 
 
 def batch_walk_endpoints(g: GraphData, starts: np.ndarray, lengths: np.ndarray,

@@ -106,12 +106,16 @@ def _projected_batch(g: GraphData, starts: np.ndarray, lengths: np.ndarray,
     lengths = np.asarray(lengths, dtype=np.int64)
     _truncations += int(np.count_nonzero(lengths > f.k_max))
     weight = np.ones(cur.size)
+    step_weight = g.step_weight / (1.0 - p_halt)
     # add.at on one flat index runs 4-5x faster than on a (row, column) pair
     flat, row_start = out.reshape(-1), row_of_walk * out.shape[1]
     np.add.at(flat, row_start + cur, f(0))
-    for t, idx, pick in _walk(g, cur, np.minimum(lengths, f.k_max), _trial_rngs(rng)):
-        weight[idx] *= g.step_weight[pick] / (1.0 - p_halt)
-        np.add.at(flat, row_start[idx] + cur[idx], weight[idx] * f(t))
+    # weight and row_start follow the engine's live walks, compacted by kept
+    for t, kept, node, pick in _walk(g, cur, np.minimum(lengths, f.k_max), _trial_rngs(rng)):
+        if kept is not None:
+            weight, row_start = weight[kept], row_start[kept]
+        weight *= step_weight[pick]
+        np.add.at(flat, row_start + node, weight * f(t))
 
 
 def _node_features(g: GraphData, nodes, m: int, coupling, f: ModulationFn,
@@ -129,7 +133,8 @@ def _node_features(g: GraphData, nodes, m: int, coupling, f: ModulationFn,
     lengths = batch_walk_lengths(starts.size, p_halt, rngs, coupling)
     out = np.zeros((len(rngs) * nodes.size, g.n_nodes))
     _projected_batch(g, starts, lengths, f, p_halt, rngs, rows, out)
-    return (out / m).reshape(len(rngs), nodes.size, g.n_nodes)
+    out /= m
+    return out.reshape(len(rngs), nodes.size, g.n_nodes)
 
 
 def grf_feature_matrix(g: GraphData, m: int, coupling, f: ModulationFn,

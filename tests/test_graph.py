@@ -79,6 +79,21 @@ def endpoint_oracle(g, starts, lengths, rng):
     return cur
 
 
+def random_walk_case(seed):
+    """A seeded batch for the walk engine: (graph, starts, lengths, walks per
+    trial, trial seeds).  Each trial halts at its own rate, so the trials
+    hold different numbers of live walks at each step; with two trials or
+    more, the second one's walks all have length 0."""
+    rs = np.random.default_rng(seed)
+    n = int(rs.integers(3, 10))
+    g = erdos_renyi(n, 0.5, rs)
+    n_trials, per_trial = int(rs.integers(1, 6)), int(rs.integers(1, 40))
+    starts = rs.integers(0, n, n_trials * per_trial)
+    lengths = rs.geometric(rs.uniform(0.05, 0.6, n_trials).repeat(per_trial)) - 1
+    lengths[per_trial : 2 * per_trial] = 0
+    return g, starts, lengths, per_trial, np.random.SeedSequence(seed).spawn(n_trials)
+
+
 def antithetic_oracle(n_walks, p_halt, rngs):
     """Per-step antithetic lengths for a list of trial generators: every
     trial with a live walk draws one uniform per pair per step; a pair's
@@ -134,6 +149,11 @@ class TestGraphData:
     def test_rejects_isolated(self):
         with pytest.raises(ValueError):
             GraphData(np.array([[0.0, 0.0], [0.0, 0.0]]))
+
+    def test_rejects_empty(self):
+        # the empty graph once passed and failed later, naming something else
+        with pytest.raises(ValueError, match=r"n_nodes must lie in \[1, inf\), got 0"):
+            GraphData(np.zeros((0, 0)))
 
     def test_neighbors_and_degrees(self):
         g = GraphData.from_edges(3, [(0, 1), (1, 2, 2.0)])
@@ -399,6 +419,27 @@ class TestWalks:
             assert np.array_equal(lengths[block], expected)
             assert np.array_equal(ends[block], endpoint_oracle(g, starts, expected, rng))
 
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_batches_match_oracle(self, seed, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(graph, "_STREAM_BUDGET", budget)
+        g, starts, lengths, per_trial, seeds = random_walk_case(seed)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        ends = batch_walk_endpoints(g, starts, lengths, rngs)
+        for i, seed_i in enumerate(seeds):
+            rng = np.random.default_rng(seed_i)
+            block = slice(i * per_trial, (i + 1) * per_trial)
+            assert np.array_equal(ends[block], endpoint_oracle(g, starts[block], lengths[block], rng))
+            assert np.array_equal(rngs[i].random(4), rng.random(4))
+
+    @pytest.mark.parametrize("n_starts, n_lengths", [(3, 4), (4, 3)])
+    def test_starts_and_lengths_sizes_must_match(self, n_starts, n_lengths):
+        # 3 starts with 4 lengths once returned 3 end nodes
+        with pytest.raises(ValueError, match=f"got {n_starts} starts and {n_lengths} lengths"):
+            batch_walk_endpoints(TWO_PATH, np.zeros(n_starts), [1, 1, 1, 0][:n_lengths],
+                                 np.random.default_rng(0))
+
     def test_trials_must_split_evenly(self):
         rngs = [np.random.default_rng(s) for s in range(3)]
         with pytest.raises(ValueError, match="equal trials"):
@@ -461,6 +502,14 @@ class TestCoupledLengths:
     def test_perm_validation(self):
         with pytest.raises(ValueError):
             SigmaCoupling(np.array([0, 0]), 0.3)
+
+    def test_fractional_perm_rejected(self):
+        # [0.5, 1.2] was once truncated to the permutation [0, 1]
+        with pytest.raises(ValueError, match="perm must hold whole numbers, got 0.5"):
+            SigmaCoupling([0.5, 1.2], 0.1)
+        text = json.dumps({"sigma": [1.5, 2], "n": 2, "p_halt": 0.1, "seed": None})
+        with pytest.raises(ValueError, match="perm must hold whole numbers, got 0.5"):
+            SigmaCoupling.from_json(text)
 
     @pytest.mark.parametrize("p_halt", [2.0, 1.0, 0.0, -0.5, float("nan")])
     def test_p_halt_validation(self, p_halt):

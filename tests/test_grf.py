@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from otrf import grf
+from otrf import graph, grf
 from otrf.graph import (
     GraphData,
     GraphKernelSpec,
@@ -298,6 +298,40 @@ class TestGrfFeatures:
         assert np.any(lengths == 0) and np.any(lengths > f.k_max)
         single = grf_feature_matrix(g, m, coupling, f, p_halt, np.random.default_rng(seeds[-1]))
         assert np.array_equal(single, feats[-1])
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_batches_match_oracle(self, seed, budget, monkeypatch):
+        # trials halting at their own rates, an all-zero first trial, a walk
+        # past the horizon, and rounds of one step or many
+        if budget is not None:
+            monkeypatch.setattr(graph, "_STREAM_BUDGET", budget)
+        rs = np.random.default_rng(seed)
+        n = int(rs.integers(3, 10))
+        g = erdos_renyi(n, 0.5, rs)
+        f = modulation_from_coefficients(rs.uniform(0.1, 1.0, 8), int(rs.integers(1, 8)))
+        n_trials, per_trial = int(rs.integers(2, 6)), int(rs.integers(1, 40))
+        starts = rs.integers(0, n, n_trials * per_trial)
+        lengths = rs.geometric(rs.uniform(0.05, 0.6, n_trials).repeat(per_trial)) - 1
+        lengths[:per_trial] = 0
+        lengths[-1] = f.k_max + 3
+        # each trial loads its own n rows, so no cell sums two trials' loads
+        rows = rs.integers(0, n, starts.size) + n * np.arange(n_trials).repeat(per_trial)
+        seeds = np.random.SeedSequence(seed).spawn(n_trials)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        before = truncation_count()
+        out = np.zeros((n_trials * n, n))
+        grf._projected_batch(g, starts, lengths, f, 0.3, rngs, rows, out)
+        batched = truncation_count() - before
+        expected, truncated = np.zeros_like(out), 0
+        for i, seed_i in enumerate(seeds):
+            rng = np.random.default_rng(seed_i)
+            block = slice(i * per_trial, (i + 1) * per_trial)
+            truncated += projection_oracle(g, starts[block], lengths[block], f, 0.3, rng,
+                                           rows[block], expected)
+            assert np.array_equal(rngs[i].random(4), rng.random(4))
+        assert out.tobytes() == expected.tobytes()
+        assert batched == truncated >= 1
 
     def test_truncation_counter(self):
         before = truncation_count()
