@@ -334,12 +334,14 @@ def _factor_grad(L: np.ndarray, grad_L: np.ndarray) -> np.ndarray:
 
 
 def _loss_dataset(dataset, mc_samples: int) -> np.ndarray:
-    """``dataset`` as a 2-D float array, after the checks both RMSE losses
-    share: one to 1e6 Monte Carlo draws and a nonempty dataset."""
+    """``dataset`` as a float array, after the checks both RMSE losses share:
+    one to 1e6 Monte Carlo draws and a nonempty, finite 2-D dataset."""
     _check_range("mc_samples", mc_samples, "[1, 1e6]")
-    dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
+    dataset = np.asarray(dataset, dtype=float)
+    _check_range("dataset ndim", dataset.ndim, "[2, 2]")
     if dataset.size == 0:
         raise ValueError("copula loss requires a nonempty dataset")
+    _check_finite("dataset", dataset)
     return dataset
 
 
@@ -494,10 +496,11 @@ def optimize_copula(
 
     Each step evaluates the common-random-number loss at a fresh step seed,
     with its exact pathwise gradient from one reverse pass (see
-    :func:`_rmse_loss_and_grad`), and records the loss in ``loss_trace``.  Aborts
-    with :class:`NumericalError` on a non-finite loss or gradient.
+    :func:`_rmse_loss_and_grad`), and records the loss in ``loss_trace``.  A
+    dataset that is not a nonempty, finite 2-D array is refused before the
+    first step; a non-finite loss or gradient aborts with :class:`NumericalError`.
     """
-    dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
+    dataset = _loss_dataset(dataset, config.mc_samples)
     rng = ensure_rng(rng)
     m = config.m if config.m is not None else dataset.shape[1]
     theta = CorrelationParams.near_independence(m).theta

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mathcore import GeometricParams, _check_range, _trial_rngs, ensure_rng, geometric_inv_cdf
+from .mathcore import (GeometricParams, _check_range, _check_whole, _trial_rngs, ensure_rng,
+                       geometric_inv_cdf)
 
 KERNEL_FAMILIES = (
     "d_regularized_laplacian",
@@ -38,10 +39,11 @@ class GraphData:
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("adjacency must be square")
         _check_range("n_nodes", W.shape[0], "[1, inf)")
-        if not np.allclose(W, W.T):
-            raise ValueError("adjacency must be symmetric")
+        # before the symmetry check, which a NaN weight fails
         if np.any(W < 0) or not np.all(np.isfinite(W)):
             raise ValueError("edge weights must be finite and nonnegative")
+        if not np.allclose(W, W.T):
+            raise ValueError("adjacency must be symmetric")
         degrees = W.sum(axis=1)
         if np.any(degrees <= 0):
             raise ValueError("graph has isolated nodes")
@@ -188,18 +190,15 @@ class SigmaCoupling:
     seed: int | None = None
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=float)
-        with np.errstate(invalid="ignore"):  # an infinite entry has a NaN remainder
-            fractional = perm[np.mod(perm, 1.0) != 0]
-        if fractional.size:
-            raise ValueError(f"perm must hold whole numbers, got {fractional[0]}")
-        self.perm = perm.astype(np.int64)
+        _check_whole("perm", self.perm)
+        self.perm = np.asarray(self.perm, dtype=float).astype(np.int64)
         _check_range("order", self.perm.size, "[1, inf)")
         if sorted(self.perm.tolist()) != list(range(self.perm.size)):
             raise ValueError("perm must be a permutation of 0..n-1")
         GeometricParams(self.p_halt)
         if self.seed is not None:
             _check_range("seed", self.seed, "[0, inf)")
+            _check_whole("seed", self.seed)
 
     @property
     def order(self) -> int:
@@ -219,6 +218,8 @@ class SigmaCoupling:
     def from_json(cls, text: str) -> "SigmaCoupling":
         obj = json.loads(text)
         perm = np.asarray(obj["sigma"]) - 1  # the constructor refuses a fractional entry
+        if obj["n"] != perm.size:
+            raise ValueError(f"n must equal the length of sigma, {perm.size}, got {obj['n']}")
         return cls(perm, obj["p_halt"], obj.get("seed"))
 
 

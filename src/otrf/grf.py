@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphData, _walk, batch_walk_lengths, coupling_tag
-from .mathcore import (GeometricParams, _check_finite, _check_range, _trial_rngs, ensure_rng,
-                       geometric_inv_cdf)
+from .mathcore import (GeometricParams, _check_finite, _check_range, _check_whole, _trial_rngs,
+                       ensure_rng, geometric_inv_cdf)
 
 K_MAX_DEFAULT = 64
 
@@ -85,6 +85,7 @@ def grf_features(g: GraphData, node: int, m: int, coupling, f: ModulationFn,
     marginal unchanged.  This is one row of :func:`grf_feature_matrix`.
     """
     _check_range("node", node, f"[0, {g.n_nodes})")
+    _check_whole("node", node)
     return _node_features(g, [node], m, coupling, f, p_halt, rng)[0, 0]
 
 

@@ -6,7 +6,8 @@ quantile is a closed form whose every call checks its round trip to 1e-12,
 and the geometric one round-trips exactly.  The private ``_adam`` is
 the one Adam update, shared by GP hyperparameter fitting and copula training,
 and ``_check_range`` the one interval check of a scalar argument or config key
-(``_check_finite`` applies it to an array's entries).
+(``_check_finite`` applies it to an array's entries; ``_check_whole`` refuses
+a fractional count or index).
 Only the Gaussian and chi functions need ``scipy.special``, and they import
 it themselves, so the graph modules, which import this one, load no scipy.
 """
@@ -34,6 +35,15 @@ def _check_finite(name: str, values: np.ndarray) -> None:
     """Reject an array argument holding a NaN or an infinity, naming its first."""
     if not np.all(np.isfinite(values)):
         _check_range(name, values[~np.isfinite(values)][0], "(-inf, inf)")
+
+
+def _check_whole(name: str, values) -> None:
+    """Reject a number, or an array entry, that is not whole, naming the first."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):  # an infinite entry has a NaN remainder
+        fractional = values[np.mod(values, 1.0) != 0]
+    if fractional.size:
+        raise ValueError(f"{name} must hold whole numbers, got {fractional[0]}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import otrf
-from otrf.couplings import CopulaOptConfig
+from otrf.couplings import CopulaOptConfig, reference_coupling_loss
 from otrf.graph import GraphData, GraphKernelSpec, SigmaCoupling, taylor_coefficients
 from otrf.grf import modulation_from_coefficients
 from otrf.matching import averaged_sigma_cost_matrix, build_sigma_cost_matrix
@@ -42,9 +42,14 @@ def kernel_outputs(params):
             otrf.rlf_features(X[0], ens, params))
 
 
-def copula_fit(**fields):
+def copula_fit(dataset=X, **fields):
     config = CopulaOptConfig(**{**dict(steps=2, lr=1e-2, mc_samples=1, m=2), **fields})
-    return otrf.optimize_copula(X, otrf.GaussianKernelParams(1.0), "rff", config, rng())
+    return otrf.optimize_copula(dataset, otrf.GaussianKernelParams(1.0), "rff", config, rng())
+
+
+def reference_loss_on(dataset):
+    return reference_coupling_loss("orthogonal", 2, dataset, otrf.GaussianKernelParams(1.0),
+                                   "rff", 1, rng())
 
 
 # (callable, argument, "float" or "count", huge count refused up front?, call)
@@ -171,6 +176,8 @@ ARRAY_CASES = [
      lambda bad: otrf.rlf_features(X[0], bad(FREQS), otrf.GaussianKernelParams(1.0))),
     ("CorrelationParams", "theta", lambda bad: otrf.CorrelationParams(3, bad([0.1, -0.2, 0.3]))),
     ("ModulationFn", "coeffs", lambda bad: otrf.ModulationFn(bad(F.coeffs))),
+    ("optimize_copula", "dataset", lambda bad: copula_fit(bad(X))),
+    ("reference_coupling_loss", "dataset", lambda bad: reference_loss_on(bad(X))),
 ]
 
 
@@ -211,3 +218,12 @@ def test_array_of_wrong_shape_refused(owner, arg, form, shape, call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"{arg} must be {form}, got shape {shape}")):
             call(np.ones(shape))
+
+
+# a 3-D dataset once failed in an unpacking that named no argument, and a 1-D
+# one was read as a single point
+@pytest.mark.parametrize("shape", [(4,), (1, 4, 2)])
+@pytest.mark.parametrize("call", [copula_fit, reference_loss_on])
+def test_dataset_not_two_dimensional_refused(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"dataset ndim must lie in [2, 2], got {len(shape)}")):
+        call(np.ones(shape))

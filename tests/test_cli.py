@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -570,6 +571,25 @@ class TestBadInputExits:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
+    def test_sigma_file_n_disagrees(self, tmp_path, kind, capsys):
+        # the n field was once ignored
+        from otrf.graph import SigmaCoupling
+
+        good = json.loads(SigmaCoupling(np.array([1, 0]), 0.3).to_json())
+        sigma_file = tmp_path / "sigma.json"
+        sigma_file.write_text(json.dumps([{**good, "n": 5}]))
+        text = GRAPH_BENCH.format(
+            kind=kind, couplings="iid, sigma", graph=f"sigma_path = {sigma_file}",
+            p_halt_values="0.3",
+        )
+        cfg_path = write_cfg(tmp_path / "run.cfg", text)
+        assert main([kind, "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"sigma_path: malformed couplings in {sigma_file}" in err
+        assert "n must equal the length of sigma, 2, got 5" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
     def test_sigma_file_not_json(self, tmp_path, kind, capsys):
         sigma_file = tmp_path / "sigma.json"
         sigma_file.write_text('[{"sigma": [2, 1],')
@@ -1078,6 +1098,32 @@ class TestBlasThreads:
             _fresh_python(args, code, dict.fromkeys(BLAS_VARS, value))
             outputs.append([(out / name).read_bytes() for name in ("summary.json", "trials.csv")])
         assert outputs[0] == outputs[1]
+
+
+# frees four 1 MiB blocks at once, as a run frees its large temporaries
+_CHURN_FAULTS = """
+import resource
+import numpy as np
+import otrf.cli
+
+def churn():
+    blocks = [np.ones(1 << 17) for _ in range(4)]
+    del blocks
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the CLI sets malloc thresholds on glibc only")
+def test_freed_blocks_are_not_refaulted():
+    # at glibc's starting thresholds each round trims the 4 MiB and faults it
+    # back in: about 49,600 faults over the 50 rounds
+    assert int(_fresh_python([], _CHURN_FAULTS)) < 1000
 
 
 class TestModuleStacks:

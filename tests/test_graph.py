@@ -146,6 +146,11 @@ class TestGraphData:
         with pytest.raises(ValueError):
             GraphData(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_nan_weight_named_before_symmetry(self):
+        # a NaN weight, unequal to itself, was once reported as asymmetry
+        with pytest.raises(ValueError, match="^edge weights must be finite and nonnegative$"):
+            GraphData(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
     def test_rejects_isolated(self):
         with pytest.raises(ValueError):
             GraphData(np.array([[0.0, 0.0], [0.0, 0.0]]))
@@ -509,6 +514,15 @@ class TestCoupledLengths:
             SigmaCoupling([0.5, 1.2], 0.1)
         text = json.dumps({"sigma": [1.5, 2], "n": 2, "p_halt": 0.1, "seed": None})
         with pytest.raises(ValueError, match="perm must hold whole numbers, got 0.5"):
+            SigmaCoupling.from_json(text)
+
+    def test_json_fields_must_agree(self):
+        # both texts once loaded: n was ignored and a fractional seed kept
+        text = json.dumps({"sigma": [2, 1], "n": 5, "p_halt": 0.3})
+        with pytest.raises(ValueError, match="^n must equal the length of sigma, 2, got 5$"):
+            SigmaCoupling.from_json(text)
+        text = json.dumps({"sigma": [2, 1], "n": 2, "p_halt": 0.3, "seed": 1.5})
+        with pytest.raises(ValueError, match="^seed must hold whole numbers, got 1.5$"):
             SigmaCoupling.from_json(text)
 
     @pytest.mark.parametrize("p_halt", [2.0, 1.0, 0.0, -0.5, float("nan")])

@@ -198,6 +198,12 @@ class TestGrfFeatures:
         with pytest.raises(ValueError):
             grf_features(TWO_PATH, 2, 4, "iid", f, 0.4, np.random.default_rng(6))
 
+    def test_fractional_node_rejected(self):
+        # node 0.5 once passed the range check and ran node 0
+        f = modulation_for(REG2)
+        with pytest.raises(ValueError, match="^node must hold whole numbers, got 0.5$"):
+            grf_features(TWO_PATH, 0.5, 2, "iid", f, 0.4, np.random.default_rng(6))
+
     @pytest.mark.parametrize("coupling", ["iid", "antithetic_termination"])
     def test_zero_walkers_rejected(self, coupling):
         # m = 0 used to average no walks into an all-nan feature
