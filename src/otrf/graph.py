@@ -121,8 +121,10 @@ class GraphKernelSpec:
         if self.family == "p_step_random_walk":
             _check_range("alpha", self.alpha, "[2, inf)")
             _check_range("p", self.p, "[0, inf)")
+            _check_whole("p", self.p)
         if self.family == "d_regularized_laplacian":
             _check_range("degree", self.degree, "[1, inf)")
+            _check_whole("degree", self.degree)
 
 
 def exact_graph_kernel(g: GraphData, spec: GraphKernelSpec) -> np.ndarray:
@@ -155,7 +157,7 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
     if spec.family == "d_regularized_laplacian":
         rho = sigma_sq / (1.0 + sigma_sq)
         lead = (1.0 + sigma_sq) ** (-spec.degree)
-        binom = [float(math.comb(i + spec.degree - 1, i)) for i in range(max_order + 1)]
+        binom = [float(math.comb(i + int(spec.degree) - 1, i)) for i in range(max_order + 1)]
         return lead * np.array(binom) * rho**k
     if spec.family == "diffusion":
         gamma_sq = sigma_sq / 2.0
@@ -165,7 +167,7 @@ def taylor_coefficients(spec: GraphKernelSpec, max_order: int) -> np.ndarray:
             out[i] = out[i - 1] * gamma_sq / i
         return out
     if spec.family == "p_step_random_walk":  # comb(p, i) = 0 for i > p
-        binom = [float(math.comb(spec.p, i)) for i in range(max_order + 1)]
+        binom = [float(math.comb(int(spec.p), i)) for i in range(max_order + 1)]
         return np.array(binom) * (spec.alpha - 1.0) ** (spec.p - k)
     # inverse cosine: cos((I - A) pi/4) = cos(pi/4) cos(A pi/4) + sin(pi/4) sin(A pi/4)
     c = np.pi / 4.0

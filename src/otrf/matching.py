@@ -108,7 +108,11 @@ def averaged_sigma_cost_matrix(psi: np.ndarray, max_pairs: int = 2000,
     one batched contraction, a chunk of pairs at a time.
     """
     psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 3 or not len(psi):
+        raise ValueError(f"psi must be an (n_nodes, order, dim) array with n_nodes >= 1, "
+                         f"got shape {psi.shape}")
     _check_finite("psi", psi)
+    _check_range("max_pairs", max_pairs, "[1, inf)")
     n_nodes = psi.shape[0]
     if n_nodes**2 <= max_pairs:
         rows, cols = np.divmod(np.arange(n_nodes**2), n_nodes)

@@ -71,6 +71,8 @@ CASES = [
     ("GraphKernelSpec", "p", "count", False,
      lambda v: otrf.exact_graph_kernel(G, GraphKernelSpec("p_step_random_walk", p=v))),
     ("SigmaCoupling", "p_halt", "float", False, lambda v: SigmaCoupling([1, 0], v)),
+    ("averaged_sigma_cost_matrix", "max_pairs", "count", False,
+     lambda v: averaged_sigma_cost_matrix(PSI, max_pairs=v, rng=rng())),
     ("SigmaCoupling", "seed", "float", False, lambda v: SigmaCoupling([1, 0], 0.3, v)),
     ("build_ensemble", "m", "count", False, lambda v: otrf.build_ensemble(v, 2, "iid", rng())),
     ("build_ensemble", "d", "count", False, lambda v: otrf.build_ensemble(3, v, "iid", rng())),
@@ -130,7 +132,8 @@ def test_every_export_is_probed():
     scalar_free = {"CouplingSpec", "GraphData", "ModulationFn",
                    "exact_graph_kernel", "gaussian_kernel", "hungarian", "rff_features",
                    "rlf_features", "optimize_copula"}
-    assert probed | scalar_free == set(otrf.__all__) | {"CopulaOptConfig"}
+    assert probed | scalar_free == set(otrf.__all__) | {"CopulaOptConfig",
+                                                        "averaged_sigma_cost_matrix"}
 
 
 @pytest.mark.parametrize(
@@ -203,11 +206,14 @@ SHAPE_CASES = [
     ("rlf_features", "freqs", "an (m, d) array with m >= 1", [(2,), (3, 2, 2), (0, 2)],
      lambda a: otrf.rlf_features(X[0], a, otrf.GaussianKernelParams(1.0))),
     ("ModulationFn", "coeffs", "a nonempty sequence", [(0,), (1, 2)], otrf.ModulationFn),
+    ("averaged_sigma_cost_matrix", "psi", "an (n_nodes, order, dim) array with n_nodes >= 1",
+     [(0,), (0, 2, 4), (3, 4)], averaged_sigma_cost_matrix),
 ]
 
 
 # a 1-D freqs once raised IndexError, a 3-D one returned a value and zero
-# rows divided by zero; empty coeffs failed inside the walk loop
+# rows divided by zero; empty coeffs failed inside the walk loop; an empty
+# psi divided by zero and a 2-D one raised numpy's AxisError
 @pytest.mark.parametrize("owner, arg, form, shape, call", [
     pytest.param(owner, arg, form, shape, call, id=f"{owner}-{arg}-{shape}")
     for owner, arg, form, shapes, call in SHAPE_CASES
@@ -227,3 +233,70 @@ def test_array_of_wrong_shape_refused(owner, arg, form, shape, call):
 def test_dataset_not_two_dimensional_refused(call, shape):
     with pytest.raises(ValueError, match=re.escape(f"dataset ndim must lie in [2, 2], got {len(shape)}")):
         call(np.ones(shape))
+
+
+# a fractional degree once reached math.comb's TypeError in taylor_coefficients,
+# while exact_graph_kernel took a fractional power
+@pytest.mark.parametrize("family, arg", [("d_regularized_laplacian", "degree"),
+                                         ("p_step_random_walk", "p")])
+def test_fractional_kernel_power_refused(family, arg):
+    with pytest.raises(ValueError, match=re.escape(f"{arg} must hold whole numbers, got 2.5")):
+        GraphKernelSpec(family, **{arg: 2.5})
+    # a whole float is the integer power, and a family that reads neither ignores both
+    spec = GraphKernelSpec(family, **{arg: 2.0})
+    assert np.array_equal(taylor_coefficients(spec, 5),
+                          taylor_coefficients(GraphKernelSpec(family, **{arg: 2}), 5))
+    GraphKernelSpec("diffusion", **{arg: 2.5})
+
+
+SQUARE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# (callable, argument, spoilt form, message, call): each refused since it was probed
+REFUSED_ARRAYS = [
+    ("GraphData", "weights", "nan", "edge weights must be finite and nonnegative",
+     lambda: GraphData(np.where(SQUARE > 0, math.nan, 0.0))),
+    ("GraphData", "weights", "inf", "edge weights must be finite and nonnegative",
+     lambda: GraphData(np.where(SQUARE > 0, math.inf, 0.0))),
+    ("GraphData", "weights", "1-D", "adjacency must be square", lambda: GraphData(np.ones(4))),
+    ("GraphData", "weights", "non-square", "adjacency must be square",
+     lambda: GraphData(np.ones((2, 3)))),
+    ("modulation_from_coefficients", "alpha", "nan", "alpha[1] must lie in (-inf, inf), got nan",
+     lambda: modulation_from_coefficients([1.0, math.nan], 4)),
+    ("modulation_from_coefficients", "alpha", "empty",
+     "alpha must be a nonempty sequence, got shape (0,)",
+     lambda: modulation_from_coefficients([], 4)),
+    ("modulation_from_coefficients", "alpha", "2-D",
+     "alpha must be a nonempty sequence, got shape (1, 2)",
+     lambda: modulation_from_coefficients([[1.0, 0.5]], 4)),
+    ("SigmaCoupling", "perm", "nan", "perm must hold whole numbers, got nan",
+     lambda: SigmaCoupling([1, math.nan], 0.3)),
+    ("SigmaCoupling", "perm", "2-D", "perm must be a permutation of 0..n-1",
+     lambda: SigmaCoupling([[1, 0]], 0.3)),
+    ("CorrelationParams", "theta", "empty", "theta must have shape (3,) for m=3, got (0,)",
+     lambda: otrf.CorrelationParams(3, np.array([]))),
+    ("CorrelationParams", "theta", "2-D", "theta must have shape (3,) for m=3, got (1, 3)",
+     lambda: otrf.CorrelationParams(3, np.ones((1, 3)))),
+    ("CorrelationParams", "theta", "wrong length", "theta must have shape (3,) for m=3, got (2,)",
+     lambda: otrf.CorrelationParams(3, np.ones(2))),
+    ("ModulationFn", "coeffs", "2-D", "coeffs must be a nonempty sequence, got shape (2, 2)",
+     lambda: otrf.ModulationFn(np.ones((2, 2)))),
+    ("gaussian_kernel", "y", "empty", "dimension mismatch: (2,) vs (0,)",
+     lambda: otrf.gaussian_kernel(X[0], np.array([]), otrf.GaussianKernelParams(1.0))),
+    ("gaussian_kernel", "y", "wrong length", "dimension mismatch: (2,) vs (3,)",
+     lambda: otrf.gaussian_kernel(X[0], np.ones(3), otrf.GaussianKernelParams(1.0))),
+]
+
+
+@pytest.mark.parametrize("owner, arg, form, message, call", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]}") for case in REFUSED_ARRAYS
+])
+def test_spoilt_array_argument_refused(owner, arg, form, message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_hungarian_of_empty_cost_is_empty_assignment():
+    perm, total = otrf.hungarian(np.zeros((0, 0)))
+    assert perm.shape == (0,) and total == 0.0
