@@ -43,11 +43,10 @@ def _gaussian_of_sq(sq, params: GaussianKernelParams):
 
 
 def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
-    """k(x, y) = s_v^2 exp(-||x - y||^2 / (2 l^2))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    """k(x, y) = s_v^2 exp(-||x - y||^2 / (2 l^2)) of two vectors, flattened."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    _check_range("y size", y.size, f"[{x.size}, {x.size}]")
     _check_finite("x", x)
     _check_finite("y", y)
     sq = float(np.sum((x - y) ** 2))
@@ -154,7 +153,9 @@ def relative_rmse(k_hat: np.ndarray, k_exact: np.ndarray) -> float:
     k_exact = np.asarray(k_exact, dtype=float)
     if k_hat.shape != k_exact.shape:
         raise ValueError(f"shape mismatch: {k_hat.shape} vs {k_exact.shape}")
-    return float(np.sqrt(np.mean((k_hat - k_exact) ** 2)))
+    diff = k_hat - k_exact
+    diff *= diff  # np.mean's sum and division, without its Python wrapper
+    return float(np.sqrt(np.add.reduce(diff, axis=None) / diff.size))
 
 
 def rlf_lengthscale_heuristic(X) -> float:

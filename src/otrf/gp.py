@@ -42,7 +42,6 @@ def _jittered_cho(mat: np.ndarray):
     """
     mat = np.asarray_chkfinite(mat)
     n = mat.shape[0]
-    base = max(np.trace(mat) / n, 1e-12)
     jitter = 0.0
     while True:
         shifted = mat if jitter == 0.0 else mat + jitter * np.eye(n)
@@ -51,11 +50,10 @@ def _jittered_cho(mat: np.ndarray):
             return (c, True), jitter
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+        base = max(np.trace(mat) / n, 1e-12) if jitter == 0.0 else base  # on failure only
         jitter = 1e-8 * base if jitter == 0.0 else jitter * 10.0
         if jitter > 1e-4 * base:
-            raise NumericalError(
-                "matrix not positive definite even after 1e-4 tr/N jitter"
-            )
+            raise NumericalError("matrix not positive definite even after 1e-4 tr/N jitter")
 
 
 def exact_posterior(k_dd, k_pd, k_pp, y, noise_scale: float) -> GaussianPosterior:
@@ -107,13 +105,13 @@ def approx_posterior(phi_d, phi_p, y, noise_scale: float) -> GaussianPosterior:
 
 
 def _evidence(k: np.ndarray, y: np.ndarray, noise_scale: float):
-    """Cholesky factor of K + s_n^2 I, alpha = (K + s_n^2 I)^-1 y and the log evidence."""
+    """Factor of K_y = K + s_n^2 I, alpha = K_y^-1 y, the log evidence and the factor's jitter."""
     n = y.size
-    cho, _ = _jittered_cho(k + noise_scale**2 * np.eye(n))
+    cho, jitter = _jittered_cho(k + noise_scale**2 * np.eye(n))
     alpha, _ = lapack.dpotrs(cho[0], y, lower=1)
     logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
     value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
-    return cho, alpha, value
+    return cho, alpha, value, jitter
 
 
 def _evidence_and_grad(sq, y, log_params, fixed_ls):
@@ -121,25 +119,29 @@ def _evidence_and_grad(sq, y, log_params, fixed_ls):
     the pairwise squared distances D = ``sq`` of the training inputs.
 
     Each gradient entry is 1/2 tr(W dK/dtheta) with W = alpha alpha^T - K_y^-1
-    (Rasmussen & Williams 2006, eq. 5.9), where K_y = K + s_n^2 I and
-    K_y^-1 = L^-T L^-1 comes from one triangular inverse of its factor.  The
-    three trace terms are 1/2 sum(W o K o D) / l^2, sum(W o K) and
-    s_n^2 (alpha^T alpha - ||L^-1||_F^2).
+    (Rasmussen & Williams 2006, eq. 5.9); LAPACK ``dpotri`` gives K_y^-1's lower
+    triangle from the factor.  As K = K_y - c I with c = s_n^2 + jitter, and
+    K_y alpha = y, the entries are, with a = alpha^T alpha and D's zero diagonal,
+    (1/2 alpha^T (K o D) alpha - sum(tril(K_y^-1) o K o D)) / l^2,
+    y^T alpha - c a - n + c tr(K_y^-1) and s_n^2 (a - tr(K_y^-1)).
     """
     log_l, log_v, log_n = log_params
     if fixed_ls is not None:
         log_l = np.log(fixed_ls)
     ls, sv, sn = np.exp(log_l), np.exp(log_v), np.exp(log_n)
     k = sv**2 * np.exp(-sq / (2 * ls**2))
-    cho, alpha, value = _evidence(k, y, sn)
-    l_inv, _ = lapack.dtrtri(cho[0], lower=1)
-    # scipy's BLAS, as for the factor: numpy's `@` would wake a second
-    # BLAS thread pool, and on a few cores the two pools starve each other
-    k_inv = blas.dgemm(1.0, l_inv, l_inv, trans_a=1)
-    wk = (np.outer(alpha, alpha) - k_inv) * k
-    grad_l = 0.0 if fixed_ls is not None else 0.5 * float(np.sum(wk * sq)) / ls**2
-    grad_n = sn**2 * (float(alpha @ alpha) - float(np.sum(l_inv * l_inv)))
-    return value, np.array([grad_l, float(np.sum(wk)), grad_n])
+    cho, alpha, value, jitter = _evidence(k, y, sn)
+    k_inv, _ = lapack.dpotri(cho[0], lower=1, overwrite_c=1)  # upper stays 0
+    tr_inv, a, c = np.trace(k_inv), float(alpha @ alpha), sn**2 + jitter
+    grad_l = 0.0
+    if fixed_ls is None:
+        # scipy's BLAS, as for the factor: numpy's `@` wakes a second BLAS pool, and on a
+        # few cores two pools starve each other.  kd is symmetric, so transposes spare copies
+        kd = k * sq
+        quad = blas.ddot(alpha, blas.dsymv(1.0, kd.T, alpha))
+        grad_l = (0.5 * quad - blas.ddot(k_inv.T.ravel(), kd.ravel())) / ls**2
+    grad_v = float(y @ alpha) - c * a - y.size + c * tr_inv
+    return value, np.array([grad_l, grad_v, sn**2 * (a - tr_inv)])
 
 
 def fit_hyperparams(X, y, init: GaussianKernelParams, steps: int,
@@ -167,11 +169,8 @@ def fit_hyperparams(X, y, init: GaussianKernelParams, steps: int,
 
     log_params = _adam(neg_grad, log_params, steps, 1e-2)
     ls = fix_lengthscale if fix_lengthscale is not None else np.exp(log_params[0])
-    return GaussianKernelParams(
-        lengthscale=float(ls),
-        output_scale=float(np.exp(log_params[1])),
-        noise_scale=float(np.exp(log_params[2])),
-    )
+    return GaussianKernelParams(float(ls), output_scale=float(np.exp(log_params[1])),
+                                noise_scale=float(np.exp(log_params[2])))
 
 
 def gaussian_kl(p: GaussianPosterior, q: GaussianPosterior) -> float:

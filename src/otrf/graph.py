@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mathcore import (GeometricParams, _check_range, _check_whole, _trial_rngs, ensure_rng,
-                       geometric_inv_cdf)
+from .mathcore import (GeometricParams, _check_finite, _check_range, _check_whole, _trial_rngs,
+                       ensure_rng, geometric_inv_cdf)
 
 KERNEL_FAMILIES = (
     "d_regularized_laplacian",
@@ -36,12 +36,12 @@ class GraphData:
 
     def __init__(self, weights: np.ndarray):
         W = np.asarray(weights, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("adjacency must be square")
+        _check_range("weights ndim", W.ndim, "[2, 2]")
+        _check_range("weights columns", W.shape[1], f"[{W.shape[0]}, {W.shape[0]}]")
         _check_range("n_nodes", W.shape[0], "[1, inf)")
         # before the symmetry check, which a NaN weight fails
-        if np.any(W < 0) or not np.all(np.isfinite(W)):
-            raise ValueError("edge weights must be finite and nonnegative")
+        _check_finite("weights", W)
+        _check_range("weights", W.min(), "[0, inf)")
         if not np.allclose(W, W.T):
             raise ValueError("adjacency must be symmetric")
         degrees = W.sum(axis=1)

@@ -59,8 +59,8 @@ def modulation_from_coefficients(alpha, k_max: int = K_MAX_DEFAULT) -> Modulatio
     _check_range("k_max", k_max, "[0, inf)")
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValueError(f"alpha must be a nonempty sequence, got shape {alpha.shape}")
-    for k, a_k in enumerate(alpha):
-        _check_range(f"alpha[{k}]", a_k, "(-inf, inf)" if k else "(0, inf)")
+    _check_range("alpha[0]", alpha[0], "(0, inf)")
+    _check_finite("alpha", alpha)
     padded = np.zeros(k_max + 1)
     padded[: min(alpha.size, k_max + 1)] = alpha[: k_max + 1]
     f = np.zeros(k_max + 1)

@@ -253,14 +253,17 @@ SQUARE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # (callable, argument, spoilt form, message, call): each refused since it was probed
 REFUSED_ARRAYS = [
-    ("GraphData", "weights", "nan", "edge weights must be finite and nonnegative",
+    ("GraphData", "weights", "nan", "weights must lie in (-inf, inf), got nan",
      lambda: GraphData(np.where(SQUARE > 0, math.nan, 0.0))),
-    ("GraphData", "weights", "inf", "edge weights must be finite and nonnegative",
+    ("GraphData", "weights", "inf", "weights must lie in (-inf, inf), got inf",
      lambda: GraphData(np.where(SQUARE > 0, math.inf, 0.0))),
-    ("GraphData", "weights", "1-D", "adjacency must be square", lambda: GraphData(np.ones(4))),
-    ("GraphData", "weights", "non-square", "adjacency must be square",
+    ("GraphData", "weights", "negative", "weights must lie in [0, inf), got -1.0",
+     lambda: GraphData(-SQUARE)),
+    ("GraphData", "weights", "1-D", "weights ndim must lie in [2, 2], got 1",
+     lambda: GraphData(np.ones(4))),
+    ("GraphData", "weights", "non-square", "weights columns must lie in [2, 2], got 3",
      lambda: GraphData(np.ones((2, 3)))),
-    ("modulation_from_coefficients", "alpha", "nan", "alpha[1] must lie in (-inf, inf), got nan",
+    ("modulation_from_coefficients", "alpha", "nan", "alpha must lie in (-inf, inf), got nan",
      lambda: modulation_from_coefficients([1.0, math.nan], 4)),
     ("modulation_from_coefficients", "alpha", "empty",
      "alpha must be a nonempty sequence, got shape (0,)",
@@ -280,9 +283,9 @@ REFUSED_ARRAYS = [
      lambda: otrf.CorrelationParams(3, np.ones(2))),
     ("ModulationFn", "coeffs", "2-D", "coeffs must be a nonempty sequence, got shape (2, 2)",
      lambda: otrf.ModulationFn(np.ones((2, 2)))),
-    ("gaussian_kernel", "y", "empty", "dimension mismatch: (2,) vs (0,)",
+    ("gaussian_kernel", "y", "empty", "y size must lie in [2, 2], got 0",
      lambda: otrf.gaussian_kernel(X[0], np.array([]), otrf.GaussianKernelParams(1.0))),
-    ("gaussian_kernel", "y", "wrong length", "dimension mismatch: (2,) vs (3,)",
+    ("gaussian_kernel", "y", "wrong length", "y size must lie in [2, 2], got 3",
      lambda: otrf.gaussian_kernel(X[0], np.ones(3), otrf.GaussianKernelParams(1.0))),
 ]
 

@@ -157,6 +157,19 @@ class TestGramMetrics:
         with pytest.raises(ValueError):
             relative_rmse(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("spoil", [None, np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(1,), (7, 7), (64, 64), (3, 5, 4)])
+    def test_rmse_bit_for_bit_as_mean(self, shape, spoil):
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        if spoil is not None:
+            a.flat[-1] = spoil
+        want = np.sqrt(np.mean((a - b) ** 2))
+        a_before, b_before = a.copy(), b.copy()
+        got = relative_rmse(a, b)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(a, a_before, equal_nan=True) and np.array_equal(b, b_before)
+
 
 SQRT_PI = np.sqrt(np.pi)
 # x -> (cost_rff, cost_rlf) at argument x = t sqrt(w1^2 + w2^2), per dimension d

@@ -121,7 +121,7 @@ class TestApproxPosterior:
 class TestEvidence:
     def test_scalar_closed_form(self):
         sv, sn = 1.3, 0.6
-        _, _, val = _evidence(np.array([[sv**2]]), np.array([0.0]), sn)
+        _, _, val, _ = _evidence(np.array([[sv**2]]), np.array([0.0]), sn)
         assert val == pytest.approx(-0.5 * np.log(2 * np.pi * (sv**2 + sn**2)), rel=1e-10)
 
     def test_permutation_invariance(self):
@@ -213,7 +213,7 @@ class TestEvidenceStepOracle:
             assert grad[0] == 0.0
 
     @pytest.mark.parametrize("log_l", [0.0, 1.0, 2.0])
-    def test_near_singular_matches_reference(self, log_l):
+    def test_near_singular_matches_reference(self, log_l, fixed_ls=None):
         # duplicated inputs and a 1e-9 noise scale: K + s_n^2 I is singular,
         # so the factor carries jitter and cond(K_y) >= 1e8.  Each gradient
         # entry then cancels terms ~1e8 times its size in both routes, so it
@@ -224,10 +224,26 @@ class TestEvidenceStepOracle:
         log_params = np.array([log_l, 0.0, np.log(1e-9)])
         k = np.exp(-sq / (2 * np.exp(2 * log_l))) + 1e-18 * np.eye(16)
         assert _jittered_cho(k)[1] > 0.0
-        value, grad = _evidence_and_grad(sq, y, log_params, None)
-        ref_value, ref_grad, scales = _oracle_evidence_and_grad(sq, y, log_params, None)
+        value, grad = _evidence_and_grad(sq, y, log_params, fixed_ls)
+        ref_value, ref_grad, scales = _oracle_evidence_and_grad(sq, y, log_params, fixed_ls)
         assert value == pytest.approx(ref_value, rel=1e-10)
         assert np.all(np.abs(grad - ref_grad) <= 1e-10 * scales)
+
+    @pytest.mark.parametrize("log_l", [0.0, 1.0, 2.0])
+    def test_near_singular_fixed_lengthscale_matches_reference(self, log_l):
+        # rf-bench's rlf fit pins the lengthscale, which skips the K o D term
+        self.test_near_singular_matches_reference(log_l, fixed_ls=np.exp(log_l))
+
+    @pytest.mark.parametrize("noise", [1e-9, 0.5])
+    def test_evidence_reports_applied_jitter(self, noise):
+        # the scale gradients shift K_y by s_n^2 + jitter, so _evidence must
+        # report the jitter of its factor: none at a healthy noise scale
+        rng = np.random.default_rng(7)
+        k = np.exp(-_sq_dists(np.repeat(rng.standard_normal((6, 2)), 2, axis=0)) / 2)
+        cho, _, _, jitter = _evidence(k, rng.standard_normal(12), noise)
+        ref_cho, ref_jitter = _jittered_cho(k + noise**2 * np.eye(12))
+        assert jitter == ref_jitter and (jitter > 0.0) == (noise < 1e-3)
+        assert np.array_equal(cho[0], ref_cho[0])
 
 
 class TestJitteredCho:

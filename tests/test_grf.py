@@ -104,7 +104,7 @@ class TestModulation:
         # used to return all-NaN coefficients
         with pytest.raises(ValueError, match=r"^alpha\[0\] must lie in \(0, inf\), got nan$"):
             modulation_from_coefficients([np.nan, 0.5])
-        with pytest.raises(ValueError, match=r"^alpha\[1\] must lie in \(-inf, inf\), got nan$"):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(-inf, inf\), got nan$"):
             modulation_from_coefficients([1.0, np.nan])
 
     def test_negative_k_max_rejected(self):
