@@ -478,27 +478,22 @@ class CopulaOptConfig:
             _check_range("m", self.m, "[1, inf)")
 
 
-@dataclass
-class CopulaFitResult:
-    params: CorrelationParams
-    loss_trace: np.ndarray
-
-
 def optimize_copula(
     dataset: np.ndarray,
     kernel: "eucrf.GaussianKernelParams",
     featurizer: str,
     config: CopulaOptConfig,
     rng,
-) -> CopulaFitResult:
+) -> tuple[CorrelationParams, np.ndarray]:
     """Learn copula parameters by Adam on the RMSE loss, from near
     independence (:meth:`CorrelationParams.near_independence`).
 
+    Returns the learned parameters and the loss trace, one loss per step.
     Each step evaluates the common-random-number loss at a fresh step seed,
     with its exact pathwise gradient from one reverse pass (see
-    :func:`_rmse_loss_and_grad`), and records the loss in ``loss_trace``.  A
-    dataset that is not a nonempty, finite 2-D array is refused before the
-    first step; a non-finite loss or gradient aborts with :class:`NumericalError`.
+    :func:`_rmse_loss_and_grad`).  A dataset that is not a nonempty, finite
+    2-D array is refused before the first step; a non-finite loss or
+    gradient aborts with :class:`NumericalError`.
     """
     dataset = _loss_dataset(dataset, config.mc_samples)
     rng = ensure_rng(rng)
@@ -517,4 +512,4 @@ def optimize_copula(
         return grad
 
     theta = _adam(grad_at, theta, config.steps, config.lr)
-    return CopulaFitResult(CorrelationParams(m, theta), trace)
+    return CorrelationParams(m, theta), trace

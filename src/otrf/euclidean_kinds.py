@@ -84,7 +84,7 @@ def run_rf_bench(cfg: ExperimentConfig):
 
                 def trial(tag, rngs):
                     out = []
-                    for freqs in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
+                    for freqs in cpl.build_ensemble(m, d, tag, rngs):
                         phi = eucrf._feature_matrix(featurizer, X, freqs, params)
                         out.append({"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)})
                     return out
@@ -108,10 +108,10 @@ def run_copula_train(cfg: ExperimentConfig):
     opt_cfg = cpl.CopulaOptConfig(
         steps=cfg.steps, lr=cfg.lr, mc_samples=cfg.mc_samples, m=m
     )
-    result = cpl.optimize_copula(X, params, featurizer, opt_cfg, _rng(cfg.seed, "copula"))
+    learned, trace = cpl.optimize_copula(X, params, featurizer, opt_cfg, _rng(cfg.seed, "copula"))
     rows = [
         {"step": i, "loss": float(v), "seed": cfg.seed, "coupling": "copula"}
-        for i, v in enumerate(result.loss_trace)
+        for i, v in enumerate(trace)
     ]
     ref_rng = _rng(cfg.seed, "copula-ref")
     pnc = cpl.reference_coupling_loss(
@@ -120,7 +120,7 @@ def run_copula_train(cfg: ExperimentConfig):
     orth = cpl.reference_coupling_loss(
         "orthogonal", m, X, params, featurizer, 200, _rng(cfg.seed, "copula-ref2")
     )
-    tail = result.loss_trace[-max(1, cfg.steps // 10) :]
+    tail = trace[-max(1, cfg.steps // 10) :]
     summary = {
         "featurizer": featurizer,
         "m": m,
@@ -128,9 +128,9 @@ def run_copula_train(cfg: ExperimentConfig):
         "pnc_reference_loss": pnc,
         "orthogonal_reference_loss": orth,
         "ratio_to_pnc": float(np.mean(tail)) / pnc,
-        "theta": [float(v) for v in result.params.theta],
+        "theta": [float(v) for v in learned.theta],
     }
-    return rows, summary, ("copula_params.json", result.params.to_json())
+    return rows, summary, ("copula_params.json", learned.to_json())
 
 
 def run_gp_eval(cfg: ExperimentConfig):
@@ -144,6 +144,8 @@ def run_gp_eval(cfg: ExperimentConfig):
         X_all, y_all = _read_csv(cfg)
         if y_all is None:
             raise ConfigError("gp-eval needs a target column")
+        if len(y_all) < 2:
+            raise ConfigError(f"path: {cfg.path} has 1 data row; gp-eval splits at least 2")
         standardized = True
     d = X_all.shape[1]
     m = cfg.ensemble_sizes(d)[0]
@@ -167,7 +169,7 @@ def run_gp_eval(cfg: ExperimentConfig):
 
             def trial(tag, rngs):
                 out = []
-                for freqs in cpl.build_ensemble(m, d, cpl.CouplingSpec(tag), rngs):
+                for freqs in cpl.build_ensemble(m, d, tag, rngs):
                     phi = eucrf.rff_feature_matrix(X_joint, freqs, params)
                     approx = gp.approx_posterior(
                         phi[:, :n_tr], phi[:, n_tr:], y_tr, params.noise_scale
@@ -208,11 +210,7 @@ def run_attention_bench(cfg: ExperimentConfig):
         children = rngs[0].spawn(rep_trials)
         chunks = (children[i : i + batch] for i in range(0, rep_trials, batch))
         freqs = (f for chunk in chunks for f in cpl.build_ensemble(m, d, tag, chunk))
-        stats = eucrf.attention_estimate(X, freqs, params)
-        return [
-            {"attention_mse": stats.mse, "kernel_var": stats.kernel_var,
-             "kernel_cov": stats.kernel_cov}
-        ]
+        return [eucrf.attention_estimate(X, freqs, params)]
 
     # each rep spawns and chunks its own ensembles, so reps run one per call
     coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}

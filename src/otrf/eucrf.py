@@ -210,33 +210,16 @@ def attention_exact(X, params: GaussianKernelParams) -> np.ndarray:
     return K / np.sum(K, axis=1, keepdims=True)
 
 
-@dataclass
-class AttentionStats:
-    """Monte Carlo error statistics for estimated attention scores.
-
-    ``mse_per_row[i]`` averages the squared attention error over the tokens
-    row i attends to; ``kernel_var`` and ``kernel_cov`` are the mean
-    pointwise variance and the mean same-row covariance of the raw kernel
-    estimates, i.e. the two competing terms in the attention error
-    expansion.
-    """
-
-    mse_per_row: np.ndarray
-    kernel_var: float
-    kernel_cov: float
-    trials: int
-
-    @property
-    def mse(self) -> float:
-        return float(np.mean(self.mse_per_row))
-
-
-def attention_estimate(X, freqs, params: GaussianKernelParams) -> AttentionStats:
-    """Estimate attention with exponential features over many ensembles.
+def attention_estimate(X, freqs, params: GaussianKernelParams) -> dict:
+    """Monte Carlo error of attention estimated with exponential features.
 
     ``freqs`` is an iterable of (m, d) frequency arrays, one per trial, and
     may be lazy; exponential features keep every kernel estimate positive so
-    row sums never vanish.
+    row sums never vanish.  Returns floats: ``attention_mse``, the squared
+    attention error averaged over trials and all (i, j); ``kernel_var`` and
+    ``kernel_cov``, the mean pointwise variance and the mean same-row
+    covariance of the raw kernel estimates, i.e. the two competing terms in
+    the attention error expansion.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -258,16 +241,14 @@ def attention_estimate(X, freqs, params: GaussianKernelParams) -> AttentionStats
     if not trials:
         raise ValueError("attention estimate needs at least one ensemble")
 
-    mse_rows = np.mean(att_sq_err, axis=1) / trials
     k_mean = k_sum / trials
     var = k_sq_sum / trials - k_mean**2
     # mean over (j1, j2) pairs of Cov(khat_ij1, khat_ij2), including j1 = j2
     row_second = k_cross / trials
     row_mean = np.sum(k_mean, axis=1)
     cov_rows = (row_second - row_mean**2) / n**2
-    return AttentionStats(
-        mse_per_row=mse_rows,
-        kernel_var=float(np.mean(var)),
-        kernel_cov=float(np.mean(cov_rows)),
-        trials=trials,
-    )
+    return {
+        "attention_mse": float(np.mean(np.mean(att_sq_err, axis=1) / trials)),
+        "kernel_var": float(np.mean(var)),
+        "kernel_cov": float(np.mean(cov_rows)),
+    }

@@ -128,7 +128,8 @@ class ExperimentConfig:
             try:
                 for entry in value if isinstance(value, tuple) else (value,):
                     _check_range(key, entry, interval)
-                if key == kind.se_count:  # a standard error needs two values
+                # a standard error needs two values, a train/test split two points
+                if key == kind.se_count or (key, self.kind) == ("n_points", "gp-eval"):
                     _check_range(f"{key} for {self.kind}", value, "[2, 1e6]")
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
@@ -465,12 +466,13 @@ def run_pagerank_bench(cfg: ExperimentConfig):
 
     def cells():
         for p_halt in cfg.p_halt_values:
-            rho = pagerank.exact_pagerank(g, p_halt).rho
+            rho = pagerank.exact_pagerank(g, p_halt)
 
             def trial(tag, rngs):
                 coupling = sigmas[round(p_halt, 10)] if tag == "sigma" else tag
-                ests = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rngs)
-                return [{"l2_error": float(np.linalg.norm(est.rho - rho))} for est in ests]
+                counts = pagerank.mc_pagerank(g, p_halt, cfg.walkers, coupling, rngs)
+                walks = g.n_nodes * cfg.walkers
+                return [{"l2_error": float(np.linalg.norm(c / walks - rho))} for c in counts]
 
             coords = {"p_halt": p_halt, "coupling": None, "m": cfg.walkers}
             yield f"p_halt={p_halt}", f"pr/{{}}/{p_halt}", coords, _walk_batch(cfg, g), trial

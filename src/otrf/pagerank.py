@@ -8,8 +8,6 @@ total exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import GraphData, SigmaCoupling, batch_walk_endpoints, batch_walk_lengths, coupling_tag
@@ -17,62 +15,34 @@ from .matching import hungarian
 from .mathcore import GeometricParams, _check_range, _trial_rngs, geometric_cdf, geometric_inv_cdf
 
 
-@dataclass
-class PageRankVector:
-    """Stationary distribution over nodes; entries sum to one."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        if abs(float(self.rho.sum()) - 1.0) > 1e-12:
-            raise ValueError("PageRank entries must sum to 1 within 1e-12")
-
-
-@dataclass
-class PageRankEstimate:
-    """Monte Carlo PageRank with its exact counting representation.
-
-    ``counts[i]`` walks terminated at node i out of ``total``; the integer
-    identity counts.sum() == total makes each sample sum to one exactly,
-    while the float view ``rho`` rounds at machine precision.
-    """
-
-    counts: np.ndarray
-    total: int
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.counts / self.total
-
-
 def transition_matrix(g: GraphData) -> np.ndarray:
     """Row-stochastic uniform-neighbour transition matrix."""
     return (g.weights > 0) / g.neighbor_counts[:, None]
 
 
-def exact_pagerank(g: GraphData, p_halt: float) -> PageRankVector:
+def exact_pagerank(g: GraphData, p_halt: float) -> np.ndarray:
     """Stationary distribution of (1-p) P + (p/N) E by one linear solve.
 
     rho solves (I - (1-p) P^T) rho = (p/N) 1, a nonsingular system for any
-    p in (0, 1), renormalised to sum to one.
+    p in (0, 1) whose solution is positive, renormalised to sum to one.
     """
     GeometricParams(p_halt)  # p_halt in (0, 1)
     n = g.n_nodes
     rho = np.linalg.solve(np.eye(n) - (1.0 - p_halt) * transition_matrix(g).T,
                           np.full(n, p_halt / n))
-    return PageRankVector(rho / rho.sum())
+    return rho / rho.sum()
 
 
-def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
-    """Estimate PageRank from m terminating walks per node.
+def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng) -> np.ndarray:
+    """Walk end counts of m terminating walks per node, as int64.
 
-    Unbiased for every supported length coupling ("iid",
+    Each row sums to N m exactly, and counts / (N m) is an unbiased PageRank
+    estimate for every supported length coupling ("iid",
     "antithetic_termination", or a :class:`SigmaCoupling` imposing coupled
-    lengths on walker pairs within each start node).  With ``rng`` a list
-    of T generators, one per trial, all T x N x m walks run in one batch
-    and the result is a list of T estimates; estimate i equals the one that
-    ``rng[i]`` alone gives.
+    lengths on walker pairs within each start node).  One generator gives
+    (N,) counts.  With ``rng`` a list of T generators, one per trial, all
+    T x N x m walks run in one batch and the counts are (T, N); row i
+    equals the counts that ``rng[i]`` alone gives.
     """
     coupling_tag(coupling, m)  # pairs must not span two start nodes
     rngs = _trial_rngs(rng)
@@ -83,8 +53,7 @@ def mc_pagerank(g: GraphData, p_halt: float, m: int, coupling, rng):
     ends = batch_walk_endpoints(g, starts, lengths, rngs)
     trial = np.repeat(np.arange(len(rngs)), n_walks)
     counts = np.bincount(trial * n + ends, minlength=len(rngs) * n).reshape(-1, n)
-    estimates = [PageRankEstimate(c, n_walks) for c in counts]
-    return estimates if isinstance(rng, list) else estimates[0]
+    return counts if isinstance(rng, list) else counts[0]
 
 
 def _endpoint_profile(g: GraphData, p_halt: float, order: int) -> np.ndarray:

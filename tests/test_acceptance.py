@@ -168,8 +168,8 @@ def test_c04_copula_recovers_pair_coupling(euclid):
         "orthogonal_pnc", m, X, params, "rff", 400, np.random.default_rng(1)
     )
     cfg = cpl.CopulaOptConfig(steps=2000, mc_samples=2, m=m)
-    result = cpl.optimize_copula(X, params, "rff", cfg, np.random.default_rng(euclid["seed"]))
-    smoothed = float(np.mean(result.loss_trace[-200:]))
+    _, trace = cpl.optimize_copula(X, params, "rff", cfg, np.random.default_rng(euclid["seed"]))
+    smoothed = float(np.mean(trace[-200:]))
     ok = smoothed <= 1.05 * pnc_loss
     check(
         4,
@@ -468,16 +468,16 @@ def test_c11_pagerank_couplings():
     # bitwise unit mass: integer counts account for every walk
     g0 = graphmod.erdos_renyi(20, 0.25, np.random.default_rng((seed, 2)))
     for t in range(50):
-        est = pagerank.mc_pagerank(g0, 0.3, 2, "iid", np.random.default_rng((seed, 3, t)))
-        ok &= int(est.counts.sum()) == est.total
+        counts = pagerank.mc_pagerank(g0, 0.3, 2, "iid", np.random.default_rng((seed, 3, t)))
+        ok &= int(counts.sum()) == 20 * 2
 
     # unbiasedness at 3 SE per node over 1e4 runs
-    rho0 = pagerank.exact_pagerank(g0, 0.4).rho
+    rho0 = pagerank.exact_pagerank(g0, 0.4)
     runs = 10_000
     acc = np.zeros(20)
     acc2 = np.zeros(20)
     for t in range(runs):
-        est = pagerank.mc_pagerank(g0, 0.4, 2, "iid", np.random.default_rng((seed, 4, t))).rho
+        est = pagerank.mc_pagerank(g0, 0.4, 2, "iid", np.random.default_rng((seed, 4, t))) / 40
         acc += est
         acc2 += est**2
     mean = acc / runs
@@ -491,16 +491,15 @@ def test_c11_pagerank_couplings():
     for gi, (n_nodes, p_edge) in enumerate(((60, 0.12), (50, 0.2))):
         g = graphmod.erdos_renyi(n_nodes, p_edge, np.random.default_rng((seed, 5 + gi)))
         for p in p_grid:
-            rho = pagerank.exact_pagerank(g, p).rho
+            rho = pagerank.exact_pagerank(g, p)
             cells = {}
             for tag in ("iid", "sigma"):
                 coupling = sigmas[p] if tag == "sigma" else tag
                 vals = np.empty(trials)
                 for t in range(trials):
                     r = rng_for(seed, gi, int(10 * p), t, tag)
-                    vals[t] = float(
-                        np.linalg.norm(pagerank.mc_pagerank(g, p, 2, coupling, r).rho - rho)
-                    )
+                    counts = pagerank.mc_pagerank(g, p, 2, coupling, r)
+                    vals[t] = float(np.linalg.norm(counts / (2 * n_nodes) - rho))
                 cells[tag] = mean_se(vals)
             gap = cells["sigma"][0] - cells["iid"][0]
             z = gap / np.hypot(cells["sigma"][1], cells["iid"][1])

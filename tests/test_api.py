@@ -84,9 +84,9 @@ CASES = [
     ("grf_features", "p_halt", "float", False,
      lambda v: otrf.grf_features(G, 1, 2, "iid", F, v, rng())),
     ("mc_pagerank", "p_halt", "float", False,
-     lambda v: otrf.mc_pagerank(G, v, 2, "iid", rng()).rho),
+     lambda v: otrf.mc_pagerank(G, v, 2, "iid", rng())),
     ("mc_pagerank", "m", "count", False,
-     lambda v: otrf.mc_pagerank(G, 0.3, v, "iid", rng()).rho),
+     lambda v: otrf.mc_pagerank(G, 0.3, v, "iid", rng())),
     ("modulation_from_coefficients", "k_max", "count", False,
      lambda v: otrf.modulation_from_coefficients([1.0, 0.5], v)),
     ("CopulaOptConfig", "steps", "count", True, lambda v: copula_fit(steps=v)),

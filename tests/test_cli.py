@@ -667,6 +667,26 @@ class TestBadInputExits:
         assert "splits for gp-eval must lie in [2, 1e6], got 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_gp_eval_one_point(self, tmp_path, capsys):
+        # one point split in two left an empty test half: "Mean of empty
+        # slice" warnings, then a non-finite result (exit 3) after every fit
+        fields = dict(PROBE_BASES["gp-eval"], kind="gp-eval", n_points=1, trials=40)
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(fields))
+        assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "n_points for gp-eval must lie in [2, 1e6], got 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gp_eval_one_row_csv(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,y\n0.1,0.2,0.3\n")
+        fields = dict(PROBE_BASES["gp-eval"], kind="gp-eval", source="csv", path=path,
+                      target="y", trials=40)
+        cfg_path = write_cfg(tmp_path / "run.cfg", _cfg_text(fields))
+        assert main(["gp-eval", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"path: {path} has 1 data row" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["grf-bench", "pagerank-bench"])
     @pytest.mark.parametrize("coupling", ["antithetic_termination", "sigma"])
     def test_odd_walkers_with_paired_coupling(self, tmp_path, kind, coupling, capsys):

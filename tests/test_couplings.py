@@ -464,8 +464,8 @@ class TestOptimizeCopula:
         rng = np.random.default_rng(19)
         data = rng.standard_normal((5, 2))
         cfg = CopulaOptConfig(steps=0, m=2)
-        result = optimize_copula(data, GaussianKernelParams(1.0), "rff", cfg, rng)
-        assert np.array_equal(result.params.theta, CorrelationParams.near_independence(2).theta)
+        params, _ = optimize_copula(data, GaussianKernelParams(1.0), "rff", cfg, rng)
+        assert np.array_equal(params.theta, CorrelationParams.near_independence(2).theta)
 
     @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
     @pytest.mark.parametrize("m", [3, 8])
@@ -491,6 +491,6 @@ class TestOptimizeCopula:
         rng = np.random.default_rng(22)
         data = rng.standard_normal((6, 2))
         cfg = CopulaOptConfig(steps=25, m=2, mc_samples=2)
-        result = optimize_copula(data, GaussianKernelParams(1.0), "rff", cfg, rng)
-        assert result.loss_trace.shape == (25,)
-        assert np.all(np.isfinite(result.loss_trace))
+        _, loss_trace = optimize_copula(data, GaussianKernelParams(1.0), "rff", cfg, rng)
+        assert loss_trace.shape == (25,)
+        assert np.all(np.isfinite(loss_trace))

@@ -7,7 +7,6 @@ from scipy.special import gamma, i0, j0
 from otrf.couplings import build_ensemble
 from otrf.errors import FeatureOverflowError, NumericalError
 from otrf.eucrf import (
-    AttentionStats,
     GaussianKernelParams,
     attention_estimate,
     attention_exact,
@@ -246,7 +245,7 @@ class TestAttention:
         p = GaussianKernelParams(1.0)
         rng = np.random.default_rng(20)
         stats = attention_estimate(X, (build_ensemble(2, 2, "iid", rng) for _ in range(20)), p)
-        assert stats.mse == 0.0
+        assert stats["attention_mse"] == 0.0
 
     def test_estimate_statistics_shapes(self):
         rng = np.random.default_rng(13)
@@ -255,10 +254,9 @@ class TestAttention:
         stats = attention_estimate(
             X, (build_ensemble(4, 4, "orthogonal", rng) for _ in range(50)), p
         )
-        assert isinstance(stats, AttentionStats)
-        assert stats.mse_per_row.shape == (5,)
-        assert stats.mse > 0 and stats.kernel_var > 0
-        assert stats.trials == 50
+        assert set(stats) == {"attention_mse", "kernel_var", "kernel_cov"}
+        assert all(type(v) is float for v in stats.values())
+        assert stats["attention_mse"] > 0 and stats["kernel_var"] > 0
 
     def test_estimate_converges_to_exact(self):
         rng = np.random.default_rng(14)
@@ -271,7 +269,7 @@ class TestAttention:
         many = attention_estimate(
             X, (build_ensemble(12, 3, "orthogonal", rng_many) for _ in range(30)), p
         )
-        assert many.mse < few.mse
+        assert many["attention_mse"] < few["attention_mse"]
 
     @pytest.mark.parametrize(
         "tag",
@@ -288,9 +286,7 @@ class TestAttention:
         chunked = attention_estimate(X, [ens for chunk in chunks for ens in chunk], p)
         singles = [build_ensemble(8, 4, tag, c) for c in np.random.default_rng(16).spawn(7)]
         single = attention_estimate(X, singles, p)
-        assert np.array_equal(chunked.mse_per_row, single.mse_per_row)
-        assert (chunked.kernel_var, chunked.kernel_cov) == (single.kernel_var, single.kernel_cov)
-        assert chunked.trials == single.trials == 7
+        assert chunked == single
 
     def test_estimate_needs_an_ensemble(self):
         with pytest.raises(ValueError):

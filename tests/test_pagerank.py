@@ -9,7 +9,6 @@ from otrf.graph import GraphData, SigmaCoupling, batch_walk_endpoints, erdos_ren
 from otrf.matching import hungarian
 from otrf.mathcore import GeometricParams, geometric_cdf, geometric_inv_cdf
 from otrf.pagerank import (
-    PageRankVector,
     _endpoint_profile,
     exact_pagerank,
     mc_pagerank,
@@ -79,18 +78,18 @@ class TestExactPagerank:
 
     def test_two_node_symmetry(self):
         g = GraphData(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rho = exact_pagerank(g, 0.3).rho
+        rho = exact_pagerank(g, 0.3)
         assert np.allclose(rho, [0.5, 0.5], atol=1e-12)
 
     def test_unit_sum(self):
         g = erdos_renyi(15, 0.3, np.random.default_rng(0))
-        rho = exact_pagerank(g, 0.2).rho
+        rho = exact_pagerank(g, 0.2)
         assert abs(rho.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("p_halt", [0.1, 0.5, 0.9])
     def test_matches_dense_solve(self, p_halt):
         g = erdos_renyi(25, 0.2, np.random.default_rng(1))
-        rho = exact_pagerank(g, p_halt).rho
+        rho = exact_pagerank(g, p_halt)
         assert np.max(np.abs(rho - dense_solve_oracle(g, p_halt))) < 1e-10
 
     @pytest.mark.parametrize("p_halt", [0.05, 0.3, 0.9])
@@ -99,7 +98,7 @@ class TestExactPagerank:
         scale = rng.uniform(0.1, 3.0, (25, 25))
         weighted = GraphData(erdos_renyi(25, 0.2, rng).weights * scale * scale.T)
         for g in (erdos_renyi(25, 0.2, rng), weighted):
-            rho = exact_pagerank(g, p_halt).rho
+            rho = exact_pagerank(g, p_halt)
             assert np.allclose(rho, power_iteration_oracle(g, p_halt), rtol=0, atol=1e-11)
 
     def test_bipartite_star_at_small_halt(self):
@@ -107,7 +106,7 @@ class TestExactPagerank:
         # step, too slowly to converge in 100,000 steps at p = 1e-4; the
         # centre's share solves rho_c = (1 - p)(1 - rho_c) + p/5
         p = 1e-4
-        rho = exact_pagerank(STAR, p).rho
+        rho = exact_pagerank(STAR, p)
         centre = (5 - 4 * p) / (5 * (2 - p))
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
         assert rho[0] == pytest.approx(centre, rel=1e-12)
@@ -120,23 +119,24 @@ class TestExactPagerank:
 
 class TestMcPagerank:
     def test_self_loop_graph(self):
-        est = mc_pagerank(SELF_LOOP, 0.5, 8, "iid", np.random.default_rng(2))
-        assert np.array_equal(est.rho, [1.0])
+        counts = mc_pagerank(SELF_LOOP, 0.5, 8, "iid", np.random.default_rng(2))
+        assert np.array_equal(counts, [8])
 
     def test_counts_sum_exactly(self):
         g = erdos_renyi(20, 0.25, np.random.default_rng(3))
         for tag in ("iid", "antithetic_termination"):
-            est = mc_pagerank(g, 0.3, 4, tag, np.random.default_rng(4))
-            assert int(est.counts.sum()) == est.total == 20 * 4
+            counts = mc_pagerank(g, 0.3, 4, tag, np.random.default_rng(4))
+            assert counts.dtype == np.int64 and counts.shape == (20,)
+            assert int(counts.sum()) == 20 * 4
 
     def test_unbiased_against_exact(self):
         g = erdos_renyi(20, 0.25, np.random.default_rng(5))
-        rho = exact_pagerank(g, 0.4).rho
+        rho = exact_pagerank(g, 0.4)
         runs = 3000
         acc = np.zeros(20)
         acc2 = np.zeros(20)
         for t in range(runs):
-            est = mc_pagerank(g, 0.4, 2, "iid", np.random.default_rng((6, t))).rho
+            est = mc_pagerank(g, 0.4, 2, "iid", np.random.default_rng((6, t))) / (20 * 2)
             acc += est
             acc2 += est**2
         mean = acc / runs
@@ -147,8 +147,19 @@ class TestMcPagerank:
     def test_sigma_coupling_runs_and_sums(self):
         g = erdos_renyi(12, 0.4, np.random.default_rng(7))
         coupling = SigmaCoupling(np.arange(6)[::-1], 0.3)
-        est = mc_pagerank(g, 0.3, 4, coupling, np.random.default_rng(8))
-        assert int(est.counts.sum()) == est.total
+        counts = mc_pagerank(g, 0.3, 4, coupling, np.random.default_rng(8))
+        assert int(counts.sum()) == 12 * 4
+
+    @pytest.mark.parametrize(
+        "coupling", ["iid", "antithetic_termination", SigmaCoupling(np.arange(6)[::-1], 0.3)]
+    )
+    def test_list_of_generators_gives_one_row_per_trial(self, coupling):
+        g = erdos_renyi(12, 0.4, np.random.default_rng(7))
+        counts = mc_pagerank(g, 0.3, 4, coupling, [np.random.default_rng((11, t)) for t in range(3)])
+        assert counts.dtype == np.int64 and counts.shape == (3, 12)
+        for t, row in enumerate(counts):
+            single = mc_pagerank(g, 0.3, 4, coupling, np.random.default_rng((11, t)))
+            assert np.array_equal(row, single)
 
     def test_sigma_coupling_for_another_p_halt_rejected(self):
         g = erdos_renyi(12, 0.4, np.random.default_rng(7))
@@ -170,13 +181,13 @@ class TestMcPagerank:
 
     def test_error_decays_like_inverse_sqrt_m(self):
         g = erdos_renyi(15, 0.3, np.random.default_rng(20))
-        rho = exact_pagerank(g, 0.4).rho
+        rho = exact_pagerank(g, 0.4)
         ms = [2, 8, 32]
         means = []
         for m in ms:
             errs = [
                 np.linalg.norm(
-                    mc_pagerank(g, 0.4, m, "iid", np.random.default_rng((21, m, t))).rho
+                    mc_pagerank(g, 0.4, m, "iid", np.random.default_rng((21, m, t))) / (15 * m)
                     - rho
                 )
                 for t in range(400)
@@ -266,8 +277,3 @@ class TestSolvePagerankSigma:
         with pytest.raises(ValueError, match=r"^p_halt must lie in \(0, 1\), got "):
             solve_pagerank_sigma(SELF_LOOP, p_halt, 4)
 
-
-class TestPageRankVector:
-    def test_sum_validation(self):
-        with pytest.raises(ValueError):
-            PageRankVector(np.array([0.5, 0.6]))
