@@ -9,6 +9,7 @@ joint over the norms.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -330,7 +331,13 @@ def _factor_grad(L: np.ndarray, grad_L: np.ndarray) -> np.ndarray:
     row-major order of :class:`CorrelationParams`.
     """
     grad_r = (grad_L - L * np.sum(L * grad_L, axis=1)[:, None]) * np.diag(L)[:, None]
-    return grad_r[np.tril_indices(L.shape[0], -1)]
+    return grad_r[_strict_lower(L.shape[0])]
+
+
+@functools.cache
+def _strict_lower(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(m, -1), built once per m: theta's places in L."""
+    return np.tril_indices(m, -1)
 
 
 def _loss_dataset(dataset, mc_samples: int) -> np.ndarray:
@@ -345,6 +352,84 @@ def _loss_dataset(dataset, mc_samples: int) -> np.ndarray:
     return dataset
 
 
+def _copula_loss(dataset, kernel: "eucrf.GaussianKernelParams", featurizer: str, m: int,
+                 mc_samples: int):
+    """The copula loss of one fit, set up once: the pair ``(draw, step)``.
+
+    The loss at theta is the mean over ``mc_samples`` draws of the feature
+    Gram estimate's RMSE against the exact Gaussian kernel.  A step seed
+    fixes the noise (directions, then the Gaussian vector z, per draw), so
+    the loss is a deterministic, smooth function of (theta, seed).
+
+    ``draw(seeds)`` draws the noise of one step per seed ahead of the steps,
+    reading each generator as its own step would, and returns the data's
+    (steps, mc_samples, m, N) projections on the directions and the
+    (steps, mc_samples, m) z stack.  ``step(theta, proj, z)`` gives one
+    step's loss and its exact pathwise gradient, a reverse pass through
+    K_hat = Phi^T Phi, the features, the norms w = F_chi^-1(Phi(g)),
+    g = L z and the row-normalised factor L.  The norms use implicit
+    reparameterisation: dw/dg = phi(g) / f_chi(w), taken in log space and
+    zero where the uniform Phi(g) was clipped.  The passes run on the stack
+    of draws; losses and gradients add up in draw order, and a draw with
+    RMSE 0 adds no gradient.
+    """
+    eucrf._check_featurizer(featurizer)
+    dataset = _loss_dataset(dataset, mc_samples)
+    n, d = dataset.shape
+    k_exact = eucrf.gaussian_gram(dataset, dataset, kernel)
+    x_scaled = dataset / kernel.lengthscale
+    sq = np.sum(x_scaled**2, axis=1)[None, :]
+    scale = kernel.output_scale / np.sqrt(m)
+    chi = ChiParams(d)
+    # log phi(g) - log f_chi(w) = log_norm - g^2/2 - (d-1) log w + w^2/2
+    log_norm = (d / 2 - 1) * np.log(2.0) + gammaln(d / 2) - 0.5 * np.log(2 * np.pi)
+    blocks, per_block = _direction_blocks(m, d)
+
+    def draw(seeds):
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+        dirs, z = [], []
+        listed = [r for r in rngs for _ in range(blocks)]  # once per direction block
+        for _ in range(mc_samples):
+            dirs.append(sample_orthogonal_directions(d, per_block, listed))
+            z.append([r.standard_normal(m) for r in rngs])
+        dirs = np.array(dirs).reshape(mc_samples, len(rngs), m, d).swapaxes(0, 1)
+        return dirs @ x_scaled.T, np.array(z).swapaxes(0, 1)
+
+    def step(theta, proj, z):
+        L = cholesky_from_params(CorrelationParams(m, theta))
+        g = np.array([L @ zs for zs in z])
+        p = gauss_cdf(g)
+        u = np.clip(p, _TINY, _ONE_MINUS)
+        norms = chi_inv_cdf(u, chi)
+        args = norms[:, :, None] * proj
+        if featurizer == "rff":
+            phi = eucrf._trig_features(args, scale)
+        else:
+            phi = eucrf._exp_features(args, sq, scale)
+        resid = np.swapaxes(phi, -1, -2) @ phi - k_exact
+        rmse = np.sqrt(np.add.reduce((resid**2).reshape(mc_samples, -1), axis=-1) / (n * n))
+        # d rmse / d K_hat = resid / (N^2 rmse), and K_hat = Phi^T Phi
+        coef = np.divide(2.0, n * n * rmse, out=np.zeros(mc_samples), where=rmse != 0.0)
+        grad_phi = coef[:, None, None] * (phi @ resid)
+        if featurizer == "rff":
+            grad_args = grad_phi[:, :m] * phi[:, m:] - grad_phi[:, m:] * phi[:, :m]
+        else:
+            grad_args = grad_phi * phi
+        grad_norms = np.sum(grad_args * proj, axis=-1)
+        log_dw_dg = log_norm - 0.5 * g**2 - xlogy(d - 1, norms) + 0.5 * norms**2
+        dw_dg = np.where(u == p, np.exp(log_dw_dg), 0.0)
+        outers = (grad_norms * dw_dg)[:, :, None] * z[:, None, :]
+        loss = 0.0
+        grad_L = np.zeros((m, m))
+        for draw_rmse, outer in zip(rmse, outers):
+            loss += draw_rmse
+            if draw_rmse != 0.0:
+                grad_L += outer
+        return loss / mc_samples, _factor_grad(L, grad_L) / mc_samples
+
+    return draw, step
+
+
 def _rmse_loss_and_grad(
     theta: np.ndarray,
     dataset: np.ndarray,
@@ -353,72 +438,12 @@ def _rmse_loss_and_grad(
     mc_samples: int,
     seed: int,
 ) -> tuple[float, np.ndarray]:
-    """The copula loss at ``theta`` and its exact gradient: the mean over
-    ``mc_samples`` draws of the feature Gram estimate's RMSE against the
-    exact Gaussian kernel.
-
-    The seed fixes the noise (directions, then the Gaussian vector z, per
-    draw), giving common-random-number evaluations: the loss is a
-    deterministic, smooth function of (theta, seed).  The gradient is
-    pathwise, a reverse pass through K_hat = Phi^T Phi, the features, the
-    norms w = F_chi^-1(Phi(g)), g = L z and the row-normalised factor L.
-    The norms use implicit reparameterisation: dw/dg = phi(g) / f_chi(w),
-    taken in log space and zero where the uniform Phi(g) was clipped.
-    All draws come first; one gauss_cdf and one chi_d quantile call then
-    map every draw's g, and the forward and reverse passes run per draw.
-    """
-    if featurizer not in ("rff", "rlf"):
-        raise ValueError(f"featurizer must be 'rff' or 'rlf', got {featurizer!r}")
-    dataset = _loss_dataset(dataset, mc_samples)
-    n, d = dataset.shape
+    """The copula loss at ``theta`` and its exact gradient, for the noise
+    of step seed ``seed``: :func:`_copula_loss`'s setup and one step."""
     m = int(round((1 + np.sqrt(1 + 8 * theta.size)) / 2))
-    rng = np.random.default_rng(seed)
-
-    k_exact = eucrf.gaussian_gram(dataset, dataset, kernel)
-    x_scaled = dataset / kernel.lengthscale
-    sq = np.sum(x_scaled**2, axis=1)[None, :]
-    scale = kernel.output_scale / np.sqrt(m)
-    chi = ChiParams(d)
-    # log phi(g) - log f_chi(w) = log_norm - g^2/2 - (d-1) log w + w^2/2
-    log_norm = (d / 2 - 1) * np.log(2.0) + gammaln(d / 2) - 0.5 * np.log(2 * np.pi)
-
-    L = cholesky_from_params(CorrelationParams(m, theta))
-    blocks, per_block = _direction_blocks(m, d)
-    draws = []
-    for _ in range(mc_samples):
-        # one list entry per direction block, each drawn from rng in turn
-        dirs = sample_orthogonal_directions(d, per_block, [rng] * blocks)
-        draws.append((dirs, rng.standard_normal(m)))
-    g_all = np.array([L @ z for _, z in draws])
-    p_all = gauss_cdf(g_all)
-    u_all = np.clip(p_all, _TINY, _ONE_MINUS)
-    norms_all = chi_inv_cdf(u_all, chi)
-    loss = 0.0
-    grad_L = np.zeros((m, m))
-    for (dirs, z), g, p, u, norms in zip(draws, g_all, p_all, u_all, norms_all):
-        # projections of every datapoint on every direction: (m, N)
-        proj = dirs @ x_scaled.T
-        args = norms[:, None] * proj
-        if featurizer == "rff":
-            phi = eucrf._trig_features(args, scale)
-        else:
-            phi = eucrf._exp_features(args, sq, scale)
-        resid = phi.T @ phi - k_exact
-        rmse = np.sqrt(np.mean(resid**2))
-        loss += rmse
-        if rmse == 0.0:
-            continue
-        # d rmse / d K_hat = resid / (N^2 rmse), and K_hat = Phi^T Phi
-        grad_phi = (2.0 / (n * n * rmse)) * (phi @ resid)
-        if featurizer == "rff":
-            grad_args = grad_phi[:m] * phi[m:] - grad_phi[m:] * phi[:m]
-        else:
-            grad_args = grad_phi * phi
-        grad_norms = np.sum(grad_args * proj, axis=1)
-        log_dw_dg = log_norm - 0.5 * g**2 - xlogy(d - 1, norms) + 0.5 * norms**2
-        dw_dg = np.where(u == p, np.exp(log_dw_dg), 0.0)
-        grad_L += np.outer(grad_norms * dw_dg, z)
-    return loss / mc_samples, _factor_grad(L, grad_L) / mc_samples
+    draw, step = _copula_loss(dataset, kernel, featurizer, m, mc_samples)
+    proj, z = draw([seed])
+    return step(theta, proj[0], z[0])
 
 
 def reference_coupling_loss(
@@ -438,7 +463,8 @@ def reference_coupling_loss(
     each reading it in :func:`_freqs_blockwise` order: the Gaussian matrix
     of each direction block, then the norm uniforms.  Mapping runs once per
     chunk of at most ``_CHUNK_FREQS`` frequency entries: one stacked QR and
-    one chi_d quantile call.  Feature maps and RMSEs stay per ensemble.
+    one chi_d quantile call.  Feature maps, Grams and RMSEs run on
+    sub-stacks of the chunk (:func:`eucrf._stacked_rmses`).
     """
     dataset = _loss_dataset(dataset, mc_samples)
     spec = CouplingSpec(scheme) if isinstance(scheme, str) else scheme
@@ -448,10 +474,9 @@ def reference_coupling_loss(
     batch = _ensemble_batch(m, d)
     total = 0.0
     for start in range(0, mc_samples, batch):
-        chunk = [rng] * min(batch, mc_samples - start)
-        for freqs in _freqs_blockwise(m, d, spec, chunk):
-            phi = eucrf._feature_matrix(featurizer, dataset, freqs, kernel)
-            total += eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)
+        freqs = _freqs_blockwise(m, d, spec, [rng] * min(batch, mc_samples - start))
+        for rmse in eucrf._stacked_rmses(featurizer, dataset, freqs, kernel, k_exact):
+            total += rmse
     return total / mc_samples
 
 
@@ -491,8 +516,10 @@ def optimize_copula(
     Returns the learned parameters and the loss trace, one loss per step.
     Each step evaluates the common-random-number loss at a fresh step seed,
     with its exact pathwise gradient from one reverse pass (see
-    :func:`_rmse_loss_and_grad`).  A dataset that is not a nonempty, finite
-    2-D array is refused before the first step; a non-finite loss or
+    :func:`_copula_loss`, set up once for the fit).  The noise of up to
+    ``_CHUNK_FREQS / (mc_samples m N)`` steps is drawn ahead at a time.  A
+    dataset that is not a nonempty, finite 2-D array, or an unknown
+    featurizer, is refused before the first step; a non-finite loss or
     gradient aborts with :class:`NumericalError`.
     """
     dataset = _loss_dataset(dataset, config.mc_samples)
@@ -501,11 +528,15 @@ def optimize_copula(
     theta = CorrelationParams.near_independence(m).theta
     step_seeds = rng.integers(2**63, size=config.steps)
     trace = np.empty(config.steps)
+    draw, step = _copula_loss(dataset, kernel, featurizer, m, config.mc_samples)
+    block = max(1, _CHUNK_FREQS // (config.mc_samples * m * len(dataset)))
+    noise = None
 
     def grad_at(t, x):
-        loss, grad = _rmse_loss_and_grad(
-            x, dataset, kernel, featurizer, config.mc_samples, int(step_seeds[t])
-        )
+        nonlocal noise
+        if t % block == 0:
+            noise = draw(step_seeds[t : t + block])
+        loss, grad = step(x, noise[0][t % block], noise[1][t % block])
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise NumericalError(f"copula loss or gradient became non-finite at step {t}")
         trace[t] = loss

@@ -83,11 +83,9 @@ def run_rf_bench(cfg: ExperimentConfig):
             for m in cfg.ensemble_sizes(d, featurizer):
 
                 def trial(tag, rngs):
-                    out = []
-                    for freqs in cpl.build_ensemble(m, d, tag, rngs):
-                        phi = eucrf._feature_matrix(featurizer, X, freqs, params)
-                        out.append({"rmse": eucrf.relative_rmse(eucrf.gram_estimate(phi), k_exact)})
-                    return out
+                    freqs = cpl.build_ensemble(m, d, tag, rngs)
+                    rmses = eucrf._stacked_rmses(featurizer, X, freqs, params, k_exact)
+                    return [{"rmse": rmse} for rmse in rmses]
 
                 coords = {"featurizer": featurizer, "coupling": None, "m": m, "d": d}
                 batch = cpl._ensemble_batch(m, d)
@@ -146,6 +144,9 @@ def run_gp_eval(cfg: ExperimentConfig):
             raise ConfigError("gp-eval needs a target column")
         if len(y_all) < 2:
             raise ConfigError(f"path: {cfg.path} has 1 data row; gp-eval splits at least 2")
+        # n_points rows drawn as in _euclidean_dataset, kept in file order
+        idx = np.sort(_rng(cfg.seed, "data").permutation(len(y_all))[: cfg.n_points])
+        X_all, y_all = X_all[idx], y_all[idx]
         standardized = True
     d = X_all.shape[1]
     m = cfg.ensemble_sizes(d)[0]

@@ -67,12 +67,13 @@ def gaussian_gram(X, Y, params: GaussianKernelParams) -> np.ndarray:
 
 
 def _trig_features(args: np.ndarray, scale: float) -> np.ndarray:
-    """scale [sin(args); cos(args)], stacked along the first axis."""
-    return scale * np.concatenate([np.sin(args), np.cos(args)])
+    """scale [sin(args); cos(args)], stacked along the second-to-last axis."""
+    return scale * np.concatenate([np.sin(args), np.cos(args)], axis=-2)
 
 
 def _exp_features(args: np.ndarray, sq_norms, scale: float) -> np.ndarray:
-    """scale exp(args - sq_norms); raises FeatureOverflowError past exp(700)."""
+    """scale exp(args - sq_norms); raises FeatureOverflowError if any entry
+    of ``args``, over a whole stack, passes 700."""
     if np.max(args, initial=-np.inf) > 700.0:
         raise FeatureOverflowError(
             "exp feature argument exceeds 700; enlarge the kernel lengthscale"
@@ -114,48 +115,90 @@ def rlf_features(x, freqs, params: GaussianKernelParams) -> np.ndarray:
 
 
 def rff_feature_matrix(X, freqs, params: GaussianKernelParams) -> np.ndarray:
-    """Feature matrix (2m x N) whose columns are rff_features of X's rows."""
+    """Feature matrix (2m x N) whose columns are rff_features of X's rows.
+
+    ``freqs`` may be a (T, m, d) stack of ensembles; the result is then a
+    (T, 2m, N) stack, slice i equal bit for bit to ``freqs[i]``'s own call.
+    """
     freqs = np.asarray(freqs, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     args = freqs @ (X.T / params.lengthscale)
-    return _trig_features(args, params.output_scale / np.sqrt(freqs.shape[0]))
+    return _trig_features(args, params.output_scale / np.sqrt(freqs.shape[-2]))
 
 
 def rlf_feature_matrix(X, freqs, params: GaussianKernelParams) -> np.ndarray:
-    """Feature matrix (m x N) whose columns are rlf_features of X's rows."""
+    """Feature matrix (m x N) whose columns are rlf_features of X's rows.
+
+    A (T, m, d) stack of ``freqs`` gives a (T, m, N) stack, as in
+    :func:`rff_feature_matrix`; one overflowing ensemble fails the stack.
+    """
     freqs = np.asarray(freqs, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xs = X / params.lengthscale
-    scale = params.output_scale / np.sqrt(freqs.shape[0])
+    scale = params.output_scale / np.sqrt(freqs.shape[-2])
     return _exp_features(freqs @ Xs.T, np.sum(Xs**2, axis=1)[None, :], scale)
+
+
+def _check_featurizer(featurizer: str) -> None:
+    """Refuse a featurizer name other than 'rff' and 'rlf'."""
+    if featurizer not in ("rff", "rlf"):
+        raise ValueError(f"featurizer must be 'rff' or 'rlf', got {featurizer!r}")
 
 
 def _feature_matrix(featurizer: str, X, freqs, params: GaussianKernelParams) -> np.ndarray:
     """rff_feature_matrix or rlf_feature_matrix, by featurizer name."""
+    _check_featurizer(featurizer)
     if featurizer == "rff":
         return rff_feature_matrix(X, freqs, params)
     return rlf_feature_matrix(X, freqs, params)
 
 
 def gram_estimate(features: np.ndarray) -> np.ndarray:
-    """K_hat = Phi^T Phi for a (feature_dim x N) matrix; symmetric PSD."""
+    """K_hat = Phi^T Phi for a (feature_dim x N) matrix; symmetric PSD.
+
+    A (T, feature_dim, N) stack gives the T Grams; numpy runs each slice
+    through the same BLAS product as the 2-D call, so the bits agree.
+    """
     phi = np.asarray(features, dtype=float)
-    return phi.T @ phi
+    return np.swapaxes(phi, -1, -2) @ phi
 
 
-def relative_rmse(k_hat: np.ndarray, k_exact: np.ndarray) -> float:
+def relative_rmse(k_hat: np.ndarray, k_exact: np.ndarray):
     """Root mean squared entrywise error between two Gram matrices.
 
+    A ``k_hat`` with one more leading axis than ``k_exact`` is a stack of
+    estimates: the result is then an array of one RMSE per slice.
     Benchmark reports normalise this by the value obtained with the iid
     coupling under the same protocol.
     """
     k_hat = np.asarray(k_hat, dtype=float)
     k_exact = np.asarray(k_exact, dtype=float)
-    if k_hat.shape != k_exact.shape:
+    stacked = k_hat.ndim == k_exact.ndim + 1 and k_hat.shape[1:] == k_exact.shape
+    if k_hat.shape != k_exact.shape and not stacked:
         raise ValueError(f"shape mismatch: {k_hat.shape} vs {k_exact.shape}")
     diff = k_hat - k_exact
     diff *= diff  # np.mean's sum and division, without its Python wrapper
+    if stacked:
+        return np.sqrt(np.add.reduce(diff.reshape(len(diff), -1), axis=-1) / k_exact.size)
     return float(np.sqrt(np.add.reduce(diff, axis=None) / diff.size))
+
+
+# Gram entries per stacked feature-map call in rf-bench and the reference
+# loss; bounds the (T, N, N) Gram stack that one call holds
+_CHUNK_GRAM = 1 << 15
+
+
+def _stacked_rmses(featurizer: str, X, freqs, params: GaussianKernelParams, k_exact) -> list:
+    """The Gram RMSE of each ensemble in the (T, m, d) stack ``freqs``, in
+    ensemble order, as floats: the feature maps, Grams and RMSEs run on
+    sub-stacks of at most ``_CHUNK_GRAM`` Gram entries and at least one
+    ensemble."""
+    step = max(1, _CHUNK_GRAM // len(k_exact) ** 2)
+    out = []
+    for start in range(0, len(freqs), step):
+        phi = _feature_matrix(featurizer, X, freqs[start : start + step], params)
+        out += relative_rmse(gram_estimate(phi), k_exact).tolist()
+    return out
 
 
 def rlf_lengthscale_heuristic(X) -> float:

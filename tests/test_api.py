@@ -287,6 +287,10 @@ REFUSED_ARRAYS = [
      lambda: otrf.gaussian_kernel(X[0], np.array([]), otrf.GaussianKernelParams(1.0))),
     ("gaussian_kernel", "y", "wrong length", "y size must lie in [2, 2], got 3",
      lambda: otrf.gaussian_kernel(X[0], np.ones(3), otrf.GaussianKernelParams(1.0))),
+    ("reference_coupling_loss", "featurizer", "unknown",
+     "featurizer must be 'rff' or 'rlf', got 'bogus'",
+     lambda: reference_coupling_loss("orthogonal", 2, X, otrf.GaussianKernelParams(1.0),
+                                     "bogus", 1, rng())),
 ]
 
 

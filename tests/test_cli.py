@@ -366,6 +366,30 @@ class TestGraphExperiments:
         summary = run(cfg)
         assert np.isfinite(summary["results"]["orthogonal"]["kl_mean"])
 
+    def test_gp_eval_csv_reads_n_points_rows(self, tmp_path):
+        # n_points rows of the seeded data permutation, kept in file order;
+        # n_points >= rows reads every row, in file order
+        data = np.random.default_rng(30).standard_normal((60, 3))
+
+        def outputs(rows, n_points, name):
+            path = tmp_path / f"{name}.csv"
+            lines = (",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+            path.write_text("x0,x1,y\n" + "".join(lines))
+            cfg = ExperimentConfig(
+                kind="gp-eval", seed=31, trials=4, out_dir=str(tmp_path / name),
+                source="csv", path=str(path), target="y", splits=2,
+                couplings=("orthogonal",), fit_steps=30, m_values=(2,), n_points=n_points,
+            )
+            summary = run(cfg)
+            return summary["results"], (tmp_path / name / "trials.csv").read_text()
+
+        every_row = outputs(data, 60, "all")
+        assert outputs(data, 1000, "more") == every_row
+        four = outputs(data, 4, "four")
+        assert four != every_row
+        idx = np.sort(experiments._rng(31, "data").permutation(60)[:4])
+        assert outputs(data[idx], 4, "subset") == four
+
     def test_attention_bench_runs(self, tmp_path):
         cfg = ExperimentConfig(
             kind="attention-bench",

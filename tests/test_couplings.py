@@ -1,6 +1,7 @@
 """Ensemble construction, marginal preservation, and copula machinery."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from otrf.eucrf import (
     gram_estimate,
     relative_rmse,
 )
-from otrf.mathcore import ChiParams, chi_cdf, chi_inv_cdf, gauss_cdf, gauss_inv_cdf
+from otrf.mathcore import ChiParams, _adam, chi_cdf, chi_inv_cdf, gauss_cdf, gauss_inv_cdf
 
 
 class TestOrthogonalDirections:
@@ -279,6 +280,15 @@ class TestCopulaLoss:
         data = np.zeros((1, 2))
         assert _rmse_loss_and_grad(self.theta.theta, data, self.kernel, "rlf", 4, 0)[0] < 1e-12
 
+    def test_exact_draw_adds_no_gradient(self):
+        # at m = 4 rff features reproduce the kernel at one point exactly:
+        # every draw's RMSE is 0, and its gradient is skipped, not 0 / 0
+        theta = np.random.default_rng(15).standard_normal(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = _rmse_loss_and_grad(theta, np.zeros((1, 4)), self.kernel, "rff", 2, 0)
+        assert loss == 0.0 and np.array_equal(grad, np.zeros(6))
+
     def test_rlf_overflow_raises_feature_overflow(self):
         # rows +-e1 at lengthscale 1e-4 put some exp argument far past 700
         data = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -457,6 +467,42 @@ class TestDrawThenMap:
         spec = CouplingSpec(tag)
         norms = sample_norms(count, 3, spec, np.random.default_rng(34))
         assert np.array_equal(norms, _norms_oracle(count, 3, spec, np.random.default_rng(34)))
+
+
+class TestDrawAhead:
+    """optimize_copula, drawing the noise of several steps at a time, gives
+    the trace and parameters of Adam on one per-step loss call a step."""
+
+    @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    @pytest.mark.parametrize("m", [3, 6])  # d = 3: m = 6 takes two direction blocks
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_trace_matches_per_step_losses(self, featurizer, mc_samples, m, block, monkeypatch):
+        # block = 2 draws two steps ahead: seven steps span four blocks
+        data = np.random.default_rng(42).standard_normal((10, 3)) * 0.6
+        kernel = GaussianKernelParams(1.7, 1.2)
+        if block:
+            monkeypatch.setattr(couplings, "_CHUNK_FREQS", block * mc_samples * m * len(data))
+        cfg = CopulaOptConfig(steps=7, lr=0.05, mc_samples=mc_samples, m=m)
+        params, trace = optimize_copula(data, kernel, featurizer, cfg, np.random.default_rng(43))
+
+        seeds = np.random.default_rng(43).integers(2**63, size=7)
+        expected = np.empty(7)
+
+        def grad_at(t, x):
+            expected[t], grad = _rmse_loss_and_grad(
+                x, data, kernel, featurizer, mc_samples, int(seeds[t])
+            )
+            return grad
+
+        theta = _adam(grad_at, CorrelationParams.near_independence(m).theta, 7, 0.05)
+        assert np.array_equal(trace, expected)
+        assert np.array_equal(params.theta, theta)
+
+    def test_unknown_featurizer_refused_before_any_step(self):
+        with pytest.raises(ValueError, match="featurizer must be 'rff' or 'rlf'"):
+            optimize_copula(np.ones((3, 2)), GaussianKernelParams(1.0), "bogus",
+                            CopulaOptConfig(steps=0), 0)
 
 
 class TestOptimizeCopula:

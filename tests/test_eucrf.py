@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, i0, j0
 
+from otrf import eucrf
 from otrf.couplings import build_ensemble
 from otrf.errors import FeatureOverflowError, NumericalError
 from otrf.eucrf import (
@@ -168,6 +169,57 @@ class TestGramMetrics:
         got = relative_rmse(a, b)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(a, a_before, equal_nan=True) and np.array_equal(b, b_before)
+
+
+class TestStackedMaps:
+    """A (T, m, d) stack of ensembles gives, slice for slice, the bits of
+    the per-ensemble calls."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        self.X = rng.standard_normal((12, 3)) * 0.5
+        self.params = GaussianKernelParams(1.3, 1.1)
+        self.k_exact = gaussian_gram(self.X, self.X, self.params)
+        self.freqs = build_ensemble(4, 3, "iid", [np.random.default_rng(41 + i) for i in range(7)])
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("feature_matrix", [rff_feature_matrix, rlf_feature_matrix])
+    def test_stack_matches_per_ensemble_calls(self, feature_matrix, trials):
+        freqs = self.freqs[:trials]
+        phi = feature_matrix(self.X, freqs, self.params)
+        grams = gram_estimate(phi)
+        rmses = relative_rmse(grams, self.k_exact)
+        assert phi.shape[0] == grams.shape[0] == rmses.shape[0] == trials
+        for i, f in enumerate(freqs):
+            one = feature_matrix(self.X, f, self.params)
+            assert np.array_equal(phi[i], one)
+            assert np.array_equal(grams[i], gram_estimate(one))
+            assert rmses[i] == relative_rmse(gram_estimate(one), self.k_exact)
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("featurizer", ["rff", "rlf"])
+    def test_sub_stacks_match_per_ensemble_calls(self, featurizer, trials, monkeypatch):
+        # three Grams per sub-stack: seven ensembles run as 3, 3 and 1
+        monkeypatch.setattr(eucrf, "_CHUNK_GRAM", 3 * 12 * 12)
+        freqs = self.freqs[:trials]
+        got = eucrf._stacked_rmses(featurizer, self.X, freqs, self.params, self.k_exact)
+        want = [
+            relative_rmse(gram_estimate(eucrf._feature_matrix(featurizer, self.X, f, self.params)),
+                          self.k_exact)
+            for f in freqs
+        ]
+        assert got == want and all(type(v) is float for v in got)
+
+    def test_one_overflowing_ensemble_fails_the_rlf_stack(self):
+        freqs = self.freqs.copy()
+        freqs[5] *= 1e4
+        rlf_feature_matrix(self.X, freqs[:5], self.params)
+        with pytest.raises(FeatureOverflowError):
+            rlf_feature_matrix(self.X, freqs, self.params)
+
+    def test_stack_of_other_shape_refused(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_rmse(np.zeros((3, 4, 4)), np.eye(5))
 
 
 SQRT_PI = np.sqrt(np.pi)
