@@ -73,12 +73,13 @@ def standardize(train: np.ndarray, *others):
     """Zero-mean unit-variance columns, statistics from the training block.
 
     Columns whose training variance falls below 1e-12 come out as all
-    zeros.  Returns the transformed train block followed by the others.
+    zeros, in every block.  Returns the transformed train block followed by
+    the others.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     mean = train.mean(axis=0)
     var = train.var(axis=0)
-    denom = np.sqrt(np.maximum(var, 1e-12))
+    denom = np.where(var < 1e-12, np.inf, np.sqrt(var))
     out = [(train - mean) / denom]
     for block in others:
         out.append((np.atleast_2d(np.asarray(block, dtype=float)) - mean) / denom)

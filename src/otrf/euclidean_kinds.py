@@ -207,15 +207,14 @@ def run_attention_bench(cfg: ExperimentConfig):
     batch = cpl._ensemble_batch(m, d)
 
     def trial(tag, rngs):
-        # a rep runs alone; its generator spawns one child per ensemble
-        children = rngs[0].spawn(rep_trials)
-        chunks = (children[i : i + batch] for i in range(0, rep_trials, batch))
-        freqs = (f for chunk in chunks for f in cpl.build_ensemble(m, d, tag, chunk))
-        return [eucrf.attention_estimate(X, freqs, params)]
+        # one call per rep: its ensembles reduce to one row
+        stacks = (cpl.build_ensemble(m, d, tag, rngs[i : i + batch])
+                  for i in range(0, len(rngs), batch))
+        return [eucrf.attention_estimate(X, stacks, params)]
 
-    # each rep spawns and chunks its own ensembles, so reps run one per call
     coords = {"coupling": None, "m": m, "d": d, "rep": None, "trials": rep_trials}
-    rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, 1, trial)], reps, index="rep")
+    rows, grid = _grid_bench(cfg, [("attn", "attn/{}", coords, rep_trials, trial)], cfg.trials,
+                             index="rep")
     summary = {}
     for tag, values in grid["attn"].items():
         entry = summary[tag] = {}

@@ -183,22 +183,25 @@ def relative_rmse(k_hat: np.ndarray, k_exact: np.ndarray):
     return float(np.sqrt(np.add.reduce(diff, axis=None) / diff.size))
 
 
-# Gram entries per stacked feature-map call in rf-bench and the reference
-# loss; bounds the (T, N, N) Gram stack that one call holds
+# Gram entries per stacked feature-map call in rf-bench, attention-bench and
+# the reference loss; bounds the (T, N, N) Gram stack that one call holds
 _CHUNK_GRAM = 1 << 15
+
+
+def _gram_stacks(featurizer: str, X, freqs, params: GaussianKernelParams):
+    """The Grams of the (T, m, d) stack ``freqs`` on the N rows of X, in
+    ensemble order, as sub-stacks of at most ``_CHUNK_GRAM`` Gram entries
+    and at least one ensemble."""
+    step = max(1, _CHUNK_GRAM // len(X) ** 2)
+    for start in range(0, len(freqs), step):
+        yield gram_estimate(_feature_matrix(featurizer, X, freqs[start : start + step], params))
 
 
 def _stacked_rmses(featurizer: str, X, freqs, params: GaussianKernelParams, k_exact) -> list:
     """The Gram RMSE of each ensemble in the (T, m, d) stack ``freqs``, in
-    ensemble order, as floats: the feature maps, Grams and RMSEs run on
-    sub-stacks of at most ``_CHUNK_GRAM`` Gram entries and at least one
-    ensemble."""
-    step = max(1, _CHUNK_GRAM // len(k_exact) ** 2)
-    out = []
-    for start in range(0, len(freqs), step):
-        phi = _feature_matrix(featurizer, X, freqs[start : start + step], params)
-        out += relative_rmse(gram_estimate(phi), k_exact).tolist()
-    return out
+    ensemble order, as floats, from :func:`_gram_stacks`' sub-stacks."""
+    return [rmse for grams in _gram_stacks(featurizer, X, freqs, params)
+            for rmse in relative_rmse(grams, k_exact).tolist()]
 
 
 def rlf_lengthscale_heuristic(X) -> float:
@@ -256,33 +259,36 @@ def attention_exact(X, params: GaussianKernelParams) -> np.ndarray:
 def attention_estimate(X, freqs, params: GaussianKernelParams) -> dict:
     """Monte Carlo error of attention estimated with exponential features.
 
-    ``freqs`` is an iterable of (m, d) frequency arrays, one per trial, and
-    may be lazy; exponential features keep every kernel estimate positive so
-    row sums never vanish.  Returns floats: ``attention_mse``, the squared
-    attention error averaged over trials and all (i, j); ``kernel_var`` and
-    ``kernel_cov``, the mean pointwise variance and the mean same-row
-    covariance of the raw kernel estimates, i.e. the two competing terms in
-    the attention error expansion.
+    ``freqs`` is an iterable of (T, m, d) stacks, one ensemble per trial,
+    and may be lazy; exponential features keep every kernel estimate
+    positive so row sums never vanish.  The sums add the trials in order,
+    so the stacking changes no bit.  Returns floats: ``attention_mse``, the
+    squared attention error averaged over trials and all (i, j);
+    ``kernel_var`` and ``kernel_cov``, the mean pointwise variance and the
+    mean same-row covariance of the raw kernel estimates, i.e. the two
+    competing terms in the attention error expansion.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     a_exact = attention_exact(X, params)
 
-    att_sq_err = np.zeros((n, n))
-    k_sum = np.zeros((n, n))
-    k_sq_sum = np.zeros((n, n))
-    k_cross = np.zeros(n)  # sum over trials of (sum_j khat_ij)^2 per row
+    # squared attention errors, k_hat, k_hat^2 and per row (sum_j khat_ij)^2;
+    # a cumsum from the sum so far adds as += per trial does, bit for bit
+    sums = [np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)]
     trials = 0
-    for trials, trial_freqs in enumerate(freqs, 1):
-        phi = rlf_feature_matrix(X, trial_freqs, params)
-        k_hat = gram_estimate(phi)
-        a_hat = k_hat / np.sum(k_hat, axis=1, keepdims=True)
-        att_sq_err += (a_hat - a_exact) ** 2
-        k_sum += k_hat
-        k_sq_sum += k_hat**2
-        k_cross += np.sum(k_hat, axis=1) ** 2
+    for stack in freqs:
+        if np.ndim(stack) != 3:
+            raise ValueError(f"freqs must hold (T, m, d) stacks, got shape {np.shape(stack)}")
+        for k_hat in _gram_stacks("rlf", X, stack, params):
+            row_sums = np.sum(k_hat, axis=2)
+            a_hat = k_hat / row_sums[:, :, None]
+            terms = ((a_hat - a_exact) ** 2, k_hat, k_hat**2, row_sums**2)
+            sums = [np.cumsum(np.concatenate([total[None], t]), axis=0)[-1]
+                    for total, t in zip(sums, terms)]
+            trials += len(k_hat)
     if not trials:
         raise ValueError("attention estimate needs at least one ensemble")
+    att_sq_err, k_sum, k_sq_sum, k_cross = sums
 
     k_mean = k_sum / trials
     var = k_sq_sum / trials - k_mean**2

@@ -7,10 +7,9 @@ seed, so outputs are identical across runs.  The five grid experiments
 through one loop, :func:`_grid_bench`, the only place where trial seeds
 become generators.  Each cell states how many trials go into one call:
 as many as fit in one ensemble-layer call for rf-bench and gp-eval, one
-rep for attention-bench (whose generator spawns a child per ensemble,
-drawn as many per ensemble-layer call as fit), and as many as fit in one
-walk-engine call for grf-bench and pagerank-bench.  Since each trial and
-ensemble draws only from its own generator, no count changes a result.
+rep's for attention-bench, and as many as fit in one walk-engine call for
+grf-bench and pagerank-bench.  Since each trial draws only from its own
+generator, no count changes a result.
 Each runner only reduces the results to its own summary, and ``_KINDS``
 holds one row of facts per kind.  The graph kinds' runners live here and
 need numpy alone; the Euclidean kinds' live in :mod:`otrf.euclidean_kinds`,
@@ -293,17 +292,14 @@ def _grid_bench(cfg: ExperimentConfig, cells, count: int, index: str = "trial"):
     This is the one place where trial seeds become generators.  ``cells``
     yields ``(name, label, coords, batch, trial)``, and ``label.format(tag)``
     seeds the cell's trials through :func:`otrf.seeding.trial_generators`.
-    The trials run in order, ``batch`` per call
-    (:func:`otrf.couplings._ensemble_batch` in rf-bench and gp-eval,
-    :func:`_walk_batch` in grf- and pagerank-bench, one in attention-bench,
-    where a rep's generator spawns one child per ensemble): ``trial(tag,
-    rngs)`` takes one fresh
-    generator per trial and returns one dict of metrics per generator.  Each
-    trial draws only from its own generator, so the results do not depend
-    on ``batch``.  A cell runs all its trials before the next
-    is drawn, so ``trial`` may close over the generator's loop variables.
-    Each row is ``coords``, then "coupling", ``index`` (the trial's number),
-    "seed" and the metrics; a key already in ``coords`` keeps its place.
+    The trials run in order, ``batch`` per call: ``trial(tag, rngs)``
+    takes one fresh generator per trial and returns a list of metric dicts,
+    one row each.  Each trial draws only from its own generator, so unless
+    a row reduces a whole call, the results do not depend on ``batch``.  A
+    cell runs all its trials before the next is drawn, so ``trial`` may
+    close over the generator's loop variables.  Each row is ``coords``, then
+    "coupling", ``index`` (the row's number), "seed" and the metrics; a key
+    already in ``coords`` keeps its place.
     Returns the rows and ``{name: {tag: {metric: [values]}}}``.
     """
     from .seeding import trial_generators

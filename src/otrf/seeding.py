@@ -14,12 +14,11 @@ import zlib
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 
-class SeedWords(ISpawnableSeedSequence):
-    """Four PCG64 seed words as a seed sequence; ``spawn(n)`` seeds its children
-    with the rows of ``SeedSequence(words).generate_state(4 * n, np.uint64)``."""
+class SeedWords(ISeedSequence):
+    """Four PCG64 seed words as a seed sequence."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -28,10 +27,6 @@ class SeedWords(ISpawnableSeedSequence):
         if n_words != 4 or dtype is not np.uint64:
             raise ValueError(f"SeedWords holds 4 np.uint64 words, not {n_words} {dtype}")
         return self.words
-
-    def spawn(self, n_children):
-        rows = SeedSequence(self.words).generate_state(4 * n_children, np.uint64)
-        return [SeedWords(row) for row in rows.reshape(n_children, 4)]
 
 
 def trial_generators(master: int, label: str, count: int, batch: int):

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import otrf
-from otrf import couplings, euclidean_kinds, experiments
+from otrf import couplings, datasets, euclidean_kinds, eucrf, experiments
 from otrf.cli import main
 from otrf.datasets import ingest_csv, split_dataset, standardize
 from otrf.experiments import ConfigError, ExperimentConfig, parse_config_file, run
+from otrf.seeding import trial_generators
 
 
 def write_cfg(path, text):
@@ -469,7 +470,8 @@ class TestTrialBatching:
         # m = d = 4: the default budget runs each cell's 10 trials (each of
         # attention-bench's 10 reps' 7 ensembles) in one call, a budget of
         # m * d runs one per call, and 3 * m * d runs chunks of three that
-        # end in a short chunk of one
+        # end in a short chunk of one; Gram budgets of N^2 and 3 N^2 do the
+        # same to the feature maps of rf-bench and attention-bench
         trials = 70 if kind == "attention-bench" else 10
         text = BASE_RF.replace("rf-bench", kind).replace("trials = 20", f"trials = {trials}")
         text = text.replace("dim = 4", "dim = 4\nsplits = 2").replace(
@@ -478,8 +480,11 @@ class TestTrialBatching:
         )
         cfg_path = write_cfg(tmp_path / "run.cfg", text)
         outputs = []
-        for chunk_freqs in (couplings._CHUNK_FREQS, 16, 48):
+        n = 24  # BASE_RF's n_points
+        for chunk_freqs, chunk_gram in ((couplings._CHUNK_FREQS, eucrf._CHUNK_GRAM),
+                                        (16, n * n), (48, 3 * n * n)):
             monkeypatch.setattr(couplings, "_CHUNK_FREQS", chunk_freqs)
+            monkeypatch.setattr(eucrf, "_CHUNK_GRAM", chunk_gram)
             out = tmp_path / str(chunk_freqs)
             assert main([kind, "--config", cfg_path, "--out-dir", str(out)]) == 0
             outputs.append(((out / "summary.json").read_bytes(), (out / "trials.csv").read_bytes()))
@@ -1320,6 +1325,24 @@ class TestSummaryFromRows:
                 assert entry["trials_per_rep"] == 3
                 _assert_mean_se(entry, values, f"{metric}_mean", f"{metric}_se")
 
+    def test_attention_rep_reduces_its_block_of_the_cell_seeds(self, tmp_path):
+        # rep r reduces the ensembles of trials [3r, 3r + 3) of the cell "attn/<tag>"
+        tags = ("iid", "orthogonal")
+        _, _, rows = _run_rows(
+            tmp_path, kind="attention-bench", trials=30, n_points=5, dim=4, couplings=tags
+        )
+        X = datasets.gaussian_inputs(5, 4, experiments._rng(3, "tokens"), scale=4**-0.25)
+        params = eucrf.GaussianKernelParams(eucrf.rlf_lengthscale_heuristic(X), 1.0, 0.0)
+        for tag in tags:
+            got = [row for row in rows if row["coupling"] == tag]
+            blocks = list(trial_generators(3, f"attn/{tag}", 30, 3))
+            assert len(got) == len(blocks) == 10
+            for r, (row, rngs) in enumerate(zip(got, blocks)):
+                freqs = couplings.build_ensemble(4, 4, tag, rngs)
+                want = eucrf.attention_estimate(X, [freqs], params)
+                assert row["rep"] == str(r)
+                assert {key: float(row[key]) for key in want} == want
+
 
 class TestTrialsCsv:
     def test_bytes_match_dict_writer(self, tmp_path):
@@ -1360,6 +1383,12 @@ class TestIngestion:
         out = standardize(X)
         assert np.array_equal(out[:, 0], np.zeros(3))
         assert np.var(out[:, 1]) == pytest.approx(1.0)
+        # training variance 5e-13, below the 1e-12 floor, in both blocks
+        near = np.array([[1.0], [1.0 + 1e-6], [1.0 - 1e-6], [1.0]])
+        assert np.var(near) < 1e-12
+        train, test = standardize(near, near + 1.0)
+        assert np.array_equal(train, np.zeros((4, 1)))
+        assert np.array_equal(test, np.zeros((4, 1)))
 
     def test_split_respects_caps(self):
         rng = np.random.default_rng(0)

@@ -274,6 +274,30 @@ class TestCostSeries:
             cost_rlf(-1.0, 0.0, 1.0, 2)
 
 
+def attention_reference(X, freqs, params):
+    """attention_estimate one (m, d) ensemble at a time, its sums a += per trial."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = X.shape[0]
+    a_exact = attention_exact(X, params)
+    att_sq_err, k_sum, k_sq_sum = (np.zeros((n, n)) for _ in range(3))
+    k_cross = np.zeros(n)
+    for trial_freqs in freqs:
+        k_hat = gram_estimate(rlf_feature_matrix(X, trial_freqs, params))
+        a_hat = k_hat / np.sum(k_hat, axis=1, keepdims=True)
+        att_sq_err += (a_hat - a_exact) ** 2
+        k_sum += k_hat
+        k_sq_sum += k_hat**2
+        k_cross += np.sum(k_hat, axis=1) ** 2
+    trials = len(freqs)
+    k_mean = k_sum / trials
+    row_mean = np.sum(k_mean, axis=1)
+    return {
+        "attention_mse": float(np.mean(np.mean(att_sq_err, axis=1) / trials)),
+        "kernel_var": float(np.mean(k_sq_sum / trials - k_mean**2)),
+        "kernel_cov": float(np.mean((k_cross / trials - row_mean**2) / n**2)),
+    }
+
+
 class TestAttention:
     def test_single_token(self):
         X = np.array([[0.3, -0.2]])
@@ -296,16 +320,14 @@ class TestAttention:
         X = np.array([[0.4, -0.1]])
         p = GaussianKernelParams(1.0)
         rng = np.random.default_rng(20)
-        stats = attention_estimate(X, (build_ensemble(2, 2, "iid", rng) for _ in range(20)), p)
+        stats = attention_estimate(X, [build_ensemble(2, 2, "iid", [rng] * 20)], p)
         assert stats["attention_mse"] == 0.0
 
     def test_estimate_statistics_shapes(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((5, 4)) * 0.3
         p = GaussianKernelParams(rlf_lengthscale_heuristic(X))
-        stats = attention_estimate(
-            X, (build_ensemble(4, 4, "orthogonal", rng) for _ in range(50)), p
-        )
+        stats = attention_estimate(X, [build_ensemble(4, 4, "orthogonal", [rng] * 50)], p)
         assert set(stats) == {"attention_mse", "kernel_var", "kernel_cov"}
         assert all(type(v) is float for v in stats.values())
         assert stats["attention_mse"] > 0 and stats["kernel_var"] > 0
@@ -315,12 +337,8 @@ class TestAttention:
         X = rng.standard_normal((4, 3)) * 0.3
         p = GaussianKernelParams(rlf_lengthscale_heuristic(X))
         rng_few, rng_many = np.random.default_rng(1), np.random.default_rng(1)
-        few = attention_estimate(
-            X, (build_ensemble(3, 3, "orthogonal", rng_few) for _ in range(30)), p
-        )
-        many = attention_estimate(
-            X, (build_ensemble(12, 3, "orthogonal", rng_many) for _ in range(30)), p
-        )
+        few = attention_estimate(X, [build_ensemble(3, 3, "orthogonal", [rng_few] * 30)], p)
+        many = attention_estimate(X, [build_ensemble(12, 3, "orthogonal", [rng_many] * 30)], p)
         assert many["attention_mse"] < few["attention_mse"]
 
     @pytest.mark.parametrize(
@@ -329,17 +347,37 @@ class TestAttention:
          "positive_monotone"],
     )
     def test_chunked_ensembles_match_one_call_per_generator(self, tag):
-        # seven children in list calls of three, against one call per child
+        # seven children in stacks of three, against one stack per child
         rng = np.random.default_rng(15)
         X = rng.standard_normal((5, 4)) * 0.3
         p = GaussianKernelParams(rlf_lengthscale_heuristic(X))
         children = np.random.default_rng(16).spawn(7)
-        chunks = [build_ensemble(8, 4, tag, children[i : i + 3]) for i in range(0, 7, 3)]
-        chunked = attention_estimate(X, [ens for chunk in chunks for ens in chunk], p)
-        singles = [build_ensemble(8, 4, tag, c) for c in np.random.default_rng(16).spawn(7)]
+        chunked = attention_estimate(
+            X, (build_ensemble(8, 4, tag, children[i : i + 3]) for i in range(0, 7, 3)), p
+        )
+        singles = [build_ensemble(8, 4, tag, [c]) for c in np.random.default_rng(16).spawn(7)]
         single = attention_estimate(X, singles, p)
         assert chunked == single
+
+    @pytest.mark.parametrize("grams", [1, 3, None])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_stack_matches_per_ensemble_reference(self, n, grams, monkeypatch):
+        # one, three or (by default) all seven Grams per sub-stack; with one
+        # token the row-sum stack is (T, 1), which np.add.reduce sums pairwise
+        if grams:
+            monkeypatch.setattr(eucrf, "_CHUNK_GRAM", grams * n * n)
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((n, 4)) * 0.3
+        p = GaussianKernelParams(1.2)
+        freqs = build_ensemble(8, 4, "orthogonal_pnc", np.random.default_rng(18).spawn(7))
+        assert attention_estimate(X, [freqs], p) == attention_reference(X, freqs, p)
+        assert attention_estimate(X, [freqs[:2], freqs[2:]], p) == attention_reference(X, freqs, p)
 
     def test_estimate_needs_an_ensemble(self):
         with pytest.raises(ValueError):
             attention_estimate(np.zeros((2, 2)), [], GaussianKernelParams(1.0))
+
+    def test_entry_that_is_not_a_stack_refused(self):
+        freqs = np.ones((2, 2))
+        with pytest.raises(ValueError, match=r"\(T, m, d\) stacks, got shape \(2, 2\)"):
+            attention_estimate(np.zeros((2, 2)), [freqs], GaussianKernelParams(1.0))

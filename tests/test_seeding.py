@@ -44,20 +44,6 @@ def test_trial_stream_independent_of_count_and_batch(label):
             same_stream(ours, theirs)
 
 
-def test_spawn_is_deterministic_and_its_children_distinct():
-    rng = trials(3, "attn/iid", 1, 1)[0]
-    first, again = rng.spawn(6), rng.spawn(6)
-    for ours, theirs in zip(first, again, strict=True):
-        same_stream(ours, theirs)
-    words = [child.bit_generator.seed_seq.generate_state(4, np.uint64) for child in first]
-    parent = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
-    expected = np.random.SeedSequence(parent).generate_state(24, np.uint64).reshape(6, 4)
-    assert np.array_equal(np.stack(words), expected)
-    assert len({w.tobytes() for w in words} | {parent.tobytes()}) == 7
-    draws = [child.random(4).tobytes() for child in rng.spawn(6)]
-    assert len(set(draws)) == 6
-
-
 @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64),
                                             (4, np.int64), (0, np.uint64)])
 def test_seed_words_refuse_any_other_request(n_words, dtype):
